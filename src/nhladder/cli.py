@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -25,13 +26,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .eig import (ConvergenceError, SpectrumResult, default_eps_im,
-                  eigendecompose)
+from .eig import ConvergenceError, default_eps_im, eigendecompose
 from .fock import CapacityError, site_cell_leg
 from .model import ModelParams, build_hamiltonian, sector_basis
-from .observables import (correlation_ncor, correlation_ncor_all,
-                          default_min_gap, entanglement_entropy,
-                          label_clusters, left_half_sites, leg_sites,
+from .observables import (cluster_spectrum, correlation_ncor,
+                          correlation_ncor_all, default_min_gap,
+                          entanglement_entropy, label_clusters,
+                          left_half_sites, leg_sites,
                           pair_density, polarization_all, site_density)
 from .perturb import ResonanceError, validate_effective_model
 from .sweep import (Axis, SweepSpec, eonsite_table, find_threshold_jp,
@@ -198,6 +199,7 @@ def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
                "results": results,
                "outputs": outputs,
                "timings": timings,
+               "environment": _environment(),
                "versions": {"python": platform.python_version(),
                             "numpy": np.__version__,
                             "nhladder": __version__}}
@@ -205,26 +207,19 @@ def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
     return path
 
 
-def _select_state(selector: str, result: SpectrumResult,
-                  clusters) -> int:
-    ims = np.abs(result.eigenvalues.imag)
-    if selector == "max_im":
-        return int(np.argmax(ims))
-    if selector.startswith("index:"):
-        index = int(selector.split(":", 1)[1])
-        if not 0 <= index < result.dimension:
-            raise ValueError(f"state index {index} out of range "
-                             f"0..{result.dimension - 1}")
-        return index
-    if selector.startswith("cluster:"):
-        cluster_id = int(selector.split(":", 1)[1])
-        if not 0 <= cluster_id < len(clusters):
-            raise ValueError(f"cluster id {cluster_id} out of range "
-                             f"0..{len(clusters) - 1}")
-        members = np.asarray(clusters[cluster_id].members)
-        return int(members[np.argmax(ims[members])])
-    raise ValueError(f"selector must be 'max_im', 'index:K', or 'cluster:K', "
-                     f"got {selector!r}")
+def _environment() -> Dict:
+    """Usable cores, the BLAS numpy was built against, and the thread
+    variables as set; recorded only, never changed."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode argument
+        blas = {}
+    return {"cores": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "thread_env": {k: os.environ.get(k) for k in
+                           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS")}}
 
 
 def _diagonalize(cfg: Dict):
@@ -293,13 +288,42 @@ def cmd_spectrum(cfg: Dict, out: str) -> int:
     return 0
 
 
-def cmd_density(cfg: Dict, out: str) -> int:
+def _selected_state(cfg: Dict):
+    """Diagonalize and pick the state named by --select: max_im (largest
+    |Im E|), index:K, or cluster:K (the max-|Im E| member of cluster K).
+
+    Returns params, basis, the state's eigenvector, the results dict opened
+    with the state's index and eigenvalue, and the timings."""
     params, basis, result, timings = _diagonalize(cfg)
-    min_gap = _min_gap_from(cfg, params)
-    clusters = label_clusters(result, basis, gap_factor=cfg["gap_factor"],
-                              min_gap=min_gap)
-    state = _select_state(cfg["select"], result, clusters)
-    vec = result.eigenvectors[:, state]
+    selector = cfg["select"]
+    ims = np.abs(result.eigenvalues.imag)
+    if selector == "max_im":
+        state = int(np.argmax(ims))
+    elif selector.startswith("index:"):
+        state = int(selector.split(":", 1)[1])
+        if not 0 <= state < result.dimension:
+            raise ValueError(f"state index {state} out of range "
+                             f"0..{result.dimension - 1}")
+    elif selector.startswith("cluster:"):
+        clusters = cluster_spectrum(result, gap_factor=cfg["gap_factor"],
+                                    min_gap=_min_gap_from(cfg, params))
+        cluster_id = int(selector.split(":", 1)[1])
+        if not 0 <= cluster_id < len(clusters):
+            raise ValueError(f"cluster id {cluster_id} out of range "
+                             f"0..{len(clusters) - 1}")
+        members = np.asarray(clusters[cluster_id].members)
+        state = int(members[np.argmax(ims[members])])
+    else:
+        raise ValueError(f"selector must be 'max_im', 'index:K', or "
+                         f"'cluster:K', got {selector!r}")
+    results = {"state_index": state,
+               "re_e": result.eigenvalues[state].real,
+               "im_e": result.eigenvalues[state].imag}
+    return params, basis, result.eigenvectors[:, state], results, timings
+
+
+def cmd_density(cfg: Dict, out: str) -> int:
+    params, basis, vec, results, timings = _selected_state(cfg)
     csv_path = f"{out}.csv"
     if cfg["kind"] == "site":
         dens = site_density(vec, basis)
@@ -315,54 +339,37 @@ def cmd_density(cfg: Dict, out: str) -> int:
         total = float(rho.sum())
     else:
         raise ValueError(f"kind must be 'site' or 'pair', got {cfg['kind']!r}")
-    results = {"state_index": state,
-               "re_e": result.eigenvalues[state].real,
-               "im_e": result.eigenvalues[state].imag,
-               "kind": cfg["kind"],
-               "total": total}
+    results.update(kind=cfg["kind"], total=total)
     sidecar = _sidecar(out, "density", cfg, results, [csv_path], timings)
-    print(f"density: state={state} e=({results['re_e']:.6g}, "
+    print(f"density: state={results['state_index']} e=({results['re_e']:.6g}, "
           f"{results['im_e']:.6g}) kind={cfg['kind']}")
     print(f"wrote {csv_path} {sidecar}")
     return 0
 
 
 def cmd_ncor(cfg: Dict, out: str) -> int:
-    params, basis, result, timings = _diagonalize(cfg)
-    min_gap = _min_gap_from(cfg, params)
-    clusters = label_clusters(result, basis, gap_factor=cfg["gap_factor"],
-                              min_gap=min_gap)
-    state = _select_state(cfg["select"], result, clusters)
-    value = correlation_ncor(result.eigenvectors[:, state], basis)
-    results = {"state_index": state,
-               "re_e": result.eigenvalues[state].real,
-               "im_e": result.eigenvalues[state].imag,
-               "ncor": value}
+    params, basis, vec, results, timings = _selected_state(cfg)
+    results["ncor"] = correlation_ncor(vec, basis)
     sidecar = _sidecar(out, "ncor", cfg, results, [], timings)
-    print(f"ncor: state={state} ncor={value:.6g}")
+    print(f"ncor: state={results['state_index']} "
+          f"ncor={results['ncor']:.6g}")
     print(f"wrote {sidecar}")
     return 0
 
 
 def cmd_entropy(cfg: Dict, out: str) -> int:
-    params, basis, result, timings = _diagonalize(cfg)
-    min_gap = _min_gap_from(cfg, params)
-    clusters = label_clusters(result, basis, gap_factor=cfg["gap_factor"],
-                              min_gap=min_gap)
-    state = _select_state(cfg["select"], result, clusters)
-    vec = result.eigenvectors[:, state]
+    params, basis, vec, results, timings = _selected_state(cfg)
     cells = params.cells
     dens = site_density(vec, basis)
     left = left_half_sites(cells)
-    results = {"state_index": state,
-               "re_e": result.eigenvalues[state].real,
-               "im_e": result.eigenvalues[state].imag,
-               "s_ab": entanglement_entropy(vec, basis, leg_sites(cells, "A")),
-               "s_leftright": entanglement_entropy(vec, basis, left),
-               "rho_a_frac": float(dens[:cells].sum() / params.particles),
-               "rho_left_frac": float(dens[left].sum() / params.particles)}
+    results.update(
+        s_ab=entanglement_entropy(vec, basis, leg_sites(cells, "A")),
+        s_leftright=entanglement_entropy(vec, basis, left),
+        rho_a_frac=float(dens[:cells].sum() / params.particles),
+        rho_left_frac=float(dens[left].sum() / params.particles))
     sidecar = _sidecar(out, "entropy", cfg, results, [], timings)
-    print(f"entropy: state={state} s_ab={results['s_ab']:.6g} "
+    print(f"entropy: state={results['state_index']} "
+          f"s_ab={results['s_ab']:.6g} "
           f"s_leftright={results['s_leftright']:.6g}")
     print(f"wrote {sidecar}")
     return 0

@@ -26,30 +26,42 @@ SIDE_THRESHOLD = 0.60
 ALLOWED_LABELS = ("RS", "BiS", "LS", "RB", "LB", "mixed", "unclassified")
 
 
-def _weights(vector: np.ndarray) -> np.ndarray:
-    v = np.asarray(vector)
+def _weights(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
+    """|psi|^2 of each column of a (dimension, n) array, normalized to one."""
+    v = np.asarray(eigenvectors)
+    if v.shape[0] != basis.dimension:
+        raise ValueError(f"vector length {v.shape[0]} does not match "
+                         f"basis dimension {basis.dimension}")
     w = np.abs(v) ** 2
-    total = w.sum()
-    if total == 0.0:
+    total = w.sum(axis=0)
+    if np.any(total == 0.0):
         raise ValueError("cannot form weights from a zero vector")
     return w / total
 
 
+def site_density_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
+    """Expected occupation per combined site for every eigenvector column;
+    shape (n_states, 2L), each row sums to the particle number."""
+    return _weights(eigenvectors, basis).T @ basis.occupations
+
+
 def site_density(vector: np.ndarray, basis: Basis) -> np.ndarray:
-    """Expected occupation per combined site; sums to the particle number."""
-    if len(vector) != basis.dimension:
-        raise ValueError(f"vector length {len(vector)} does not match "
-                         f"basis dimension {basis.dimension}")
-    return _weights(vector) @ basis.occupations
+    """site_density_all of one vector."""
+    return site_density_all(np.asarray(vector)[:, None], basis)[0]
+
+
+def polarization_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
+    """Leg imbalance (N_A - N_B) / (N_A + N_B), in [-1, 1], per column."""
+    dens = site_density_all(eigenvectors, basis)
+    cells = basis.cells
+    n_a = dens[:, :cells].sum(axis=1)
+    n_b = dens[:, cells:].sum(axis=1)
+    return (n_a - n_b) / (n_a + n_b)
 
 
 def polarization(vector: np.ndarray, basis: Basis) -> float:
-    """Leg imbalance (N_A - N_B) / (N_A + N_B), in [-1, 1]."""
-    dens = site_density(vector, basis)
-    cells = basis.cells
-    n_a = dens[:cells].sum()
-    n_b = dens[cells:].sum()
-    return float((n_a - n_b) / (n_a + n_b))
+    """polarization_all of one vector."""
+    return float(polarization_all(np.asarray(vector)[:, None], basis)[0])
 
 
 def pair_density(vector: np.ndarray, basis: Basis) -> np.ndarray:
@@ -57,12 +69,9 @@ def pair_density(vector: np.ndarray, basis: Basis) -> np.ndarray:
     <n_x^2>. Requires at least two particles."""
     if basis.particles < 2:
         raise ValueError("pair density requires at least two particles")
-    if len(vector) != basis.dimension:
-        raise ValueError(f"vector length {len(vector)} does not match "
-                         f"basis dimension {basis.dimension}")
-    w = _weights(vector)
+    w = _weights(np.asarray(vector)[:, None], basis)
     occ = basis.occupations
-    return (occ * w[:, None]).T @ occ
+    return (occ * w).T @ occ
 
 
 def pair_correlation(vector: np.ndarray, basis: Basis) -> np.ndarray:
@@ -73,9 +82,16 @@ def pair_correlation(vector: np.ndarray, basis: Basis) -> np.ndarray:
     return rho - np.diag(dens)
 
 
-def correlation_ncor(vector: np.ndarray, basis: Basis) -> float:
-    """Pair participation measure (tr G)^2 - ||G||_F^2 for the normal-ordered
-    matrix G; defined for exactly two particles.
+def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis,
+                         chunk: int = 128) -> np.ndarray:
+    """Pair participation (tr G)^2 - ||G||_F^2 of the normal-ordered matrix
+    G = <n_x n_y> - delta_xy <n_x> for every column; two particles only.
+
+    Each Fock state i owns its own entries of G: a doublon on site x puts
+    2 w_i on G_xx, a pair on sites x < y puts w_i on G_xy and G_yx, with
+    w_i = |psi_i|^2 normalized. Hence tr G = sum_i 2 [doublon_i] w_i and
+    ||G||_F^2 = sum_i (4 [doublon_i] + 2 [pair_i]) w_i^2: O(dimension) per
+    column. Weights are formed for `chunk` columns at a time.
 
     Equals -2 for two pinned distinguishable-site particles, 0 for a single
     doublon, and approaches 4 (1 - 1/L) for a doublon spread evenly over L
@@ -83,50 +99,22 @@ def correlation_ncor(vector: np.ndarray, basis: Basis) -> float:
     if basis.particles != 2:
         raise ValueError(f"correlation_ncor is defined for exactly two "
                          f"particles, got {basis.particles}")
-    g = pair_correlation(vector, basis)
-    return float(np.trace(g) ** 2 - np.sum(g * g))
-
-
-def site_density_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
-    """Per-state site densities for every eigenvector column; shape
-    (n_states, 2L)."""
-    w = np.abs(eigenvectors) ** 2
-    w = w / w.sum(axis=0)
-    return w.T @ basis.occupations
-
-
-def polarization_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
-    dens = site_density_all(eigenvectors, basis)
-    cells = basis.cells
-    n_a = dens[:, :cells].sum(axis=1)
-    n_b = dens[:, cells:].sum(axis=1)
-    return (n_a - n_b) / (n_a + n_b)
-
-
-def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis,
-                         chunk: int = 128) -> np.ndarray:
-    """correlation_ncor for every column, evaluated in chunks."""
-    if basis.particles != 2:
-        raise ValueError(f"correlation_ncor is defined for exactly two "
-                         f"particles, got {basis.particles}")
-    occ = basis.occupations
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    trace_coef = 2.0 * (basis.occupations.max(axis=1) == 2)
+    frobenius_coef = 2.0 + trace_coef  # 4 [doublon] + 2 [pair]
     n_states = eigenvectors.shape[1]
     out = np.empty(n_states)
-    w_all = np.abs(eigenvectors) ** 2
-    w_all = w_all / w_all.sum(axis=0)
-    dens_all = w_all.T @ occ
     for start in range(0, n_states, chunk):
-        stop = min(start + chunk, n_states)
-        rho = np.einsum("ib,ix,iy->bxy", w_all[:, start:stop], occ, occ,
-                        optimize=True)
-        dens = dens_all[start:stop]
-        trace_g = rho.trace(axis1=1, axis2=2) - dens.sum(axis=1)
-        sq = np.sum(rho * rho, axis=(1, 2))
-        diag = np.einsum("bxx->bx", rho)
-        # ||G||_F^2 where G = rho - diag(dens): only diagonal entries shift.
-        sq += np.sum(dens * dens, axis=1) - 2.0 * np.sum(diag * dens, axis=1)
-        out[start:stop] = trace_g ** 2 - sq
+        w = _weights(eigenvectors[:, start:start + chunk], basis)
+        out[start:start + chunk] = (trace_coef @ w) ** 2 \
+            - frobenius_coef @ (w * w)
     return out
+
+
+def correlation_ncor(vector: np.ndarray, basis: Basis) -> float:
+    """correlation_ncor_all of one vector."""
+    return float(correlation_ncor_all(np.asarray(vector)[:, None], basis)[0])
 
 
 def leg_sites(cells: int, leg: str) -> List[int]:

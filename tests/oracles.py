@@ -193,6 +193,21 @@ def brute_fermion_entropy(vector: Sequence[complex],
 
 
 # ---------------------------------------------------------------------------
+# Pair participation from the full two-point matrix.
+
+def einsum_ncor(vectors: np.ndarray,
+                states: Sequence[Sequence[int]]) -> np.ndarray:
+    """(tr G)^2 - ||G||_F^2 per column, with G = rho - diag(density) built
+    from the dense pair density rho_bxy = sum_i w_ib n_ix n_iy."""
+    occ = np.asarray(states, dtype=float)
+    w = np.abs(np.asarray(vectors)) ** 2
+    w = w / w.sum(axis=0)
+    rho = np.einsum("ib,ix,iy->bxy", w, occ, occ)
+    g = rho - (w.T @ occ)[:, :, None] * np.eye(occ.shape[1])
+    return np.trace(g, axis1=1, axis2=2) ** 2 - np.sum(g * g, axis=(1, 2))
+
+
+# ---------------------------------------------------------------------------
 # Eigenvalue oracles.
 
 def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:

@@ -80,6 +80,26 @@ def test_sidecar_round_trip_is_bit_identical(tmp_path):
         assert a.read() == b.read()
 
 
+def test_sidecar_environment_round_trips_as_config(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    first = tmp_path / "first"
+    assert main(["spectrum", "--cells", "3", "--particles", "2", "--u", "4",
+                 "--mu", "0.2", "--jp", "0.01", "--out", str(first)]) == 0
+    env = read_json(f"{first}.json")["environment"]
+    assert isinstance(env["cores"], int) and env["cores"] >= 1
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["thread_env"]["OMP_NUM_THREADS"] == "1"
+    assert env["thread_env"]["MKL_NUM_THREADS"] is None
+    second = tmp_path / "second"
+    assert main(["spectrum", "--config", f"{first}.json",
+                 "--out", str(second)]) == 0
+    with open(f"{first}.csv", "rb") as a, open(f"{second}.csv", "rb") as b:
+        assert a.read() == b.read()
+    assert read_json(f"{second}.json")["config"] == \
+        read_json(f"{first}.json")["config"]
+
+
 def test_j_alpha_parameterization(tmp_path):
     out = tmp_path / "run"
     alpha = math.log(2.0) / 2.0

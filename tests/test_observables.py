@@ -11,9 +11,10 @@ from nhladder.observables import (classify_cluster, cluster_spectrum,
                                   default_min_gap, entanglement_entropy,
                                   label_clusters, left_half_sites, leg_sites,
                                   pair_correlation, pair_density,
-                                  polarization, site_density)
+                                  polarization, polarization_all,
+                                  site_density, site_density_all)
 
-from oracles import brute_fermion_entropy
+from oracles import brute_fermion_entropy, einsum_ncor
 
 LN2 = 0.6931471805599453
 
@@ -150,6 +151,39 @@ def test_ncor_batch_matches_single():
     for k in range(result.dimension):
         single = correlation_ncor(result.eigenvectors[:, k], basis)
         assert batch[k] == pytest.approx(single, abs=1e-12)
+
+
+@pytest.mark.parametrize("stats", ["boson", "fermion"])
+@pytest.mark.parametrize("cells", [3, 4, 5, 6])
+def test_ncor_closed_form_matches_einsum_oracle(stats, cells):
+    rng = np.random.default_rng(cells)
+    interaction = {"u": 3.0} if stats == "boson" else {"u_nn": 2.0}
+    p = ModelParams(cells=cells, particles=2, statistics=stats, jp=0.2,
+                    mu=0.1, **interaction)
+    basis = sector_basis(p)
+    dim = basis.dimension
+    random = rng.normal(size=(dim, 9)) + 1j * rng.normal(size=(dim, 9))
+    eigen = eigendecompose(build_hamiltonian(p, basis)).eigenvectors
+    for vectors in (random, eigen):
+        expected = einsum_ncor(vectors, basis.states)
+        for chunk in (1, 7, dim):
+            got = correlation_ncor_all(vectors, basis, chunk=chunk)
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_batched_observables_reject_zero_column_and_bad_chunk():
+    basis = enumerate_basis(3, 2, "boson")
+    vectors = np.ones((basis.dimension, 3))
+    vectors[:, 1] = 0.0
+    for fn in (correlation_ncor_all, site_density_all, polarization_all):
+        with pytest.raises(ValueError):
+            fn(vectors, basis)
+    with pytest.raises(ValueError):
+        correlation_ncor_all(np.ones((basis.dimension - 1, 2)), basis)
+    with pytest.raises(ValueError):
+        correlation_ncor_all(np.ones((basis.dimension, 2)), basis, chunk=0)
+    with pytest.raises(ValueError):
+        correlation_ncor_all(np.ones((6, 2)), enumerate_basis(3, 1, "boson"))
 
 
 # ---------------------------------------------------------------------------
