@@ -15,7 +15,8 @@ from .fock import (Basis, CapacityError, apply_single_hop, basis_dimension,
                    combined_site, enumerate_basis, site_cell_leg)
 from .model import (ModelParams, SparseOperator, build_hamiltonian,
                     build_single_particle_matrix, onsite_energy, sector_basis)
-from .observables import (Cluster, classify_cluster, cluster_spectrum,
+from .observables import (Cluster, bound_clusters, classify_cluster,
+                          cluster_spectrum,
                           correlation_ncor, default_min_gap,
                           entanglement_entropy, label_clusters,
                           left_half_sites, leg_sites, pair_correlation,
@@ -30,7 +31,8 @@ __all__ = [
     "Axis", "Basis", "CapacityError", "Cluster", "ConvergenceError",
     "EffectiveModelReport", "EonsiteTable", "ModelParams", "ResonanceError",
     "SparseOperator", "SpectrumResult", "SweepSpec", "ThresholdResult",
-    "apply_single_hop", "basis_dimension", "build_effective_pair_hamiltonian",
+    "apply_single_hop", "basis_dimension", "bound_clusters",
+    "build_effective_pair_hamiltonian",
     "build_hamiltonian", "build_single_particle_matrix", "classify_cluster",
     "cluster_spectrum", "combined_site", "correlation_ncor", "default_eps_im",
     "default_min_gap", "entanglement_entropy", "enumerate_basis",

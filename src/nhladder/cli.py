@@ -31,12 +31,11 @@ from .fock import CapacityError, site_cell_leg
 from .model import ModelParams, build_hamiltonian, sector_basis
 from .observables import (cluster_spectrum, correlation_ncor,
                           correlation_ncor_all, default_min_gap,
-                          entanglement_entropy, label_clusters,
-                          left_half_sites, leg_sites,
-                          pair_density, polarization_all, site_density)
+                          label_clusters, pair_density, polarization_all,
+                          site_density)
 from .perturb import ResonanceError, validate_effective_model
-from .sweep import (Axis, SweepSpec, eonsite_table, find_threshold_jp,
-                    run_sweep)
+from .sweep import (Axis, SweepSpec, cut_entropies, eonsite_table,
+                    find_threshold_jp, run_sweep)
 
 MODEL_KEYS = ("cells", "particles", "stats", "jl", "jr", "j", "alpha",
               "jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "unn",
@@ -359,14 +358,7 @@ def cmd_ncor(cfg: Dict, out: str) -> int:
 
 def cmd_entropy(cfg: Dict, out: str) -> int:
     params, basis, vec, results, timings = _selected_state(cfg)
-    cells = params.cells
-    dens = site_density(vec, basis)
-    left = left_half_sites(cells)
-    results.update(
-        s_ab=entanglement_entropy(vec, basis, leg_sites(cells, "A")),
-        s_leftright=entanglement_entropy(vec, basis, left),
-        rho_a_frac=float(dens[:cells].sum() / params.particles),
-        rho_left_frac=float(dens[left].sum() / params.particles))
+    results.update(cut_entropies(vec, basis))
     sidecar = _sidecar(out, "entropy", cfg, results, [], timings)
     print(f"entropy: state={results['state_index']} "
           f"s_ab={results['s_ab']:.6g} "

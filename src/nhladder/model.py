@@ -19,7 +19,7 @@ import numpy as np
 
 from .fock import Basis, apply_single_hop, enumerate_basis
 
-_FINITE_FIELDS = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "u_nn")
+FLOAT_FIELDS = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "u_nn")
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class ModelParams:
         if self.statistics == "fermion" and self.particles > 2 * self.cells:
             raise ValueError(f"cannot place {self.particles} fermions on "
                              f"{2 * self.cells} sites")
-        for name in _FINITE_FIELDS:
+        for name in FLOAT_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -74,6 +74,12 @@ class ModelParams:
 
     def with_updates(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)
+
+    @property
+    def pair_energy(self) -> float:
+        """Interaction energy of two particles bound together: u for bosons
+        (a doublon), u_nn for fermions (a same-leg nearest-neighbor pair)."""
+        return self.u if self.statistics == "boson" else self.u_nn
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,16 @@ def cluster_spectrum(result: SpectrumResult, gap_factor: float = 10.0,
     return clusters
 
 
+def bound_clusters(result: SpectrumResult, clusters: Sequence[Cluster],
+                   pair_energy: float) -> List[bool]:
+    """Whether each cluster belongs to the bound-pair band: the mean real
+    energy of its members lies closer to pair_energy than to 0. With
+    pair_energy 0 no cluster is bound."""
+    centroids = [result.eigenvalues[list(c.members)].real.mean()
+                 for c in clusters]
+    return [bool(abs(x - pair_energy) < abs(x)) for x in centroids]
+
+
 def _edge_weights(mean_density: np.ndarray, cells: int) -> Tuple[float, float]:
     window = max(1, math.ceil(cells * EDGE_FRACTION))
     total = mean_density.sum()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .eig import eigendecompose
 from .model import ModelParams, SparseOperator, build_hamiltonian, sector_basis
-from .observables import cluster_spectrum, default_min_gap
+from .observables import bound_clusters, cluster_spectrum, default_min_gap
 
 RESONANCE_RTOL = 1e-6
 SQRT2 = math.sqrt(2.0)
@@ -42,6 +42,12 @@ def _check_denominators(params: ModelParams) -> None:
                                  f"is resonant (u={u}, mu={params.mu})")
 
 
+def _rung_coupling(params: ModelParams) -> float:
+    """Reciprocal inter-leg pair hop sqrt(2) jp^2 (1/(u + 2 mu) + 1/(u - 2 mu))."""
+    return SQRT2 * params.jp ** 2 * (1.0 / (params.u + 2.0 * params.mu)
+                                     + 1.0 / (params.u - 2.0 * params.mu))
+
+
 def build_effective_pair_hamiltonian(params: ModelParams) -> SparseOperator:
     """Assemble the 2L x 2L effective pair Hamiltonian.
 
@@ -61,7 +67,7 @@ def build_effective_pair_hamiltonian(params: ModelParams) -> SparseOperator:
     cells = params.cells
     u = params.u
     jp2 = params.jp ** 2
-    rung = SQRT2 * jp2 * (1.0 / (u + 2.0 * params.mu) + 1.0 / (u - 2.0 * params.mu))
+    rung = _rung_coupling(params)
 
     rows: List[int] = []
     cols: List[int] = []
@@ -120,22 +126,19 @@ def _sorted_pairing(values: np.ndarray) -> np.ndarray:
 
 
 def _bound_band(params: ModelParams, capacity: Optional[int]) -> np.ndarray:
-    """Eigenvalues of the full model belonging to the bound-pair band:
-    union of clusters whose centroid lies closer to u than to 0."""
+    """Eigenvalues of the full model in the bound clusters (see
+    bound_clusters); there must be exactly one per pair site."""
     basis = sector_basis(params, capacity=capacity)
     result = eigendecompose(build_hamiltonian(params, basis), capacity=capacity)
     min_gap = default_min_gap(params.jl_a, params.jr_a)
     clusters = cluster_spectrum(result, min_gap=min_gap)
-    bound: List[complex] = []
-    for cluster in clusters:
-        members = np.asarray(cluster.members)
-        centroid = result.eigenvalues[members].mean()
-        if abs(centroid - params.u) < abs(centroid):
-            bound.extend(result.eigenvalues[members])
-    if len(bound) != 2 * params.cells:
-        raise RuntimeError(f"bound band is not isolable: found {len(bound)} "
+    flags = bound_clusters(result, clusters, params.pair_energy)
+    members = [m for c, bound in zip(clusters, flags) if bound
+               for m in c.members]
+    if len(members) != 2 * params.cells:
+        raise RuntimeError(f"bound band is not isolable: found {len(members)} "
                            f"eigenvalues near u={params.u}, expected {2 * params.cells}")
-    return np.asarray(bound)
+    return result.eigenvalues[members]
 
 
 def validate_effective_model(params: ModelParams,
@@ -168,8 +171,6 @@ def validate_effective_model(params: ModelParams,
     if doubled_max_dev == 0.0:
         raise RuntimeError("deviation at 2u vanished; ratio undefined")
     full, eff = spectra[1.0]
-    rung = SQRT2 * params.jp ** 2 * (1.0 / (params.u + 2.0 * params.mu)
-                                     + 1.0 / (params.u - 2.0 * params.mu))
     return EffectiveModelReport(params=params,
                                 full_eigenvalues=full,
                                 effective_eigenvalues=eff,
@@ -177,4 +178,4 @@ def validate_effective_model(params: ModelParams,
                                 max_dev_abs=max_dev_abs,
                                 doubled_max_dev=doubled_max_dev,
                                 ratio=max_dev / doubled_max_dev,
-                                rung_coupling=rung)
+                                rung_coupling=_rung_coupling(params))

@@ -1,11 +1,11 @@
 """Parameter sweeps, size-transition thresholds, and diagonal-energy tables.
 
 Sweep grids are row-major over one or two linear axes. Every grid point is
-an independent job (safe to evaluate in worker processes); per-point
-failures are recorded in the row's error column instead of aborting the
-sweep. Cluster bookkeeping across points is done in a deterministic pass
-after all points are evaluated, so serial and parallel runs produce
-identical tables.
+an independent job whose row depends on that point alone, so serial and
+parallel runs produce identical tables; per-point failures are recorded in
+the row's error column instead of aborting the sweep. The max_im_per_cluster
+columns and the threshold selectors split clusters into scattering and bound
+with observables.bound_clusters.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .eig import default_eps_im, eigendecompose
-from .fock import enumerate_basis
-from .model import ModelParams, build_hamiltonian, sector_basis
-from .observables import (cluster_spectrum, correlation_ncor, default_min_gap,
-                          entanglement_entropy, left_half_sites, leg_sites,
-                          polarization, site_density)
+from .fock import Basis, enumerate_basis
+from .model import FLOAT_FIELDS, ModelParams, build_hamiltonian, sector_basis
+from .observables import (bound_clusters, cluster_spectrum, correlation_ncor,
+                          default_min_gap, entanglement_entropy,
+                          left_half_sites, leg_sites, polarization,
+                          site_density)
 
-AXIS_FIELDS = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "u_nn")
 OBSERVABLES = ("max_im_global", "max_im_per_cluster", "ncor_of_max_im_state",
                "polarization", "entropies", "threshold")
 
@@ -39,8 +39,8 @@ class Axis:
     points: int
 
     def __post_init__(self):
-        if self.name not in AXIS_FIELDS:
-            raise ValueError(f"axis name must be one of {AXIS_FIELDS}, "
+        if self.name not in FLOAT_FIELDS:
+            raise ValueError(f"axis name must be one of {FLOAT_FIELDS}, "
                              f"got {self.name!r}")
         if self.points < 1:
             raise ValueError(f"axis needs at least one point, got {self.points}")
@@ -121,19 +121,28 @@ def _observable_columns(observables: Sequence[str]) -> List[str]:
     return cols
 
 
-def _interaction_scale(params: ModelParams) -> float:
-    return params.u if params.statistics == "boson" else params.u_nn
-
-
-def _cluster_summaries(result, min_gap: float, gap_factor: float):
+def _peaks_by_group(result, params: ModelParams, gap_factor: float,
+                    min_gap: float) -> Dict[str, List[float]]:
+    """Max |Im E| of each cluster, split into scattering and bound."""
     clusters = cluster_spectrum(result, gap_factor=gap_factor, min_gap=min_gap)
-    out = []
-    for c in clusters:
-        members = np.asarray(c.members)
-        centroid = float(result.eigenvalues[members].real.mean())
-        peak = float(np.max(np.abs(result.eigenvalues[members].imag)))
-        out.append((centroid, peak))
-    return out
+    bound = bound_clusters(result, clusters, params.pair_energy)
+    peaks: Dict[str, List[float]] = {"scattering": [], "bound": []}
+    for c, is_bound in zip(clusters, bound):
+        peak = abs(float(result.eigenvalues[c.representative].imag))
+        peaks["bound" if is_bound else "scattering"].append(peak)
+    return peaks
+
+
+def cut_entropies(vector: np.ndarray, basis: Basis) -> Dict[str, float]:
+    """Entanglement entropies across the leg cut (A | B) and the left-right
+    cut, and the state's density shares on leg A and on the left half."""
+    cells = basis.cells
+    dens = site_density(vector, basis)
+    left = left_half_sites(cells)
+    return {"s_ab": entanglement_entropy(vector, basis, leg_sites(cells, "A")),
+            "s_leftright": entanglement_entropy(vector, basis, left),
+            "rho_a_frac": float(dens[:cells].sum() / basis.particles),
+            "rho_left_frac": float(dens[left].sum() / basis.particles)}
 
 
 def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
@@ -142,7 +151,6 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
     for col in _observable_columns(spec.observables):
         row[col] = math.nan
     row["error"] = ""
-    row["_clusters"] = []
     try:
         params = _point_params(spec, values)
         basis = sector_basis(params, capacity=capacity)
@@ -156,22 +164,17 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
             if obs == "max_im_global":
                 row["max_im_global"] = float(np.max(np.abs(result.eigenvalues.imag)))
             elif obs == "max_im_per_cluster":
-                row["_clusters"] = _cluster_summaries(result, min_gap,
-                                                      spec.gap_factor)
+                peaks = _peaks_by_group(result, params, spec.gap_factor,
+                                        min_gap)
+                for name, group in peaks.items():
+                    row[f"max_im_{name}"] = max(group, default=math.nan)
             elif obs == "ncor_of_max_im_state":
                 if params.particles == 2:
                     row["ncor_of_max_im_state"] = correlation_ncor(vec, basis)
             elif obs == "polarization":
                 row["polarization"] = polarization(vec, basis)
             elif obs == "entropies":
-                cells = params.cells
-                dens = site_density(vec, basis)
-                row["s_ab"] = entanglement_entropy(vec, basis,
-                                                   leg_sites(cells, "A"))
-                left = left_half_sites(cells)
-                row["s_leftright"] = entanglement_entropy(vec, basis, left)
-                row["rho_a_frac"] = float(dens[:cells].sum() / params.particles)
-                row["rho_left_frac"] = float(dens[left].sum() / params.particles)
+                row.update(cut_entropies(vec, basis))
             elif obs == "threshold":
                 t = find_threshold_jp(params,
                                       cluster_selector=spec.threshold_selector,
@@ -192,34 +195,6 @@ def _evaluate_point_task(args) -> Dict:
     return _evaluate_point(spec, values, capacity)
 
 
-def _assign_cluster_groups(rows: List[Dict], spec: SweepSpec) -> None:
-    """Deterministic post-pass: split each point's clusters into scattering
-    and bound. The first point with clusters seeds groups by centroid
-    proximity to 0 versus the interaction scale; later points inherit the
-    group of the nearest centroid from the previous labeled point."""
-    previous: List[Tuple[float, str]] = []
-    grid = _grid_values(spec)
-    for row, values in zip(rows, grid):
-        clusters = row.pop("_clusters")
-        if not clusters:
-            continue
-        u_scale = _interaction_scale(_point_params(spec, values))
-        groups: List[str] = []
-        for centroid, peak in clusters:
-            if previous:
-                nearest = min(previous, key=lambda p: abs(p[0] - centroid))
-                groups.append(nearest[1])
-            else:
-                bound = u_scale != 0.0 and abs(centroid - u_scale) < abs(centroid)
-                groups.append("bound" if bound else "scattering")
-        for name in ("scattering", "bound"):
-            peaks = [peak for (centroid, peak), g in zip(clusters, groups)
-                     if g == name]
-            row[f"max_im_{name}"] = max(peaks) if peaks else math.nan
-        previous = [(centroid, g) for (centroid, peak), g
-                    in zip(clusters, groups)]
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1,
               capacity: Optional[int] = None) -> List[Dict]:
     """Evaluate the sweep grid and return one row dict per point, row-major.
@@ -233,17 +208,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
         raise ValueError(f"workers must be >= 1, got {workers}")
     grid = _grid_values(spec)
     if workers == 1:
-        rows = [_evaluate_point(spec, values, capacity) for values in grid]
-    else:
-        tasks = [(spec, values, capacity) for values in grid]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_point_task, tasks))
-    if "max_im_per_cluster" in spec.observables:
-        _assign_cluster_groups(rows, spec)
-    else:
-        for row in rows:
-            row.pop("_clusters", None)
-    return rows
+        return [_evaluate_point(spec, values, capacity) for values in grid]
+    tasks = [(spec, values, capacity) for values in grid]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_evaluate_point_task, tasks))
 
 
 def _max_im_for_selector(result, params: ModelParams, selector: str,
@@ -253,14 +221,8 @@ def _max_im_for_selector(result, params: ModelParams, selector: str,
     if selector not in ("scattering", "bound"):
         raise ValueError(f"cluster_selector must be 'all', 'scattering', or "
                          f"'bound', got {selector!r}")
-    u_scale = _interaction_scale(params)
-    best = 0.0
-    for centroid, peak in _cluster_summaries(result, min_gap, gap_factor):
-        bound = u_scale != 0.0 and abs(centroid - u_scale) < abs(centroid)
-        group = "bound" if bound else "scattering"
-        if group == selector:
-            best = max(best, peak)
-    return best
+    peaks = _peaks_by_group(result, params, gap_factor, min_gap)
+    return max(peaks[selector], default=0.0)
 
 
 def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
@@ -388,7 +350,7 @@ def eonsite_table(params: ModelParams, mu_range: Tuple[float, float],
         key = (quanta, delta)
         populations[key] = populations.get(key, 0) + 1
 
-    scale = params.u if boson else params.u_nn
+    scale = params.pair_energy
     quanta_name = "pairs" if boson else "adjacency"
     classes = []
     for class_id, (quanta, delta) in enumerate(sorted(populations)):

@@ -6,7 +6,8 @@ import pytest
 from nhladder.eig import SpectrumResult, eigendecompose
 from nhladder.fock import enumerate_basis
 from nhladder.model import ModelParams, build_hamiltonian, sector_basis
-from nhladder.observables import (classify_cluster, cluster_spectrum,
+from nhladder.observables import (bound_clusters, classify_cluster,
+                                  cluster_spectrum,
                                   correlation_ncor, correlation_ncor_all,
                                   default_min_gap, entanglement_entropy,
                                   label_clusters, left_half_sites, leg_sites,
@@ -308,6 +309,38 @@ def test_cluster_validation():
         cluster_spectrum(result, gap_factor=0.0)
     with pytest.raises(ValueError):
         cluster_spectrum(result, min_gap=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# bound band
+
+def _bound_members(params):
+    basis = sector_basis(params)
+    result = eigendecompose(build_hamiltonian(params, basis))
+    clusters = cluster_spectrum(result,
+                                min_gap=default_min_gap(params.jl_a, params.jr_a))
+    flags = bound_clusters(result, clusters, params.pair_energy)
+    members = [m for c, bound in zip(clusters, flags) if bound
+               for m in c.members]
+    return result, clusters, np.asarray(members, dtype=int)
+
+
+@pytest.mark.parametrize("interaction, stats, size", [
+    ({"u": 8.0}, "boson", 8),         # a doublon on each of the 2L sites
+    ({"u_nn": 8.0}, "fermion", 6),    # a neighbor pair on each leg bond
+    ({"u": -8.0}, "boson", 8),        # attractive: the band sits near -8
+])
+def test_bound_clusters_pick_the_pair_band(interaction, stats, size):
+    params = ModelParams(cells=4, particles=2, statistics=stats, jp=0.01,
+                         mu=0.2, **interaction)
+    (energy,) = interaction.values()
+    assert params.pair_energy == energy
+    result, clusters, members = _bound_members(params)
+    assert len(clusters) == 2
+    assert len(members) == size
+    assert np.all(np.abs(result.eigenvalues[members].real - energy) < 1.0)
+    # without a pair energy nothing is bound
+    assert bound_clusters(result, clusters, 0.0) == [False, False]
 
 
 # ---------------------------------------------------------------------------

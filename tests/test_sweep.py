@@ -6,6 +6,7 @@ import pytest
 import nhladder.sweep as sweep_mod
 from nhladder.eig import default_eps_im, eigendecompose
 from nhladder.model import ModelParams, build_hamiltonian, sector_basis
+from nhladder.observables import cluster_spectrum
 from nhladder.sweep import (Axis, EonsiteTable, SweepSpec, ThresholdResult,
                             eonsite_table, find_threshold_jp, run_sweep)
 
@@ -99,6 +100,29 @@ def test_cluster_columns_track_scattering_and_bound():
     # at u = 8 the bound band is real while scattering stays complex
     assert rows[1]["max_im_bound"] <= 1e-10
     assert rows[1]["max_im_scattering"] >= 0.0
+
+
+def test_cluster_columns_split_each_point_on_its_own():
+    # the sweep starts with u inside the scattering continuum; the bound
+    # band that splits off at larger u must still be reported there
+    base = ModelParams(cells=6, particles=2, jp=0.01, mu=0.2)
+    spec = SweepSpec(base=base, axes=(Axis("u", 0.0, 8.0, 5),),
+                     observables=("max_im_per_cluster",))
+    for row in run_sweep(spec):
+        params = base.with_updates(u=row["u"])
+        result = eigendecompose(build_hamiltonian(params, sector_basis(params)))
+        peaks = {"scattering": [], "bound": []}
+        for c in cluster_spectrum(result, min_gap=0.1):
+            ev = result.eigenvalues[list(c.members)]
+            centroid = ev.real.mean()
+            bound = abs(centroid - params.u) < abs(centroid)
+            peaks["bound" if bound else "scattering"].append(
+                float(np.max(np.abs(ev.imag))))
+        for name, group in peaks.items():
+            np.testing.assert_equal(row[f"max_im_{name}"],
+                                    max(group, default=math.nan))
+        if row["u"] >= 4.0:
+            assert row["max_im_bound"] == 0.0
 
 
 def test_entropy_columns():
