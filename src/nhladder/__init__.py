@@ -35,7 +35,8 @@ __all__ = [
     "build_effective_pair_hamiltonian",
     "build_hamiltonian", "build_single_particle_matrix", "classify_cluster",
     "cluster_spectrum", "combined_site", "correlation_ncor", "default_eps_im",
-    "default_min_gap", "entanglement_entropy", "enumerate_basis",
+    "default_min_gap", "eigendecompose", "entanglement_entropy",
+    "enumerate_basis",
     "eonsite_table", "find_threshold_jp", "is_spectrum_real",
     "label_clusters", "left_half_sites", "leg_sites", "max_imag",
     "onsite_energy", "pair_correlation", "pair_density", "polarization",

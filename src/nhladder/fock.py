@@ -2,9 +2,12 @@
 
 Site convention: a ladder with L cells has 2L sites. Combined site indices
 run 0..2L-1 with leg A first, so cell x (1-based) on leg A maps to x-1 and
-cell x on leg B maps to L+x-1. Basis states are occupation tuples of length
-2L listed in descending lexicographic order, which makes the N=1 basis index
-coincide with the combined site index.
+cell x on leg B maps to L+x-1. A basis state is one row of
+`Basis.occupations`, a (D, 2L) array of occupation numbers. Rows are listed
+in descending lexicographic order, which makes the N=1 basis index coincide
+with the combined site index. The kernels act on whole arrays of rows:
+`Basis.rank_all` ranks a batch and `hop_all` moves one particle in every
+row; `Basis.rank` and `apply_single_hop` are their one-row calls.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import itertools
 import math
 import os
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 State = Tuple[int, ...]
 
@@ -76,32 +81,32 @@ def basis_dimension(cells: int, particles: int, statistics: str = "boson") -> in
     raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
 
 
-def _iter_states(nsites: int, particles: int, statistics: str) -> Iterator[State]:
-    # Position multisets in ascending lexicographic order yield occupation
-    # tuples in descending lexicographic order.
-    if statistics == "boson":
-        combos = itertools.combinations_with_replacement(range(nsites), particles)
-    else:
-        combos = itertools.combinations(range(nsites), particles)
-    for positions in combos:
-        occ = [0] * nsites
-        for p in positions:
-            occ[p] += 1
-        yield tuple(occ)
-
-
 class Basis:
     """Enumerated occupation basis for one (cells, particles, statistics) sector.
 
-    States are stored in descending lexicographic order of occupation tuples.
+    `occupations` is a read-only (dimension, 2L) float64 array with one
+    occupation row per state, in descending lexicographic order; the
+    constructor takes those rows (any array-like) for the whole sector.
     """
 
-    def __init__(self, cells: int, particles: int, statistics: str, states: Tuple[State, ...]):
+    def __init__(self, cells: int, particles: int, statistics: str, states):
         self.cells = cells
         self.particles = particles
         self.statistics = statistics
-        self.states = states
-        self._index = {s: i for i, s in enumerate(states)}
+        self.occupations = np.array(states, dtype=np.float64).reshape(-1, 2 * cells)
+        self.occupations.setflags(write=False)
+        # Colex rank of the ascending particle positions p: sum_i C(q_i, i+1)
+        # with q_i = p_i + i for bosons (which turns the multiset into a set)
+        # and q_i = p_i for fermions. It maps the sector one-to-one onto
+        # [0, D), so each term of a sector state is below D: saturating the
+        # table at D keeps every key in int64 without changing any of them.
+        dim = len(self.occupations)
+        span = self.nsites + (particles - 1 if statistics == "boson" else 0)
+        self._colex_terms = np.array(
+            [[min(math.comb(q, i + 1), dim) for i in range(particles)]
+             for q in range(span)], dtype=np.int64)
+        self._order = np.empty(dim, dtype=np.int64)
+        self._order[self._colex(self.occupations.astype(np.int64))] = np.arange(dim)
 
     @property
     def nsites(self) -> int:
@@ -109,24 +114,41 @@ class Basis:
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     @cached_property
-    def occupations(self):
-        """Dense (dimension, 2L) integer array of occupation numbers."""
-        import numpy as np
+    def states(self) -> Tuple[State, ...]:
+        """Occupation tuples, one per row of `occupations`."""
+        return tuple(map(tuple, self.occupations.astype(np.int64).tolist()))
 
-        return np.array(self.states, dtype=np.float64)
+    def _colex(self, occupations: np.ndarray) -> np.ndarray:
+        n = self.particles
+        positions = np.repeat(np.tile(np.arange(self.nsites), len(occupations)),
+                              occupations.ravel()).reshape(-1, n)
+        if self.statistics == "boson":
+            positions = positions + np.arange(n)
+        return self._colex_terms[positions, np.arange(n)].sum(axis=1)
+
+    def rank_all(self, rows) -> np.ndarray:
+        """Indices of a batch of occupation rows; raises ValueError unless
+        every row is in the basis."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.nsites:
+            raise ValueError(f"states must be rows of length 2L={self.nsites}, "
+                             f"got shape {rows.shape}")
+        cap = self.particles if self.statistics == "boson" else 1
+        member = (((rows >= 0) & (rows <= cap) & (rows == np.floor(rows))).all(axis=1)
+                  & (rows.sum(axis=1) == self.particles))
+        if not member.all():
+            foreign = tuple(rows[np.argmin(member)].tolist())
+            raise ValueError(f"state {foreign} is not in the basis "
+                             f"(cells={self.cells}, particles={self.particles}, "
+                             f"statistics={self.statistics})")
+        return self._order[self._colex(rows.astype(np.int64))]
 
     def rank(self, state: Sequence[int]) -> int:
         """Index of an occupation tuple; raises ValueError if not in the basis."""
-        key = tuple(int(n) for n in state)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"state {key} is not in the basis "
-                             f"(cells={self.cells}, particles={self.particles}, "
-                             f"statistics={self.statistics})") from None
+        return int(self.rank_all([state])[0])
 
     def unrank(self, index: int) -> State:
         """Occupation tuple at a basis index; raises ValueError out of range."""
@@ -163,41 +185,57 @@ def enumerate_basis(cells: int, particles: int, statistics: str = "boson",
     if dim > cap:
         raise CapacityError(f"basis dimension {dim} exceeds capacity {cap} "
                             f"(cells={cells}, particles={particles}, statistics={statistics})")
-    states = tuple(_iter_states(nsites, particles, statistics))
-    return Basis(cells, particles, statistics, states)
+    # Position multisets in ascending lexicographic order give occupation
+    # rows in descending lexicographic order.
+    combos = (itertools.combinations_with_replacement if statistics == "boson"
+              else itertools.combinations)(range(nsites), particles)
+    positions = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64,
+                            count=dim * particles).reshape(dim, particles)
+    flat = (positions + nsites * np.arange(dim)[:, None]).ravel()
+    occupations = np.bincount(flat, minlength=dim * nsites).reshape(dim, nsites)
+    return Basis(cells, particles, statistics, occupations)
+
+
+def hop_all(occupations, from_site: int, to_site: int,
+            statistics: str = "boson") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply a_to^dag a_from to every row of an occupation array.
+
+    Returns (kept, new, amplitudes): the indices of the rows the move does
+    not annihilate (empty source, or occupied fermion target), their images
+    and the amplitudes. Bosons pick up sqrt(n_from) * sqrt(n_to + 1);
+    fermions pick up the parity of the number of occupied sites strictly
+    between the two sites (Jordan-Wigner string).
+    """
+    occupations = np.asarray(occupations, dtype=np.float64)
+    if from_site == to_site:
+        raise ValueError("from_site and to_site must differ")
+    n = occupations.shape[1]
+    if not (0 <= from_site < n and 0 <= to_site < n):
+        raise ValueError(f"site indices must be in 0..{n - 1}, "
+                         f"got {from_site}, {to_site}")
+    if statistics not in ("boson", "fermion"):
+        raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+    alive = occupations[:, from_site] != 0
+    if statistics == "fermion":
+        alive &= occupations[:, to_site] != 1
+    kept = np.flatnonzero(alive)
+    new = occupations[kept]
+    if statistics == "fermion":
+        lo, hi = sorted((from_site, to_site))
+        amplitudes = np.where(new[:, lo + 1:hi].sum(axis=1) % 2, -1.0, 1.0)
+    else:
+        amplitudes = np.sqrt(new[:, from_site]) * np.sqrt(new[:, to_site] + 1)
+    new[:, from_site] -= 1
+    new[:, to_site] += 1
+    return kept, new, amplitudes
 
 
 def apply_single_hop(state: Sequence[int], from_site: int, to_site: int,
                      statistics: str = "boson") -> Optional[Tuple[State, float]]:
-    """Apply a_to^dag a_from to an occupation state.
-
-    Returns (new_state, amplitude) or None when the move annihilates the
-    state (empty source, or occupied fermion target). Bosons pick up
-    sqrt(n_from) * sqrt(n_to + 1); fermions pick up the parity of the number
-    of occupied sites strictly between the two sites (Jordan-Wigner string).
-    """
-    if from_site == to_site:
-        raise ValueError("from_site and to_site must differ")
-    n = len(state)
-    if not (0 <= from_site < n and 0 <= to_site < n):
-        raise ValueError(f"site indices must be in 0..{n - 1}, "
-                         f"got {from_site}, {to_site}")
-    if state[from_site] == 0:
+    """Apply a_to^dag a_from to an occupation state: the one-row call of
+    hop_all. Returns (new_state, amplitude) or None when the move
+    annihilates the state."""
+    kept, new, amplitudes = hop_all([state], from_site, to_site, statistics)
+    if not len(kept):
         return None
-    if statistics == "fermion":
-        if state[to_site] == 1:
-            return None
-        lo, hi = (from_site, to_site) if from_site < to_site else (to_site, from_site)
-        string = sum(state[k] for k in range(lo + 1, hi))
-        sign = -1.0 if string % 2 else 1.0
-        new = list(state)
-        new[from_site] -= 1
-        new[to_site] += 1
-        return tuple(new), sign
-    if statistics != "boson":
-        raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
-    amp = math.sqrt(state[from_site]) * math.sqrt(state[to_site] + 1)
-    new = list(state)
-    new[from_site] -= 1
-    new[to_site] += 1
-    return tuple(new), amp
+    return tuple(new[0].astype(np.int64).tolist()), float(amplitudes[0])

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fock import Basis, apply_single_hop, enumerate_basis
+from .fock import Basis, enumerate_basis, hop_all
 
 FLOAT_FIELDS = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "u_nn")
 
@@ -101,29 +101,45 @@ class SparseOperator:
         return dense
 
 
+def diagonal_counts(occupations, statistics: str):
+    """Interaction quanta and leg imbalance N_A - N_B of each occupation row.
+
+    The quanta are on-site pairs sum n(n-1)/2 for bosons and same-leg
+    nearest-neighbor pairs sum n_x n_{x+1} for fermions, so a row's diagonal
+    energy is mu * imbalance + pair_energy * quanta.
+    """
+    occ = np.asarray(occupations, dtype=np.int64)
+    legs = occ.reshape(len(occ), 2, occ.shape[1] // 2)
+    if statistics == "boson":
+        quanta = (occ * (occ - 1)).sum(axis=1) // 2
+    else:
+        quanta = (legs[:, :, :-1] * legs[:, :, 1:]).sum(axis=(1, 2))
+    return quanta, legs[:, 0].sum(axis=1) - legs[:, 1].sum(axis=1)
+
+
+def _diagonal(occupations, params: ModelParams) -> np.ndarray:
+    quanta, imbalance = diagonal_counts(occupations, params.statistics)
+    return params.mu * imbalance + params.pair_energy * quanta
+
+
 def onsite_energy(state: Sequence[int], params: ModelParams) -> float:
     """Diagonal energy of one occupation state: interaction plus mu imbalance."""
+    if len(state) != 2 * params.cells:
+        raise ValueError(f"state length {len(state)} does not match 2L={2 * params.cells}")
+    return float(_diagonal([state], params)[0])
+
+
+def _hop_terms(params: ModelParams):
+    # (from_site, to_site, coefficient) of every one-particle move.
     cells = params.cells
-    if len(state) != 2 * cells:
-        raise ValueError(f"state length {len(state)} does not match 2L={2 * cells}")
-    n_a = sum(state[:cells])
-    n_b = sum(state[cells:])
-    energy = params.mu * (n_a - n_b)
-    if params.statistics == "boson":
-        energy += 0.5 * params.u * sum(n * (n - 1) for n in state)
-    else:
-        adj = 0
-        for off in (0, cells):
-            for x in range(cells - 1):
-                adj += state[off + x] * state[off + x + 1]
-        energy += params.u_nn * adj
-    return energy
-
-
-def _leg_amplitudes(params: ModelParams):
-    # (offset, jl, jr) per leg; leg A occupies combined sites 0..L-1.
-    return ((0, params.jl_a, params.jr_a),
-            (params.cells, params.jl_b, params.jr_b))
+    terms = []
+    for off, jl, jr in ((0, params.jl_a, params.jr_a),
+                        (cells, params.jl_b, params.jr_b)):
+        for a in range(off, off + cells - 1):
+            terms += [(a + 1, a, -jl), (a, a + 1, -jr)]
+    for x in range(cells):
+        terms += [(x, cells + x, params.jp), (cells + x, x, params.jp)]
+    return terms
 
 
 def build_hamiltonian(params: ModelParams, basis: Basis) -> SparseOperator:
@@ -139,65 +155,28 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> SparseOperator:
         raise ValueError(f"basis {basis!r} does not match params "
                          f"(cells={params.cells}, particles={params.particles}, "
                          f"statistics={params.statistics})")
-    cells = params.cells
-    stats = params.statistics
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def add_hop(state, col, from_site, to_site, coeff):
+    occ = basis.occupations
+    diag = _diagonal(occ, params)
+    on = np.flatnonzero(diag)
+    rows, cols, vals = [on], [on], [diag[on]]
+    for from_site, to_site, coeff in _hop_terms(params):
         if coeff == 0.0:
-            return
-        moved = apply_single_hop(state, from_site, to_site, stats)
-        if moved is None:
-            return
-        new_state, amp = moved
-        rows.append(basis.rank(new_state))
-        cols.append(col)
-        vals.append(coeff * amp)
-
-    for col, state in enumerate(basis.states):
-        diag = onsite_energy(state, params)
-        if diag != 0.0:
-            rows.append(col)
-            cols.append(col)
-            vals.append(diag)
-        for off, jl, jr in _leg_amplitudes(params):
-            for x in range(cells - 1):
-                a, b = off + x, off + x + 1
-                add_hop(state, col, b, a, -jl)
-                add_hop(state, col, a, b, -jr)
-        for x in range(cells):
-            add_hop(state, col, x, cells + x, params.jp)
-            add_hop(state, col, cells + x, x, params.jp)
-
+            continue
+        kept, new, amplitudes = hop_all(occ, from_site, to_site, params.statistics)
+        rows.append(basis.rank_all(new))
+        cols.append(kept)
+        vals.append(coeff * amplitudes)
     return SparseOperator(dimension=basis.dimension,
-                          rows=np.asarray(rows, dtype=np.int64),
-                          cols=np.asarray(cols, dtype=np.int64),
-                          values=np.asarray(vals, dtype=np.float64))
+                          rows=np.concatenate(rows), cols=np.concatenate(cols),
+                          values=np.concatenate(vals))
 
 
 def build_single_particle_matrix(params: ModelParams) -> np.ndarray:
-    """Dense 2L x 2L one-particle matrix in the combined site ordering.
-
-    Equals the N=1 many-body Hamiltonian exactly (the N=1 basis index is the
-    combined site index and interactions vanish for one particle).
-    """
-    cells = params.cells
-    n = 2 * cells
-    h = np.zeros((n, n), dtype=np.float64)
-    for off, jl, jr in _leg_amplitudes(params):
-        for x in range(cells - 1):
-            a, b = off + x, off + x + 1
-            h[a, b] -= jl
-            h[b, a] -= jr
-    for x in range(cells):
-        h[x, cells + x] += params.jp
-        h[cells + x, x] += params.jp
-    sign = np.ones(n)
-    sign[cells:] = -1.0
-    h += params.mu * np.diag(sign)
-    return h
+    """Dense 2L x 2L one-particle matrix in the combined site ordering: the
+    N=1 many-body Hamiltonian (the N=1 basis index is the combined site
+    index and interactions vanish for one particle)."""
+    one = params.with_updates(particles=1)
+    return build_hamiltonian(one, sector_basis(one)).to_dense()
 
 
 def sector_basis(params: ModelParams, capacity: Optional[int] = None) -> Basis:

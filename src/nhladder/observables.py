@@ -134,17 +134,11 @@ def left_half_sites(cells: int) -> List[int]:
     return list(range(half)) + list(range(cells, cells + half))
 
 
-def _fermion_split_sign(state: Sequence[int], subset: Sequence[int],
-                        in_subset: np.ndarray) -> float:
-    # Parity of the permutation moving subset creation operators (site order)
-    # in front of complement operators.
-    crossings = 0
-    for s in subset:
-        if state[s]:
-            for c in range(s):
-                if not in_subset[c] and state[c]:
-                    crossings += 1
-    return -1.0 if crossings % 2 else 1.0
+def _first_appearance_labels(keys: np.ndarray) -> Tuple[np.ndarray, int]:
+    # Label equal rows of keys 0, 1, ... in the order they first appear.
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)], len(first)
 
 
 def entanglement_entropy(vector: np.ndarray, basis: Basis,
@@ -173,8 +167,6 @@ def entanglement_entropy(vector: np.ndarray, basis: Basis,
 
     in_subset = np.zeros(nsites, dtype=bool)
     in_subset[subset] = True
-    complement = [s for s in range(nsites) if not in_subset[s]]
-    fermion = basis.statistics == "fermion"
 
     v = np.asarray(vector, dtype=np.complex128)
     norm = np.linalg.norm(v)
@@ -182,24 +174,20 @@ def entanglement_entropy(vector: np.ndarray, basis: Basis,
         raise ValueError("cannot compute entropy of a zero vector")
     v = v / norm
 
-    row_index: dict = {}
-    col_index: dict = {}
-    entries = []
-    for i, state in enumerate(basis.states):
-        amp = v[i]
-        if amp == 0.0:
-            continue
-        key_sub = tuple(state[s] for s in subset)
-        key_comp = tuple(state[c] for c in complement)
-        r = row_index.setdefault(key_sub, len(row_index))
-        c = col_index.setdefault(key_comp, len(col_index))
-        if fermion:
-            amp = amp * _fermion_split_sign(state, subset, in_subset)
-        entries.append((r, c, amp))
-
-    matrix = np.zeros((len(row_index), len(col_index)), dtype=np.complex128)
-    for r, c, amp in entries:
-        matrix[r, c] += amp
+    present = np.flatnonzero(v != 0.0)
+    occ = basis.occupations[present]
+    amps = v[present]
+    if basis.statistics == "fermion":
+        # Parity of the permutation moving subset creation operators (site
+        # order) in front of complement operators: each occupied subset site
+        # crosses the occupied complement sites before it.
+        before = np.cumsum(occ * ~in_subset, axis=1)
+        crossings = (occ[:, subset] * before[:, subset]).sum(axis=1)
+        amps = amps * np.where(crossings % 2, -1.0, 1.0)
+    r, n_rows = _first_appearance_labels(occ[:, in_subset])
+    c, n_cols = _first_appearance_labels(occ[:, ~in_subset])
+    matrix = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    matrix[r, c] += amps
     singular = np.linalg.svd(matrix, compute_uv=False)
     probs = singular ** 2
     probs = probs[probs >= ENTROPY_CLAMP]

@@ -19,7 +19,8 @@ import numpy as np
 
 from .eig import default_eps_im, eigendecompose
 from .fock import Basis, enumerate_basis
-from .model import FLOAT_FIELDS, ModelParams, build_hamiltonian, sector_basis
+from .model import (FLOAT_FIELDS, ModelParams, build_hamiltonian, diagonal_counts,
+                    sector_basis)
 from .observables import (bound_clusters, cluster_spectrum, correlation_ncor,
                           default_min_gap, entanglement_entropy,
                           left_half_sites, leg_sites, polarization,
@@ -337,28 +338,19 @@ def eonsite_table(params: ModelParams, mu_range: Tuple[float, float],
                          f"got {params.particles}")
     basis = enumerate_basis(params.cells, params.particles, params.statistics,
                             capacity=capacity)
-    cells = params.cells
-    boson = params.statistics == "boson"
-    populations: Dict[Tuple[int, int], int] = {}
-    for state in basis.states:
-        if boson:
-            quanta = sum(n * (n - 1) for n in state) // 2
-        else:
-            quanta = sum(state[off + x] * state[off + x + 1]
-                         for off in (0, cells) for x in range(cells - 1))
-        delta = sum(state[:cells]) - sum(state[cells:])
-        key = (quanta, delta)
-        populations[key] = populations.get(key, 0) + 1
-
+    quanta, imbalance = diagonal_counts(basis.occupations, params.statistics)
+    keys, populations = np.unique(np.column_stack([quanta, imbalance]), axis=0,
+                                  return_counts=True)
     scale = params.pair_energy
-    quanta_name = "pairs" if boson else "adjacency"
+    quanta_name = "pairs" if params.statistics == "boson" else "adjacency"
     classes = []
-    for class_id, (quanta, delta) in enumerate(sorted(populations)):
+    for class_id, ((count, delta), population) in enumerate(
+            zip(keys.tolist(), populations.tolist())):
         classes.append({"class_id": class_id,
-                        quanta_name: quanta,
+                        quanta_name: count,
                         "delta_n": delta,
-                        "e_int": scale * quanta,
-                        "population": populations[(quanta, delta)]})
+                        "e_int": scale * count,
+                        "population": population})
 
     crossings = []
     for i in range(len(classes)):

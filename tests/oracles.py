@@ -8,6 +8,7 @@ package is correct when it agrees with these on desk-scale problems.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import List, Sequence, Tuple
 
@@ -145,6 +146,54 @@ def brute_fermion_hamiltonian(cells: int, jl_a: float, jr_a: float,
     basis_vectors = [fermion_qubit_vector(s, create) for s in states]
     v = np.stack(basis_vectors, axis=1)
     return v.T @ full @ v
+
+
+def per_state_hamiltonian(params) -> np.ndarray:
+    """Dense sector Hamiltonian assembled one basis state at a time, the way
+    the package did before its batched kernels: its own enumeration
+    (occupation tuples in descending lexicographic order), a dict rank, its
+    own sqrt amplitudes and Jordan-Wigner string, and the same floating-point
+    operations per entry, so the package must match it bit for bit."""
+    cells, particles = params.cells, params.particles
+    nsites = 2 * cells
+    fermion = params.statistics == "fermion"
+    combos = (itertools.combinations(range(nsites), particles) if fermion else
+              itertools.combinations_with_replacement(range(nsites), particles))
+    states = []
+    for positions in combos:
+        occ = [0] * nsites
+        for p in positions:
+            occ[p] += 1
+        states.append(tuple(occ))
+    index = {s: i for i, s in enumerate(states)}
+    terms = hop_terms(cells, params.jl_a, params.jr_a, params.jl_b,
+                      params.jr_b, params.jp)
+    h = np.zeros((len(states), len(states)))
+    for col, state in enumerate(states):
+        energy = params.mu * (sum(state[:cells]) - sum(state[cells:]))
+        if fermion:
+            energy += params.u_nn * sum(state[off + x] * state[off + x + 1]
+                                        for off in (0, cells)
+                                        for x in range(cells - 1))
+        else:
+            energy += 0.5 * params.u * sum(n * (n - 1) for n in state)
+        if energy != 0.0:
+            h[col, col] += energy
+        for to_site, from_site, coeff in terms:
+            if coeff == 0.0 or state[from_site] == 0:
+                continue
+            if fermion:
+                if state[to_site] == 1:
+                    continue
+                lo, hi = sorted((from_site, to_site))
+                amp = -1.0 if sum(state[lo + 1:hi]) % 2 else 1.0
+            else:
+                amp = math.sqrt(state[from_site]) * math.sqrt(state[to_site] + 1)
+            new = list(state)
+            new[from_site] -= 1
+            new[to_site] += 1
+            h[index[tuple(new)], col] += coeff * amp
+    return h
 
 
 def brute_fermion_entropy(vector: Sequence[complex],

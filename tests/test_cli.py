@@ -282,6 +282,16 @@ def test_eonsite_command(tmp_path):
     assert orders[min(stars, key=lambda s: abs(s - 16.0 / 3.0))] == 3
 
 
+def test_eonsite_negative_mu_range_joined_with_equals(tmp_path):
+    out = tmp_path / "eon"
+    assert main(["eonsite", "--cells", "2", "--particles", "2", "--u", "4",
+                 "--mu-range=-20:20", "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "eon.json").read_text())
+    assert sidecar["config"]["mu_range"] == [-20.0, 20.0]
+    stars = [float(r["mu_star"]) for r in read_csv(f"{out}_crossings.csv")]
+    assert stars and min(stars) < 0.0
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nhladder", "spectrum", "--cells", "2",

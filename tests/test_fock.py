@@ -68,6 +68,27 @@ def test_rank_rejects_foreign_states():
     fermion = enumerate_basis(2, 2, "fermion")
     with pytest.raises(ValueError):
         fermion.rank((2, 0, 0, 0))  # double occupancy
+    with pytest.raises(ValueError):
+        basis.rank((3, -1, 0, 0))  # negative entry, right particle count
+    with pytest.raises(ValueError):
+        fermion.rank((1, 1, -1, 1))
+    with pytest.raises(ValueError):
+        basis.rank((0.5, 1.5, 0, 0))  # not an occupation number
+    assert list(basis.rank_all([(2, 0, 0, 0), (0, 0, 1, 1)])) == [0, 8]
+    with pytest.raises(ValueError):
+        basis.rank_all([(2, 0, 0, 0), (3, -1, 0, 0), (0, 0, 1, 1)])
+    with pytest.raises(ValueError):
+        fermion.rank_all([(1, 1, 0, 0), (2, 0, 0, 0)])
+    with pytest.raises(ValueError):
+        basis.rank_all([(1, 1, 0)])  # wrong length in a batch
+
+
+@pytest.mark.parametrize("cells,particles", [(1, 70), (2, 40)])
+def test_rank_unrank_roundtrip_in_high_occupation_sectors(cells, particles):
+    # a key built from per-site positions in base 2L overflows int64 here
+    basis = enumerate_basis(cells, particles, "boson")
+    for i in range(basis.dimension):
+        assert basis.rank(basis.unrank(i)) == i
 
 
 def test_n1_basis_index_is_combined_site():

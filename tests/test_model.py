@@ -9,7 +9,7 @@ from nhladder.model import (ModelParams, build_hamiltonian,
                             sector_basis)
 
 from oracles import (brute_boson_hamiltonian, brute_fermion_hamiltonian,
-                     multisets_close)
+                     multisets_close, per_state_hamiltonian)
 
 
 def test_defaults_are_mirrored_nonreciprocal_pair():
@@ -80,6 +80,27 @@ def test_fermion_hamiltonian_matches_jw_oracle_three_cells():
     brute = brute_fermion_hamiltonian(3, p.jl_a, p.jr_a, p.jl_b, p.jr_b,
                                       0.15, 0.4, 2.0, basis.states)
     assert np.allclose(dense, brute, rtol=0.0, atol=1e-13)
+
+
+PER_STATE_SECTORS = [(cells, n, stats)
+                     for cells in range(1, 7)
+                     for n in range(1, 5)
+                     for stats in ("boson", "fermion")
+                     if stats == "boson" or n <= 2 * cells] + [(1, 70, "boson")]
+
+
+@pytest.mark.parametrize("cells,particles,statistics", PER_STATE_SECTORS)
+def test_hamiltonian_bit_identical_to_per_state_assembly(cells, particles,
+                                                         statistics):
+    interaction = "u" if statistics == "boson" else "u_nn"
+    generic = ModelParams(cells=cells, particles=particles, statistics=statistics,
+                          jl_a=1.13, jr_a=0.41, jl_b=0.57, jr_b=1.29, jp=0.0123,
+                          mu=-0.317, **{interaction: 3.7})
+    # zero rung and zero mu take the skipped-coefficient and zero-diagonal paths
+    sparse = generic.with_updates(jp=0.0, mu=0.0)
+    for p in (generic, sparse):
+        dense = build_hamiltonian(p, sector_basis(p)).to_dense()
+        assert np.array_equal(dense, per_state_hamiltonian(p))
 
 
 def test_n1_hamiltonian_equals_single_particle_matrix_exactly():
