@@ -21,7 +21,7 @@ import os
 import platform
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,32 +34,107 @@ from .observables import (cluster_spectrum, correlation_ncor,
                           label_clusters, pair_density, polarization_all,
                           site_density)
 from .perturb import ResonanceError, validate_effective_model
-from .sweep import (Axis, SweepSpec, cut_entropies, eonsite_table,
+from .sweep import (OBSERVABLES, Axis, SweepSpec, cut_entropies, eonsite_table,
                     find_threshold_jp, run_sweep)
 
-MODEL_KEYS = ("cells", "particles", "stats", "jl", "jr", "j", "alpha",
-              "jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "unn",
-              "eps_im", "workers", "gap_factor", "min_gap", "capacity")
-COMMAND_KEYS = {
-    "spectrum": (),
-    "density": ("select", "kind"),
-    "ncor": ("select",),
-    "entropy": ("select",),
-    "sweep": ("axes", "observables", "selector", "bracket", "resolution"),
-    "threshold": ("selector", "bracket", "resolution"),
-    "effective": (),
-    "eonsite": ("mu_range",),
+
+def _int(value) -> int:
+    """Integer flag text, or a JSON number with no fractional part."""
+    if isinstance(value, bool) or isinstance(value, float) \
+            and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _fields(value, sep: Optional[str]) -> Sequence:
+    """Flag text split on sep (if given), or the list form sidecars store."""
+    parts = value.split(sep) if sep and isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)):
+        raise ValueError(f"expected text or a list, got {value!r}")
+    return parts
+
+
+def _range(value) -> Tuple[float, float]:
+    lo, hi = _fields(value, ":")
+    return float(lo), float(hi)
+
+
+def _names(value) -> Tuple[str, ...]:
+    names = [_text(name).strip() for name in _fields(value, ",")]
+    return tuple(filter(None, names))
+
+
+def _axes(value) -> Tuple[Tuple, ...]:
+    """(name, start, stop, points) per name:start:stop:points text or list."""
+    axes = [_fields(entry, ":") for entry in _fields(value, None)]
+    return tuple((name, float(start), float(stop), _int(points))
+                 for name, start, stop, points in axes)
+
+
+class Option(NamedTuple):
+    """One config key: its flag (None: config files only), the conversion
+    of both flag text and file values, default, commands (None: all), help."""
+
+    flag: Optional[str]
+    convert: Callable
+    default: object = None
+    commands: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+    choices: Tuple[str, ...] = ()
+    repeat: bool = False
+
+
+REQUIRED = object()  # default of a key that must be given
+
+# Every command accepts the model keys, even those it never reads, so that
+# any sidecar loads as a config. The table order is the sidecar key order.
+OPTIONS: Dict[str, Option] = {
+    "cells": Option("--cells", _int, REQUIRED, help="ladder cells L"),
+    "particles": Option("--particles", _int, REQUIRED, help="particles N"),
+    "stats": Option("--stats", _text, "boson", choices=("boson", "fermion")),
+    "jl": Option("--jl", float, help="leg A left hop (leg B mirrored)"),
+    "jr": Option("--jr", float, help="leg A right hop (leg B mirrored)"),
+    "j": Option("--j", float, help="symmetric hop scale"),
+    "alpha": Option("--alpha", float, help="hop imbalance exponent"),
+    "jl_a": Option(None, float), "jr_a": Option(None, float),
+    "jl_b": Option(None, float), "jr_b": Option(None, float),
+    "jp": Option("--jp", float, 0.0, help="rung coupling"),
+    "mu": Option("--mu", float, 0.0, help="leg imbalance potential"),
+    "u": Option("--u", float, 0.0, help="boson on-site repulsion"),
+    "unn": Option("--unn", float, 0.0, help="fermion neighbor repulsion"),
+    "eps_im": Option("--eps-im", float, help="reality threshold on |Im E|"),
+    "workers": Option("--workers", _int, 1, help="parallel worker processes"),
+    "gap_factor": Option("--gap-factor", float, 10.0),
+    "min_gap": Option("--min-gap", float),
+    "capacity": Option("--capacity", _int, help="basis size budget"),
+    "select": Option("--select", _text, "max_im",
+                     ("density", "ncor", "entropy"),
+                     "max_im | index:K | cluster:K"),
+    "kind": Option("--kind", _text, "site", ("density",),
+                   choices=("site", "pair")),
+    "axes": Option("--axis", _axes, REQUIRED, ("sweep",),
+                   "name:start:stop:points (repeat for 2 axes)", repeat=True),
+    "observables": Option("--observables", _names, ("max_im_global",),
+                          ("sweep",), "comma list: " + ", ".join(OBSERVABLES)),
+    "selector": Option("--selector", _text, "all", ("sweep", "threshold"),
+                       choices=("all", "scattering", "bound")),
+    "bracket": Option("--bracket", _range, (0.0, 0.1), ("sweep", "threshold"),
+                      "lo:hi for the threshold search"),
+    "resolution": Option("--resolution", float, 1e-3, ("sweep", "threshold")),
+    "mu_range": Option("--mu-range", _range, REQUIRED, ("eonsite",),
+                       "lo:hi window for crossings"),
 }
-COMMAND_DEFAULTS = {
-    "select": "max_im",
-    "kind": "site",
-    "axes": None,
-    "observables": ["max_im_global"],
-    "selector": "all",
-    "bracket": [0.0, 0.1],
-    "resolution": 1e-3,
-    "mu_range": None,
-}
+
+
+def _options_for(command: str) -> Dict[str, Option]:
+    return {key: opt for key, opt in OPTIONS.items()
+            if opt.commands is None or command in opt.commands}
 
 
 def _fmt(value) -> str:
@@ -114,37 +189,27 @@ def _load_config_file(path: str) -> Dict:
 
 
 def _resolve_config(args: argparse.Namespace, command: str) -> Dict:
-    allowed = set(MODEL_KEYS) | set(COMMAND_KEYS[command])
-    cfg: Dict = {key: None for key in MODEL_KEYS}
-    cfg.update({"stats": "boson", "jp": 0.0, "mu": 0.0, "u": 0.0, "unn": 0.0,
-                "workers": 1, "gap_factor": 10.0})
-    for key in COMMAND_KEYS[command]:
-        cfg[key] = COMMAND_DEFAULTS[key]
-
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys for {command}: "
-                             f"{sorted(unknown)}")
-        cfg.update(file_cfg)
-
-    for key in allowed:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-
+    options = _options_for(command)
+    given = _load_config_file(args.config) if args.config else {}
+    unknown = set(given) - set(options)
+    if unknown:
+        raise ValueError(f"unknown config keys for {command}: "
+                         f"{sorted(unknown)}")
+    given.update((key, value) for key, value in vars(args).items()
+                 if key in options and value is not None)
+    cfg = {}
+    for key, opt in options.items():
+        value = given.get(key)
+        try:
+            cfg[key] = opt.default if value is None else opt.convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        if cfg[key] is REQUIRED:
+            raise ValueError(f"{key} is required ({opt.flag} or config)")
+        if opt.choices and cfg[key] not in opt.choices:
+            raise ValueError(f"{key}: invalid choice: {cfg[key]!r} "
+                             f"(choose from {', '.join(opt.choices)})")
     _finalize_amplitudes(cfg)
-    for key in ("cells", "particles"):
-        if cfg[key] is None:
-            raise ValueError(f"{key} is required (flag --{key} or config)")
-    cfg["cells"] = int(cfg["cells"])
-    cfg["particles"] = int(cfg["particles"])
-    if cfg["workers"] is None:
-        cfg["workers"] = 1
-    cfg["workers"] = int(cfg["workers"])
-    if cfg["capacity"] is not None:
-        cfg["capacity"] = int(cfg["capacity"])
     return cfg
 
 
@@ -155,38 +220,33 @@ def _finalize_amplitudes(cfg: Dict) -> None:
     leg B, or explicit per-leg keys. j defaults to exp(-alpha), which
     normalizes the larger amplitude to one; alpha defaults to zero.
     """
-    pair_keys = ("jl", "jr", "jl_a", "jr_a", "jl_b", "jr_b")
-    uses_pairs = any(cfg.get(k) is not None for k in pair_keys)
-    uses_j_alpha = cfg.get("j") is not None or cfg.get("alpha") is not None
-    if uses_pairs and uses_j_alpha:
-        raise ValueError("give either j/alpha or explicit hop amplitudes, not both")
-    if uses_j_alpha:
-        alpha = float(cfg["alpha"]) if cfg.get("alpha") is not None else 0.0
-        j = float(cfg["j"]) if cfg.get("j") is not None else math.exp(-alpha)
+    j, alpha, jl, jr = (cfg.pop(key) for key in ("j", "alpha", "jl", "jr"))
+    legs = ("jl_a", "jr_a", "jl_b", "jr_b")
+    if j is not None or alpha is not None:
+        if any(v is not None for v in (jl, jr, *map(cfg.get, legs))):
+            raise ValueError("give either j/alpha or explicit hop amplitudes, "
+                             "not both")
+        alpha = 0.0 if alpha is None else alpha
+        j = math.exp(-alpha) if j is None else j
         jl, jr = j * math.exp(alpha), j * math.exp(-alpha)
-        cfg["jl_a"], cfg["jr_a"], cfg["jl_b"], cfg["jr_b"] = jl, jr, jr, jl
     else:
-        jl = float(cfg["jl"]) if cfg.get("jl") is not None else 1.0
-        jr = float(cfg["jr"]) if cfg.get("jr") is not None else 0.5
-        for key, fallback in (("jl_a", jl), ("jr_a", jr),
-                              ("jl_b", jr), ("jr_b", jl)):
-            cfg[key] = float(cfg[key]) if cfg.get(key) is not None else fallback
-    for key in ("j", "alpha", "jl", "jr"):
-        cfg.pop(key, None)
+        jl = 1.0 if jl is None else jl
+        jr = 0.5 if jr is None else jr
+    for key, fallback in zip(legs, (jl, jr, jr, jl)):
+        if cfg[key] is None:
+            cfg[key] = fallback
 
 
 def _params_from_config(cfg: Dict) -> ModelParams:
     return ModelParams(cells=cfg["cells"], particles=cfg["particles"],
-                       statistics=cfg["stats"],
-                       jl_a=cfg["jl_a"], jr_a=cfg["jr_a"],
-                       jl_b=cfg["jl_b"], jr_b=cfg["jr_b"],
-                       jp=float(cfg["jp"]), mu=float(cfg["mu"]),
-                       u=float(cfg["u"]), u_nn=float(cfg["unn"]))
+                       statistics=cfg["stats"], jl_a=cfg["jl_a"],
+                       jr_a=cfg["jr_a"], jl_b=cfg["jl_b"], jr_b=cfg["jr_b"],
+                       jp=cfg["jp"], mu=cfg["mu"], u=cfg["u"], u_nn=cfg["unn"])
 
 
 def _min_gap_from(cfg: Dict, params: ModelParams) -> float:
-    if cfg.get("min_gap") is not None:
-        return float(cfg["min_gap"])
+    if cfg["min_gap"] is not None:
+        return cfg["min_gap"]
     return default_min_gap(params.jl_a, params.jr_a)
 
 
@@ -244,6 +304,7 @@ def _cluster_payload(clusters, result) -> List[Dict]:
 
 
 def cmd_spectrum(cfg: Dict, out: str) -> int:
+    """Full spectrum with per-state observables."""
     params, basis, result, timings = _diagonalize(cfg)
     t0 = time.perf_counter()
     min_gap = _min_gap_from(cfg, params)
@@ -322,6 +383,7 @@ def _selected_state(cfg: Dict):
 
 
 def cmd_density(cfg: Dict, out: str) -> int:
+    """Site or pair density of one state."""
     params, basis, vec, results, timings = _selected_state(cfg)
     csv_path = f"{out}.csv"
     if cfg["kind"] == "site":
@@ -330,14 +392,12 @@ def cmd_density(cfg: Dict, out: str) -> int:
                 for s in range(basis.nsites)]
         _write_csv(csv_path, ["site", "cell", "leg", "density"], rows)
         total = float(dens.sum())
-    elif cfg["kind"] == "pair":
+    else:
         rho = pair_density(vec, basis)
         rows = [[x1, x2, float(rho[x1, x2])]
                 for x1 in range(basis.nsites) for x2 in range(basis.nsites)]
         _write_csv(csv_path, ["site1", "site2", "value"], rows)
         total = float(rho.sum())
-    else:
-        raise ValueError(f"kind must be 'site' or 'pair', got {cfg['kind']!r}")
     results.update(kind=cfg["kind"], total=total)
     sidecar = _sidecar(out, "density", cfg, results, [csv_path], timings)
     print(f"density: state={results['state_index']} e=({results['re_e']:.6g}, "
@@ -347,6 +407,7 @@ def cmd_density(cfg: Dict, out: str) -> int:
 
 
 def cmd_ncor(cfg: Dict, out: str) -> int:
+    """Pair participation of one state."""
     params, basis, vec, results, timings = _selected_state(cfg)
     results["ncor"] = correlation_ncor(vec, basis)
     sidecar = _sidecar(out, "ncor", cfg, results, [], timings)
@@ -357,6 +418,7 @@ def cmd_ncor(cfg: Dict, out: str) -> int:
 
 
 def cmd_entropy(cfg: Dict, out: str) -> int:
+    """Cut entropies of one state."""
     params, basis, vec, results, timings = _selected_state(cfg)
     results.update(cut_entropies(vec, basis))
     sidecar = _sidecar(out, "entropy", cfg, results, [], timings)
@@ -367,38 +429,15 @@ def cmd_entropy(cfg: Dict, out: str) -> int:
     return 0
 
 
-def _parse_axes(cfg: Dict) -> Tuple[Axis, ...]:
-    axes_cfg = cfg.get("axes")
-    if not axes_cfg:
-        raise ValueError("sweep requires at least one --axis name:start:stop:points")
-    axes = []
-    for entry in axes_cfg:
-        if isinstance(entry, str):
-            parts = entry.split(":")
-            if len(parts) != 4:
-                raise ValueError(f"axis must be name:start:stop:points, "
-                                 f"got {entry!r}")
-            axes.append(Axis(parts[0], float(parts[1]), float(parts[2]),
-                             int(parts[3])))
-        else:
-            name, start, stop, points = entry
-            axes.append(Axis(str(name), float(start), float(stop), int(points)))
-    return tuple(axes)
-
-
 def cmd_sweep(cfg: Dict, out: str) -> int:
+    """Observables over a parameter grid."""
     params = _params_from_config(cfg)
-    axes = _parse_axes(cfg)
-    observables = cfg["observables"]
-    if isinstance(observables, str):
-        observables = [o.strip() for o in observables.split(",") if o.strip()]
-    spec = SweepSpec(base=params, axes=axes, observables=tuple(observables),
-                     eps_im=cfg["eps_im"], gap_factor=cfg["gap_factor"],
-                     min_gap=cfg["min_gap"],
+    spec = SweepSpec(base=params, axes=tuple(Axis(*a) for a in cfg["axes"]),
+                     observables=cfg["observables"], eps_im=cfg["eps_im"],
+                     gap_factor=cfg["gap_factor"], min_gap=cfg["min_gap"],
                      threshold_selector=cfg["selector"],
-                     threshold_bracket=(float(cfg["bracket"][0]),
-                                        float(cfg["bracket"][1])),
-                     threshold_resolution=float(cfg["resolution"]))
+                     threshold_bracket=cfg["bracket"],
+                     threshold_resolution=cfg["resolution"])
     t0 = time.perf_counter()
     rows = run_sweep(spec, workers=cfg["workers"], capacity=cfg["capacity"])
     timings = {"sweep_s": time.perf_counter() - t0}
@@ -406,11 +445,8 @@ def cmd_sweep(cfg: Dict, out: str) -> int:
     csv_path = f"{out}.csv"
     _write_csv(csv_path, header, [[row[k] for k in header] for row in rows])
     failures = sum(1 for row in rows if row["error"])
-    cfg_store = dict(cfg)
-    cfg_store["axes"] = [[a.name, a.start, a.stop, a.points] for a in axes]
-    cfg_store["observables"] = list(observables)
     results = {"points": len(rows), "failures": failures, "columns": header}
-    sidecar = _sidecar(out, "sweep", cfg_store, results, [csv_path], timings)
+    sidecar = _sidecar(out, "sweep", cfg, results, [csv_path], timings)
     print(f"sweep: {len(rows)} points, {failures} failures, "
           f"columns={header}")
     print(f"wrote {csv_path} {sidecar}")
@@ -418,13 +454,12 @@ def cmd_sweep(cfg: Dict, out: str) -> int:
 
 
 def cmd_threshold(cfg: Dict, out: str) -> int:
+    """Rung coupling where the spectrum turns complex."""
     params = _params_from_config(cfg)
     t0 = time.perf_counter()
     res = find_threshold_jp(params, cluster_selector=cfg["selector"],
-                            eps_im=cfg["eps_im"],
-                            bracket=(float(cfg["bracket"][0]),
-                                     float(cfg["bracket"][1])),
-                            resolution=float(cfg["resolution"]),
+                            eps_im=cfg["eps_im"], bracket=cfg["bracket"],
+                            resolution=cfg["resolution"],
                             gap_factor=cfg["gap_factor"],
                             min_gap=cfg["min_gap"],
                             capacity=cfg["capacity"])
@@ -443,6 +478,7 @@ def cmd_threshold(cfg: Dict, out: str) -> int:
 
 
 def cmd_effective(cfg: Dict, out: str) -> int:
+    """Bound-pair band versus the effective pair model."""
     params = _params_from_config(cfg)
     t0 = time.perf_counter()
     report = validate_effective_model(params, capacity=cfg["capacity"])
@@ -469,13 +505,10 @@ def cmd_effective(cfg: Dict, out: str) -> int:
 
 
 def cmd_eonsite(cfg: Dict, out: str) -> int:
+    """Diagonal-energy classes and crossings."""
     params = _params_from_config(cfg)
-    mu_range = cfg.get("mu_range")
-    if mu_range is None:
-        raise ValueError("eonsite requires --mu-range lo:hi")
     t0 = time.perf_counter()
-    table = eonsite_table(params, (float(mu_range[0]), float(mu_range[1])),
-                          capacity=cfg["capacity"])
+    table = eonsite_table(params, cfg["mu_range"], capacity=cfg["capacity"])
     timings = {"table_s": time.perf_counter() - t0}
     quanta_name = "pairs" if params.statistics == "boson" else "adjacency"
     classes_path = f"{out}_classes.csv"
@@ -492,7 +525,7 @@ def cmd_eonsite(cfg: Dict, out: str) -> int:
     sidecar = _sidecar(out, "eonsite", cfg, results,
                        [classes_path, crossings_path], timings)
     print(f"eonsite: {len(table.classes)} classes, "
-          f"{len(table.crossings)} crossings in mu range {mu_range}")
+          f"{len(table.crossings)} crossings in mu range {cfg['mu_range']}")
     print(f"wrote {classes_path} {crossings_path} {sidecar}")
     return 0
 
@@ -504,78 +537,20 @@ COMMANDS = {"spectrum": cmd_spectrum, "density": cmd_density,
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file or result sidecar")
-    common.add_argument("--cells", type=int, help="number of ladder cells L")
-    common.add_argument("--particles", type=int, help="particle number N")
-    common.add_argument("--stats", choices=["boson", "fermion"])
-    common.add_argument("--jl", type=float,
-                        help="leg A left-moving amplitude (leg B mirrored)")
-    common.add_argument("--jr", type=float,
-                        help="leg A right-moving amplitude (leg B mirrored)")
-    common.add_argument("--j", type=float, help="symmetric hop scale")
-    common.add_argument("--alpha", type=float, help="hop imbalance exponent")
-    common.add_argument("--jp", type=float, help="rung coupling")
-    common.add_argument("--mu", type=float, help="leg imbalance potential")
-    common.add_argument("--u", type=float, help="boson on-site repulsion")
-    common.add_argument("--unn", type=float,
-                        help="fermion nearest-neighbor repulsion")
-    common.add_argument("--eps-im", dest="eps_im", type=float,
-                        help="reality threshold on |Im E|")
-    common.add_argument("--workers", type=int, help="parallel worker processes")
-    common.add_argument("--gap-factor", dest="gap_factor", type=float)
-    common.add_argument("--min-gap", dest="min_gap", type=float)
-    common.add_argument("--capacity", type=int, help="basis size budget")
-    common.add_argument("--out", help="output path prefix (default: command name)")
-
     parser = argparse.ArgumentParser(
         prog="nhladder",
         description="Exact diagonalization of a non-reciprocal two-leg ladder")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("spectrum", parents=[common],
-                   help="full spectrum with per-state observables")
-    p_density = sub.add_parser("density", parents=[common],
-                               help="site or pair density of one state")
-    p_density.add_argument("--select", help="max_im | index:K | cluster:K")
-    p_density.add_argument("--kind", choices=["site", "pair"])
-    p_ncor = sub.add_parser("ncor", parents=[common],
-                            help="pair participation of one state")
-    p_ncor.add_argument("--select")
-    p_entropy = sub.add_parser("entropy", parents=[common],
-                               help="cut entropies of one state")
-    p_entropy.add_argument("--select")
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="observables over a parameter grid")
-    p_sweep.add_argument("--axis", dest="axes", action="append",
-                         help="name:start:stop:points (repeat for 2 axes)")
-    p_sweep.add_argument("--observables",
-                         help="comma list: max_im_global, max_im_per_cluster, "
-                              "ncor_of_max_im_state, polarization, entropies, "
-                              "threshold")
-    p_sweep.add_argument("--selector", choices=["all", "scattering", "bound"])
-    p_sweep.add_argument("--bracket", type=_parse_range,
-                         help="lo:hi for threshold observable")
-    p_sweep.add_argument("--resolution", type=float)
-    p_thr = sub.add_parser("threshold", parents=[common],
-                           help="rung coupling where the spectrum turns complex")
-    p_thr.add_argument("--selector", choices=["all", "scattering", "bound"])
-    p_thr.add_argument("--bracket", type=_parse_range, help="lo:hi")
-    p_thr.add_argument("--resolution", type=float)
-    sub.add_parser("effective", parents=[common],
-                   help="bound-pair band versus the effective pair model")
-    p_eon = sub.add_parser("eonsite", parents=[common],
-                           help="diagonal-energy classes and crossings")
-    p_eon.add_argument("--mu-range", dest="mu_range", type=_parse_range,
-                       help="lo:hi window for crossings")
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__, description=run.__doc__)
+        p.add_argument("--config", help="JSON config file or result sidecar")
+        for key, opt in _options_for(command).items():
+            if opt.flag:
+                p.add_argument(opt.flag, dest=key, help=opt.help,
+                               choices=opt.choices or None,
+                               action="append" if opt.repeat else "store")
+        p.add_argument("--out", help="output prefix (default: command name)")
     return parser
-
-
-def _parse_range(text: str) -> List[float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    return [float(parts[0]), float(parts[1])]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

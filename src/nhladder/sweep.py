@@ -254,16 +254,16 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
 
     evaluations = 0
     cache: Dict[float, float] = {}
-    eps_holder = {"eps": eps_im}
+    eps = eps_im
 
     def measure(jp: float) -> float:
-        nonlocal evaluations
+        nonlocal evaluations, eps
         if jp in cache:
             return cache[jp]
         p = params.with_updates(jp=jp)
         result = eigendecompose(build_hamiltonian(p, basis), capacity=capacity)
-        if eps_holder["eps"] is None:
-            eps_holder["eps"] = default_eps_im(result.matrix_norm)
+        if eps is None:
+            eps = default_eps_im(result.matrix_norm)
         value = _max_im_for_selector(result, p, cluster_selector,
                                      gap_factor, min_gap)
         evaluations += 1
@@ -271,7 +271,6 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
         return value
 
     f_lo = measure(lo)
-    eps = eps_holder["eps"]
     if f_lo > eps:
         raise ValueError(f"invalid bracket: spectrum already complex at "
                          f"jp={lo} (max |Im| = {f_lo:.3e} > {eps:.3e})")

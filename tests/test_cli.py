@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -113,7 +114,7 @@ def test_j_alpha_parameterization(tmp_path):
     assert cfgout["jr_b"] == pytest.approx(1.0)
 
 
-def test_exit_code_2_on_config_errors(tmp_path):
+def test_exit_code_2_on_config_errors(tmp_path, capsys):
     # missing cells
     assert main(["spectrum", "--particles", "1"]) == 2
     # unknown config key
@@ -135,6 +136,23 @@ def test_exit_code_2_on_config_errors(tmp_path):
     # bad selector
     assert main(["ncor", "--cells", "2", "--particles", "2", "--u", "1",
                  "--select", "best"]) == 2
+    # wrong-typed file values exit 2 naming the key, as a bad flag would
+    model = {"cells": 3, "particles": 2, "u": 4.0}
+    axis = {"axes": ["jp:0:0.05:2"]}
+    for command, extra in [("spectrum", {"gap_factor": "wide"}),
+                           ("entropy", {"select": 5}),
+                           ("threshold", {"bracket": 0.1}),
+                           ("sweep", {"bracket": 0.1, **axis}),
+                           ("sweep", {"observables": 5, **axis}),
+                           ("spectrum", {"cells": 3.5}),
+                           ("spectrum", {"workers": True})]:
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps({**model, **extra}))
+        capsys.readouterr()
+        assert main([command, "--config", str(typed),
+                     "--out", str(tmp_path / "typed")]) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): " + next(iter(extra))), err
 
 
 def test_exit_code_3_on_capacity(tmp_path, monkeypatch):
@@ -305,3 +323,83 @@ def test_module_entry_point(tmp_path):
 def test_missing_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_list_keys_read_flag_text_and_sidecar_lists(tmp_path):
+    model = ["--cells", "3", "--particles", "2", "--u", "4", "--mu", "0.2"]
+    flags = tmp_path / "flags"
+    assert main(["sweep", *model, "--axis", "jp:0:0.05:2",
+                 "--bracket", "0:0.2",
+                 "--observables", "max_im_global,polarization",
+                 "--out", str(flags)]) == 0
+    spellings = [{"bracket": "0:0.2", "axes": ["jp:0:0.05:2"],
+                  "observables": "max_im_global,polarization"},
+                 {"bracket": [0, 0.2], "axes": [["jp", 0, 0.05, 2]],
+                  "observables": ["max_im_global", "polarization"]}]
+    for i, spelled in enumerate(spellings):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"cells": 3, "particles": 2, "u": 4,
+                                   "mu": 0.2, **spelled}))
+        out = tmp_path / f"file{i}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_json(f"{out}.json")["config"] == \
+            read_json(f"{flags}.json")["config"]
+        with open(f"{out}.csv", "rb") as a, open(f"{flags}.csv", "rb") as b:
+            assert a.read() == b.read()
+
+
+MODEL_FLAGS = ["--config", "--cells", "--particles", "--stats", "--jl",
+               "--jr", "--j", "--alpha", "--jp", "--mu", "--u", "--unn",
+               "--eps-im", "--workers", "--gap-factor", "--min-gap",
+               "--capacity", "--out"]
+MODEL_KEYS = ["cells", "particles", "stats", "jl", "jr", "j", "alpha",
+              "jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "unn",
+              "eps_im", "workers", "gap_factor", "min_gap", "capacity"]
+SIDECAR_KEYS = ["cells", "particles", "stats", "jl_a", "jr_a", "jl_b",
+                "jr_b", "jp", "mu", "u", "unn", "eps_im", "workers",
+                "gap_factor", "min_gap", "capacity"]
+# Per command: extra flags, extra config keys, and a flag-driven run.
+SURFACE = {
+    "spectrum": ([], [], ["--cells", "2", "--particles", "1"]),
+    "density": (["--select", "--kind"], ["select", "kind"],
+                ["--cells", "2", "--particles", "1"]),
+    "ncor": (["--select"], ["select"], ["--cells", "2", "--particles", "2"]),
+    "entropy": (["--select"], ["select"],
+                ["--cells", "2", "--particles", "2"]),
+    "sweep": (["--axis", "--observables", "--selector", "--bracket",
+               "--resolution"],
+              ["axes", "observables", "selector", "bracket", "resolution"],
+              ["--cells", "2", "--particles", "1", "--axis", "jp:0:0.1:1"]),
+    "threshold": (["--selector", "--bracket", "--resolution"],
+                  ["selector", "bracket", "resolution"],
+                  ["--cells", "4", "--particles", "1", "--bracket", "0:0.2",
+                   "--resolution", "0.05"]),
+    "effective": ([], [], ["--cells", "4", "--particles", "2", "--u", "8",
+                           "--jp", "0.01"]),
+    "eonsite": (["--mu-range"], ["mu_range"],
+                ["--cells", "2", "--particles", "2", "--mu-range", "0:4"]),
+}
+
+
+def test_option_surface_is_pinned(tmp_path):
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == list(SURFACE)
+    for command, (flags, keys, argv) in SURFACE.items():
+        accepted = {s for a in commands[command]._actions
+                    for s in a.option_strings} - {"-h", "--help"}
+        assert accepted == set(MODEL_FLAGS + flags), command
+        assert list(cli._options_for(command)) == MODEL_KEYS + keys, command
+        out = tmp_path / command
+        assert main([command, *argv, "--out", str(out)]) == 0, command
+        assert list(read_json(f"{out}.json")["config"]) == \
+            SIDECAR_KEYS + keys, command
+
+
+@pytest.mark.parametrize("command", list(SURFACE))
+def test_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
