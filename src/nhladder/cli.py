@@ -46,6 +46,21 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """Float flag text or a JSON number; JSON booleans are rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _nonnegative(value) -> float:
+    """A _float that is at least zero."""
+    number = _float(value)
+    if not number >= 0.0:
+        raise ValueError(f"must be non-negative, got {number!r}")
+    return number
+
+
 def _text(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
@@ -62,7 +77,7 @@ def _fields(value, sep: Optional[str]) -> Sequence:
 
 def _range(value) -> Tuple[float, float]:
     lo, hi = _fields(value, ":")
-    return float(lo), float(hi)
+    return _float(lo), _float(hi)
 
 
 def _names(value) -> Tuple[str, ...]:
@@ -73,7 +88,7 @@ def _names(value) -> Tuple[str, ...]:
 def _axes(value) -> Tuple[Tuple, ...]:
     """(name, start, stop, points) per name:start:stop:points text or list."""
     axes = [_fields(entry, ":") for entry in _fields(value, None)]
-    return tuple((name, float(start), float(stop), _int(points))
+    return tuple((name, _float(start), _float(stop), _int(points))
                  for name, start, stop, points in axes)
 
 
@@ -98,20 +113,21 @@ OPTIONS: Dict[str, Option] = {
     "cells": Option("--cells", _int, REQUIRED, help="ladder cells L"),
     "particles": Option("--particles", _int, REQUIRED, help="particles N"),
     "stats": Option("--stats", _text, "boson", choices=("boson", "fermion")),
-    "jl": Option("--jl", float, help="leg A left hop (leg B mirrored)"),
-    "jr": Option("--jr", float, help="leg A right hop (leg B mirrored)"),
-    "j": Option("--j", float, help="symmetric hop scale"),
-    "alpha": Option("--alpha", float, help="hop imbalance exponent"),
-    "jl_a": Option(None, float), "jr_a": Option(None, float),
-    "jl_b": Option(None, float), "jr_b": Option(None, float),
-    "jp": Option("--jp", float, 0.0, help="rung coupling"),
-    "mu": Option("--mu", float, 0.0, help="leg imbalance potential"),
-    "u": Option("--u", float, 0.0, help="boson on-site repulsion"),
-    "unn": Option("--unn", float, 0.0, help="fermion neighbor repulsion"),
-    "eps_im": Option("--eps-im", float, help="reality threshold on |Im E|"),
+    "jl": Option("--jl", _float, help="leg A left hop (leg B mirrored)"),
+    "jr": Option("--jr", _float, help="leg A right hop (leg B mirrored)"),
+    "j": Option("--j", _float, help="symmetric hop scale"),
+    "alpha": Option("--alpha", _float, help="hop imbalance exponent"),
+    "jl_a": Option(None, _float), "jr_a": Option(None, _float),
+    "jl_b": Option(None, _float), "jr_b": Option(None, _float),
+    "jp": Option("--jp", _float, 0.0, help="rung coupling"),
+    "mu": Option("--mu", _float, 0.0, help="leg imbalance potential"),
+    "u": Option("--u", _float, 0.0, help="boson on-site repulsion"),
+    "unn": Option("--unn", _float, 0.0, help="fermion neighbor repulsion"),
+    "eps_im": Option("--eps-im", _nonnegative,
+                     help="reality threshold on |Im E|"),
     "workers": Option("--workers", _int, 1, help="parallel worker processes"),
-    "gap_factor": Option("--gap-factor", float, 10.0),
-    "min_gap": Option("--min-gap", float),
+    "gap_factor": Option("--gap-factor", _float, 10.0),
+    "min_gap": Option("--min-gap", _float),
     "capacity": Option("--capacity", _int, help="basis size budget"),
     "select": Option("--select", _text, "max_im",
                      ("density", "ncor", "entropy"),
@@ -126,7 +142,7 @@ OPTIONS: Dict[str, Option] = {
                        choices=("all", "scattering", "bound")),
     "bracket": Option("--bracket", _range, (0.0, 0.1), ("sweep", "threshold"),
                       "lo:hi for the threshold search"),
-    "resolution": Option("--resolution", float, 1e-3, ("sweep", "threshold")),
+    "resolution": Option("--resolution", _float, 1e-3, ("sweep", "threshold")),
     "mu_range": Option("--mu-range", _range, REQUIRED, ("eonsite",),
                        "lo:hi window for crossings"),
 }
@@ -251,7 +267,10 @@ def _min_gap_from(cfg: Dict, params: ModelParams) -> float:
 
 
 def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
-             outputs: List[str], timings: Dict) -> str:
+             outputs: List[str], timings: Dict,
+             diagnostics: Optional[Dict] = None) -> str:
+    """Write <out>.json; diagnostics are those of the command's one
+    eigendecomposition (null for commands that make none or many)."""
     path = f"{out}.json"
     payload = {"command": command,
                "config": {k: v for k, v in cfg.items()},
@@ -259,6 +278,7 @@ def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
                "outputs": outputs,
                "timings": timings,
                "environment": _environment(),
+               "diagnostics": diagnostics,
                "versions": {"python": platform.python_version(),
                             "numpy": np.__version__,
                             "nhladder": __version__}}
@@ -340,7 +360,8 @@ def cmd_spectrum(cfg: Dict, out: str) -> int:
                "max_im": max_im,
                "spectrum_real": max_im <= eps,
                "clusters": _cluster_payload(clusters, result)}
-    sidecar = _sidecar(out, "spectrum", cfg, results, [csv_path], timings)
+    sidecar = _sidecar(out, "spectrum", cfg, results, [csv_path], timings,
+                       result.diagnostics)
     print(f"spectrum: dimension={result.dimension} max_im={max_im:.6g} "
           f"eps_im={eps:.3g} clusters="
           f"{[(c['label'], c['size']) for c in results['clusters']]}")
@@ -353,7 +374,8 @@ def _selected_state(cfg: Dict):
     |Im E|), index:K, or cluster:K (the max-|Im E| member of cluster K).
 
     Returns params, basis, the state's eigenvector, the results dict opened
-    with the state's index and eigenvalue, and the timings."""
+    with the state's index and eigenvalue, the timings and the solve's
+    diagnostics."""
     params, basis, result, timings = _diagonalize(cfg)
     selector = cfg["select"]
     ims = np.abs(result.eigenvalues.imag)
@@ -379,12 +401,13 @@ def _selected_state(cfg: Dict):
     results = {"state_index": state,
                "re_e": result.eigenvalues[state].real,
                "im_e": result.eigenvalues[state].imag}
-    return params, basis, result.eigenvectors[:, state], results, timings
+    return (params, basis, result.eigenvectors[:, state], results, timings,
+            result.diagnostics)
 
 
 def cmd_density(cfg: Dict, out: str) -> int:
     """Site or pair density of one state."""
-    params, basis, vec, results, timings = _selected_state(cfg)
+    params, basis, vec, results, timings, diagnostics = _selected_state(cfg)
     csv_path = f"{out}.csv"
     if cfg["kind"] == "site":
         dens = site_density(vec, basis)
@@ -399,7 +422,8 @@ def cmd_density(cfg: Dict, out: str) -> int:
         _write_csv(csv_path, ["site1", "site2", "value"], rows)
         total = float(rho.sum())
     results.update(kind=cfg["kind"], total=total)
-    sidecar = _sidecar(out, "density", cfg, results, [csv_path], timings)
+    sidecar = _sidecar(out, "density", cfg, results, [csv_path], timings,
+                       diagnostics)
     print(f"density: state={results['state_index']} e=({results['re_e']:.6g}, "
           f"{results['im_e']:.6g}) kind={cfg['kind']}")
     print(f"wrote {csv_path} {sidecar}")
@@ -408,9 +432,9 @@ def cmd_density(cfg: Dict, out: str) -> int:
 
 def cmd_ncor(cfg: Dict, out: str) -> int:
     """Pair participation of one state."""
-    params, basis, vec, results, timings = _selected_state(cfg)
+    params, basis, vec, results, timings, diagnostics = _selected_state(cfg)
     results["ncor"] = correlation_ncor(vec, basis)
-    sidecar = _sidecar(out, "ncor", cfg, results, [], timings)
+    sidecar = _sidecar(out, "ncor", cfg, results, [], timings, diagnostics)
     print(f"ncor: state={results['state_index']} "
           f"ncor={results['ncor']:.6g}")
     print(f"wrote {sidecar}")
@@ -419,9 +443,9 @@ def cmd_ncor(cfg: Dict, out: str) -> int:
 
 def cmd_entropy(cfg: Dict, out: str) -> int:
     """Cut entropies of one state."""
-    params, basis, vec, results, timings = _selected_state(cfg)
+    params, basis, vec, results, timings, diagnostics = _selected_state(cfg)
     results.update(cut_entropies(vec, basis))
-    sidecar = _sidecar(out, "entropy", cfg, results, [], timings)
+    sidecar = _sidecar(out, "entropy", cfg, results, [], timings, diagnostics)
     print(f"entropy: state={results['state_index']} "
           f"s_ab={results['s_ab']:.6g} "
           f"s_leftright={results['s_leftright']:.6g}")

@@ -2,8 +2,9 @@
 
 Everything here is built from a different code path than the package:
 operator matrices assembled with numpy.kron on full product spaces,
-characteristic-polynomial eigenvalues, and closed-form band formulas. The
-package is correct when it agrees with these on desk-scale problems.
+characteristic-polynomial eigenvalues, closed-form band formulas, and
+balancing sweeps over the dense array. The package is correct when it
+agrees with these on desk-scale problems.
 """
 
 from __future__ import annotations
@@ -258,6 +259,36 @@ def einsum_ncor(vectors: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Eigenvalue oracles.
+
+def dense_balance(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Balancing with every sweep over the dense array, the form the
+    package's sparse sweeps replace: same sweep rule, clips, cap and stop
+    test, with row and column sums taken over all n^2 entries."""
+    n = matrix.shape[0]
+    if n < 2:
+        return matrix, np.ones(n)
+    work = np.abs(matrix).astype(float)
+    np.fill_diagonal(work, 0.0)
+    d = np.ones(n)
+    sweeps = min(1000, 12 + int(4e7) // (n * n))
+    for _ in range(sweeps):
+        col = work.sum(axis=0)
+        row = work.sum(axis=1)
+        active = (col > 0.0) & (row > 0.0)
+        factor = np.ones(n)
+        factor[active] = np.sqrt(row[active] / col[active])
+        np.clip(factor, 0.25, 4.0, out=factor)
+        np.clip(factor, 1e-12 / d, 1e12 / d, out=factor)
+        if np.max(np.abs(np.log(factor))) < 1e-10:
+            break
+        d *= factor
+        work *= factor[np.newaxis, :]
+        work /= factor[:, np.newaxis]
+    # one rescale of the original entries keeps rounding to a single step
+    balanced = matrix * (d[np.newaxis, :] / d[:, np.newaxis])
+    np.fill_diagonal(balanced, matrix.diagonal())
+    return balanced, d
+
 
 def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Roots of the characteristic polynomial via the Faddeev-LeVerrier

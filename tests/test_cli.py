@@ -87,11 +87,19 @@ def test_sidecar_environment_round_trips_as_config(tmp_path, monkeypatch):
     first = tmp_path / "first"
     assert main(["spectrum", "--cells", "3", "--particles", "2", "--u", "4",
                  "--mu", "0.2", "--jp", "0.01", "--out", str(first)]) == 0
-    env = read_json(f"{first}.json")["environment"]
+    sidecar = read_json(f"{first}.json")
+    env = sidecar["environment"]
     assert isinstance(env["cores"], int) and env["cores"] >= 1
     assert set(env["blas"]) == {"name", "version"}
     assert env["thread_env"]["OMP_NUM_THREADS"] == "1"
     assert env["thread_env"]["MKL_NUM_THREADS"] is None
+    keys = list(sidecar)
+    assert keys.index("diagnostics") == keys.index("environment") + 1
+    diagnostics = sidecar["diagnostics"]
+    assert set(diagnostics) == {"densify_s", "balance_s", "geev_s",
+                                "verify_s", "balance_sweeps",
+                                "balance_sweep_cap", "balance_log10_spread"}
+    assert 0 <= diagnostics["balance_sweeps"] <= diagnostics["balance_sweep_cap"]
     second = tmp_path / "second"
     assert main(["spectrum", "--config", f"{first}.json",
                  "--out", str(second)]) == 0
@@ -99,6 +107,10 @@ def test_sidecar_environment_round_trips_as_config(tmp_path, monkeypatch):
         assert a.read() == b.read()
     assert read_json(f"{second}.json")["config"] == \
         read_json(f"{first}.json")["config"]
+    # a state command makes one solve and carries its diagnostics too
+    third = tmp_path / "third"
+    assert main(["ncor", "--config", f"{first}.json", "--out", str(third)]) == 0
+    assert set(read_json(f"{third}.json")["diagnostics"]) == set(diagnostics)
 
 
 def test_j_alpha_parameterization(tmp_path):
@@ -153,6 +165,43 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "typed")]) == 2, extra
         err = capsys.readouterr().err
         assert err.startswith("error (config): " + next(iter(extra))), err
+
+
+def test_float_keys_reject_json_booleans(tmp_path, capsys):
+    model = {"cells": 2, "particles": 1}
+    floats = [key for key, opt in cli.OPTIONS.items()
+              if opt.convert in (cli._float, cli._nonnegative)]
+    cases = [("spectrum", {key: True}) for key in floats
+             if cli.OPTIONS[key].commands is None]
+    cases += [("threshold", {"resolution": False}),
+              ("threshold", {"bracket": [0, True]}),
+              ("eonsite", {"mu_range": [True, 4]}),
+              ("sweep", {"axes": [["jp", 0, True, 2]]})]
+    assert {next(iter(extra)) for _, extra in cases} >= set(floats)
+    for command, extra in cases:
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps({**model, **extra}))
+        capsys.readouterr()
+        assert main([command, "--config", str(typed),
+                     "--out", str(tmp_path / "typed")]) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith(f"error (config): {next(iter(extra))}: "), err
+
+
+def test_negative_eps_im_is_rejected(tmp_path, capsys):
+    config = tmp_path / "eps.json"
+    config.write_text(json.dumps({"cells": 2, "particles": 1, "eps_im": -1}))
+    for command in ("spectrum", "threshold"):
+        for argv in (["--cells", "2", "--particles", "1", "--eps-im", "-1"],
+                     ["--config", str(config)],
+                     ["--cells", "2", "--particles", "1", "--eps-im", "nan"]):
+            capsys.readouterr()
+            assert main([command, *argv,
+                         "--out", str(tmp_path / "eps")]) == 2, argv
+            assert capsys.readouterr().err.startswith(
+                "error (config): eps_im: must be non-negative")
+    assert main(["spectrum", "--cells", "2", "--particles", "1",
+                 "--eps-im", "0", "--out", str(tmp_path / "zero")]) == 0
 
 
 def test_exit_code_3_on_capacity(tmp_path, monkeypatch):
@@ -264,7 +313,9 @@ def test_threshold_command(tmp_path):
     assert main(["threshold", "--cells", "8", "--particles", "1",
                  "--bracket", "0:0.2", "--resolution", "0.01",
                  "--out", str(out)]) == 0
-    results = read_json(f"{out}.json")["results"]
+    sidecar = read_json(f"{out}.json")
+    assert sidecar["diagnostics"] is None  # many solves, no single record
+    results = sidecar["results"]
     assert 0.0 < results["jp_star"] < 0.2
     assert results["bracket"][1] - results["bracket"][0] <= 0.01 + 1e-12
     assert results["evaluations"] > 0

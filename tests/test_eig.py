@@ -4,10 +4,11 @@ import pytest
 from nhladder.eig import (ConvergenceError, default_eps_im, eigendecompose,
                           is_spectrum_real, max_imag)
 from nhladder.fock import CapacityError
-from nhladder.model import (ModelParams, build_hamiltonian,
+from nhladder.model import (ModelParams, SparseOperator, build_hamiltonian,
                             build_single_particle_matrix, sector_basis)
 
-from oracles import charpoly_eigenvalues, hn_open_chain_spectrum, multisets_close
+from oracles import (charpoly_eigenvalues, dense_balance,
+                     hn_open_chain_spectrum, multisets_close)
 
 
 def test_asymmetric_2x2_frozen():
@@ -140,3 +141,101 @@ def test_right_eigenvectors_are_unit_columns():
     m = rng.normal(size=(12, 12))
     result = eigendecompose(m)
     assert np.allclose(np.linalg.norm(result.eigenvectors, axis=0), 1.0)
+
+
+def _sector(cells, particles, **kwargs):
+    p = ModelParams(cells=cells, particles=particles, **kwargs)
+    return build_hamiltonian(p, sector_basis(p))
+
+
+def _cancelling_duplicates():
+    """A model operator with extra COO entries that cancel exactly: +v and
+    -v on empty off-diagonal positions, +w and -w on stored ones."""
+    op = _sector(4, 2, jp=0.01, mu=0.2, u=4.0)
+    empty = [(0, op.dimension - 1), (op.dimension - 1, 0), (5, 30)]
+    assert all(op.to_dense()[r, c] == 0.0 for r, c in empty)
+    stored = [(r, c) for r, c in zip(op.rows, op.cols) if r != c][:2]
+    extra = [(r, c, v) for r, c in empty for v in (0.75, -0.75)]
+    extra += [(r, c, v) for r, c in stored for v in (0.5, -0.5)]
+    r, c, v = map(np.array, zip(*extra))
+    dup = SparseOperator(op.dimension, np.concatenate([op.rows, r]),
+                         np.concatenate([op.cols, c]),
+                         np.concatenate([op.values, v]))
+    assert np.array_equal(dup.to_dense(), op.to_dense())
+    return dup
+
+
+def _random_complex():
+    rng = np.random.default_rng(3)
+    shape = (30, 30)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * np.exp(2.0 * rng.normal(size=shape))
+
+
+def _zero_row_and_column():
+    m = np.random.default_rng(4).normal(size=(20, 20))
+    m[3, :] = 0.0
+    m[:, 7] = 0.0
+    m[3, 3] = 1.5  # a diagonal entry does not make the row active
+    return m
+
+
+BALANCE_INPUTS = {
+    "boson L=4 N=2 (D=36)": lambda: _sector(4, 2, jp=0.01, mu=0.2, u=4.0),
+    "boson L=8 N=2 (D=136)": lambda: _sector(8, 2, jp=0.01, mu=0.2, u=4.0),
+    "boson L=6 N=3 (D=364)": lambda: _sector(6, 3, jp=0.5, mu=16 / 3, u=16.0),
+    "boson L=20 N=2 (D=820)": lambda: _sector(20, 2, jp=0.01, mu=4.0, u=16.0),
+    "fermion L=8 N=2 (D=120)": lambda: _sector(8, 2, statistics="fermion",
+                                               jp=0.01, mu=0.2, u_nn=4.0),
+    "fermion L=20 N=2 (D=780)": lambda: _sector(20, 2, statistics="fermion",
+                                                jp=0.01, mu=0.2, u_nn=4.0),
+    "L=50 N=1 (1000 sweeps)": lambda: _sector(50, 1, jp=0.01, mu=0.2),
+    "random complex": _random_complex,
+    "zero row and column": _zero_row_and_column,
+    "n=0": lambda: np.zeros((0, 0)),
+    "n=1": lambda: np.array([[2.5]]),
+    "n=2": lambda: np.array([[1.0, 2.0], [0.125, -1.0]]),
+    "cancelling COO duplicates": _cancelling_duplicates,
+}
+
+
+@pytest.mark.parametrize("name", list(BALANCE_INPUTS))
+def test_sparse_balancing_matches_dense_sweeps(name):
+    from nhladder.eig import _balance
+
+    matrix = BALANCE_INPUTS[name]()
+    if isinstance(matrix, SparseOperator):
+        matrix = matrix.to_dense()
+    balanced, d = _balance(matrix)
+    _, d_dense = dense_balance(matrix)
+    # only the order of the row sums differs from the dense sweeps
+    assert d.shape == d_dense.shape
+    assert np.all(np.abs(np.log(d) - np.log(d_dense)) <= 1e-13)
+    # one rescale of the original entries, and the exact diagonal
+    expected = matrix * (d[np.newaxis, :] / d[:, np.newaxis])
+    np.fill_diagonal(expected, matrix.diagonal())
+    assert np.array_equal(balanced, expected)
+    assert np.array_equal(np.diagonal(balanced), np.diagonal(matrix))
+
+
+def test_diagnostics_report_stages_and_balancing():
+    from nhladder.eig import _balance
+
+    op = _sector(6, 2, jp=0.01, mu=0.2, u=4.0)
+    diagnostics = eigendecompose(op).diagnostics
+    assert list(diagnostics) == ["densify_s", "balance_s", "geev_s",
+                                 "verify_s", "balance_sweeps",
+                                 "balance_sweep_cap", "balance_log10_spread"]
+    assert all(diagnostics[k] >= 0.0
+               for k in ("densify_s", "balance_s", "geev_s", "verify_s"))
+    dim = op.dimension
+    assert diagnostics["balance_sweep_cap"] == min(1000, 12 + int(4e7) // dim**2)
+    assert 0 <= diagnostics["balance_sweeps"] <= diagnostics["balance_sweep_cap"]
+    _, d = _balance(op.to_dense())
+    assert diagnostics["balance_log10_spread"] == np.log10(d.max() / d.min())
+    assert diagnostics["balance_log10_spread"] > 0.0
+    # converged early: a diagonal matrix has nothing to balance
+    trivial = eigendecompose(np.diag([1.0, 2.0, 3.0])).diagnostics
+    assert trivial["balance_sweeps"] == 0
+    assert trivial["balance_log10_spread"] == 0.0
+    assert eigendecompose(np.zeros((0, 0))).diagnostics["balance_sweep_cap"] == 0
