@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lapack
 from .eig import ConvergenceError, default_eps_im, eigendecompose
 from .fock import CapacityError, site_cell_leg
 from .model import ModelParams, build_hamiltonian, sector_basis
@@ -35,7 +35,7 @@ from .observables import (cluster_spectrum, correlation_ncor,
                           site_density)
 from .perturb import ResonanceError, validate_effective_model
 from .sweep import (OBSERVABLES, Axis, SweepSpec, cut_entropies, eonsite_table,
-                    find_threshold_jp, run_sweep)
+                    find_threshold_jp, run_sweep, solve_lanes, usable_cores)
 
 
 def _int(value) -> int:
@@ -287,18 +287,22 @@ def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
 
 
 def _environment() -> Dict:
-    """Usable cores, the BLAS numpy was built against, and the thread
-    variables as set; recorded only, never changed."""
+    """Usable cores, the BLAS numpy was built against, the thread variables
+    as set, and the thread budget: the OpenBLAS pool size, the concurrent
+    solves of a threshold search, and the bound dgeev symbol (null when
+    solves go through np.linalg.eig)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no mode argument
         blas = {}
-    return {"cores": len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+    return {"cores": usable_cores(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "thread_env": {k: os.environ.get(k) for k in
                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                            "MKL_NUM_THREADS")}}
+                            "MKL_NUM_THREADS")},
+            "blas_threads": lapack.get_threads(),
+            "solve_lanes": solve_lanes(),
+            "lapack": lapack.symbol()}
 
 
 def _diagonalize(cfg: Dict):
@@ -492,7 +496,8 @@ def cmd_threshold(cfg: Dict, out: str) -> int:
                "bracket": list(res.bracket),
                "eps_im": res.eps_im,
                "evaluations": res.evaluations,
-               "used_fallback": res.used_fallback}
+               "used_fallback": res.used_fallback,
+               "trace": [list(point) for point in res.trace]}
     sidecar = _sidecar(out, "threshold", cfg, results, [], timings)
     print(f"threshold: jp_star={res.jp_star:.6g} "
           f"bracket=({res.bracket[0]:.6g}, {res.bracket[1]:.6g}) "

@@ -1,9 +1,16 @@
 """Verified dense non-symmetric eigendecomposition.
 
+A solve densifies the operator, balances it (a diagonal similarity
+scaling), and runs LAPACK dgeev in place on the balanced matrix through
+lapack.geev, which calls numpy's own OpenBLAS and falls back to
+np.linalg.eig where that library cannot be bound or the input is complex.
+Both give the same bits; the in-place call keeps about half the memory.
+
 Every decomposition is checked before it is returned: per-eigenpair
-residuals against a norm-scaled tolerance, the trace identity, and (for
-real input) closure of the spectrum under complex conjugation. A failed
-check raises ConvergenceError rather than returning silently wrong data.
+residuals against a norm-scaled tolerance, computed against the original
+matrix, the trace identity, and (for real input) closure of the spectrum
+under complex conjugation. A failed check raises ConvergenceError rather
+than returning silently wrong data.
 """
 
 from __future__ import annotations
@@ -14,11 +21,15 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
+from . import lapack
 from .fock import CapacityError, resolve_capacity
 from .model import SparseOperator
 
 TRACE_RTOL = 1e-8
 CONJ_ATOL = 1e-10
+# eigenvector rows (normalisation) or columns (residuals) per block: bounds
+# the temporaries of both passes to a few 64 x n arrays
+BLOCK = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -49,6 +60,12 @@ def default_eps_im(matrix_norm: float) -> float:
     return max(1e-9, 1e-12 * matrix_norm)
 
 
+def check_eps_im(eps_im: float) -> None:
+    """Raise ValueError unless eps_im is a non-negative number (not NaN)."""
+    if not eps_im >= 0.0:
+        raise ValueError(f"eps_im must be non-negative, got {eps_im}")
+
+
 def _balance(matrix: np.ndarray,
              diagnostics: Optional[Dict[str, float]] = None
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -59,21 +76,23 @@ def _balance(matrix: np.ndarray,
     balanced row/column sums restores near-normality without changing the
     spectrum. Returns the rescaled matrix and the diagonal of D.
 
-    The sweeps work on the off-diagonal nonzeros alone, so each costs
-    O(nnz) rather than O(n^2); only finding the nonzeros and the final
-    rescale touch every entry. The sweep cap, which shrinks with n, is the
+    The sweeps and the final rescale work on the off-diagonal nonzeros
+    alone, so each costs O(nnz) rather than O(n^2); only finding the
+    nonzeros and zeroing the output touch every entry. The sweep cap, which shrinks with n, is the
     one the dense sweeps had: on the larger ladder sectors the stop test
     does not fire before it, so the cap decides D, and keeping it keeps D,
     the eigenvalues and the eigenvectors what the dense sweeps gave up to
     rounding in the row sums. If given, diagnostics receives the sweeps
-    applied and the cap.
+    applied and the cap. The rescaled matrix is a new Fortran-ordered
+    array, ready for LAPACK to overwrite.
     """
     n = matrix.shape[0]
     cap = min(1000, 12 + int(4e7) // (n * n)) if n > 1 else 0
     rows, cols = np.nonzero(matrix)
     off = rows != cols
     rows, cols = rows[off], cols[off]
-    work = np.abs(matrix[rows, cols]).astype(float)
+    values = matrix[rows, cols]
+    work = np.abs(values).astype(float)
     d = np.ones(n)
     applied = 0
     for _ in range(cap):
@@ -90,8 +109,10 @@ def _balance(matrix: np.ndarray,
         applied += 1
     if diagnostics is not None:
         diagnostics.update(balance_sweeps=applied, balance_sweep_cap=cap)
-    # one rescale of the original entries keeps rounding to a single step
-    balanced = matrix * (d[np.newaxis, :] / d[:, np.newaxis])
+    # one rescale of the original entries keeps rounding to a single step;
+    # the diagonal is left unscaled, so its entries stay exact
+    balanced = np.zeros(matrix.shape, np.result_type(matrix, d), order="F")
+    balanced[rows, cols] = values * (d[cols] / d[rows])
     np.fill_diagonal(balanced, matrix.diagonal())
     return balanced, d
 
@@ -115,11 +136,17 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     when the dimension exceeds the size budget, ConvergenceError when any
     eigenpair residual exceeds tol * norm(H, inf) or the trace or
     conjugation checks fail.
+
+    Apart from a dense input array, the balanced matrix is the only dense
+    copy alive while LAPACK runs: a SparseOperator's dense form is dropped
+    before the solve and rebuilt for the residuals, and lapack.geev
+    overwrites the balanced matrix in place.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     start = time.perf_counter()
-    if isinstance(operator, SparseOperator):
+    sparse = isinstance(operator, SparseOperator)
+    if sparse:
         dim = operator.dimension
         cap = resolve_capacity(capacity)
         if dim > cap:
@@ -136,29 +163,35 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
 
     real_input = not np.iscomplexobj(matrix)
     norm = float(np.max(np.sum(np.abs(matrix), axis=1))) if dim else 0.0
+    trace = np.trace(matrix)
     densified = time.perf_counter()
 
     sweeps: Dict[str, float] = {}
-    balanced, diag = _balance(matrix, sweeps)
+    *balanced, diag = _balance(matrix, sweeps)
+    if sparse:
+        matrix = None
     balanced_at = time.perf_counter()
-    eigenvalues, eigenvectors = np.linalg.eig(balanced)
-    eigenvectors = eigenvectors * diag[:, np.newaxis]
+    # popping hands lapack.geev the only reference, so the balanced matrix
+    # is freed before the eigenvectors are unpacked
+    eigenvalues, eigenvectors = lapack.geev(balanced.pop())
+    eigenvectors *= diag[:, np.newaxis]
 
-    scales = np.linalg.norm(eigenvectors, axis=0)
+    scales = _column_norms(eigenvectors)
     if np.any(scales == 0.0):
         raise ConvergenceError("eigensolver returned a zero eigenvector")
-    eigenvectors = eigenvectors / scales
+    eigenvectors /= scales
     solved = time.perf_counter()
 
-    residual_matrix = matrix @ eigenvectors - eigenvectors * eigenvalues
-    residuals = np.linalg.norm(residual_matrix, axis=0)
+    if sparse:
+        matrix = operator.to_dense()
+    residuals = _residuals(matrix, eigenvalues, eigenvectors)
     bound = tol * max(norm, 1e-300)
     worst = int(np.argmax(residuals)) if dim else 0
     if dim and residuals[worst] > bound:
         raise ConvergenceError(f"eigenpair residual {residuals[worst]:.3e} at index "
                                f"{worst} exceeds bound {bound:.3e}")
 
-    trace_gap = abs(np.sum(eigenvalues) - np.trace(matrix))
+    trace_gap = abs(np.sum(eigenvalues) - trace)
     if trace_gap > TRACE_RTOL * max(norm, 1e-300) * max(dim, 1):
         raise ConvergenceError(f"eigenvalue sum deviates from trace by {trace_gap:.3e}")
 
@@ -178,6 +211,36 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
                           diagnostics=diagnostics)
 
 
+def _column_norms(vectors: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(vectors, axis=0) for a C-ordered array, without its
+    two full-size temporaries: the same squares, summed down the rows in
+    the same order, a block of rows at a time."""
+    sums = np.zeros(vectors.shape[1])
+    for start in range(0, len(vectors), BLOCK):
+        rows = vectors[start:start + BLOCK]
+        for square in (rows.conj() * rows).real:
+            sums += square
+    return np.sqrt(sums)
+
+
+def _residuals(matrix: np.ndarray, eigenvalues: np.ndarray,
+               eigenvectors: np.ndarray) -> np.ndarray:
+    """Column norms of H X - X diag(w), a block of columns at a time. A real
+    H times complex columns is one real product on their float64 view."""
+    dim = len(eigenvalues)
+    residuals = np.empty(dim)
+    split = not np.iscomplexobj(matrix) and np.iscomplexobj(eigenvectors)
+    for j in range(0, dim, BLOCK):
+        block = eigenvectors[:, j:j + BLOCK]
+        if split:
+            image = (matrix @ block.view(np.float64)).view(np.complex128)
+        else:
+            image = matrix @ block
+        image -= block * eigenvalues[j:j + BLOCK]
+        residuals[j:j + BLOCK] = np.linalg.norm(image, axis=0)
+    return residuals
+
+
 def max_imag(result: SpectrumResult) -> float:
     """Largest imaginary part over the spectrum (signed, not absolute)."""
     return float(np.max(result.eigenvalues.imag))
@@ -187,6 +250,5 @@ def is_spectrum_real(result: SpectrumResult, eps_im: Optional[float] = None) -> 
     """Whether all eigenvalues are real within eps_im (default scales with
     the matrix norm)."""
     eps = default_eps_im(result.matrix_norm) if eps_im is None else eps_im
-    if eps < 0.0:
-        raise ValueError(f"eps_im must be non-negative, got {eps}")
+    check_eps_im(eps)
     return float(np.max(np.abs(result.eigenvalues.imag))) <= eps

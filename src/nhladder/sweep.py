@@ -11,13 +11,15 @@ with observables.bound_clusters.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eig import default_eps_im, eigendecompose
+from . import lapack
+from .eig import check_eps_im, default_eps_im, eigendecompose
 from .fock import Basis, enumerate_basis
 from .model import (FLOAT_FIELDS, ModelParams, build_hamiltonian, diagonal_counts,
                     sector_basis)
@@ -78,17 +80,22 @@ class SweepSpec:
                                  f"choose from {OBSERVABLES}")
         if not self.observables:
             raise ValueError("at least one observable is required")
+        if self.eps_im is not None:
+            check_eps_im(self.eps_im)
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of a rung-coupling threshold search."""
+    """Outcome of a rung-coupling threshold search. trace holds the
+    (jp, max |Im|) pair of every solve in solve order, so evaluations ==
+    len(trace)."""
 
     jp_star: float
     bracket: Tuple[float, float]
     eps_im: float
     evaluations: int
     used_fallback: bool = False
+    trace: Tuple[Tuple[float, float], ...] = ()
 
 
 def _grid_values(spec: SweepSpec) -> List[Tuple[float, ...]]:
@@ -196,22 +203,54 @@ def _evaluate_point_task(args) -> Dict:
     return _evaluate_point(spec, values, capacity)
 
 
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# True in a sweep's worker processes, whose searches solve one point at a
+# time so that workers x lanes x BLAS threads stays within the cores
+_in_sweep_worker = False
+
+
+def solve_lanes() -> int:
+    """Solves a threshold search runs at once: min(2, usable cores), or 1
+    in a sweep worker or where lapack cannot bind dgeev. Two in-place solves
+    hold about the memory of one np.linalg.eig solve; a third lane would
+    raise the peak."""
+    if _in_sweep_worker or lapack.symbol() is None:
+        return 1
+    return min(2, usable_cores())
+
+
+def _init_sweep_worker() -> None:
+    """Pin a sweep worker process to one BLAS thread and one solve lane."""
+    global _in_sweep_worker
+    _in_sweep_worker = True
+    lapack.set_threads(1)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1,
               capacity: Optional[int] = None) -> List[Dict]:
     """Evaluate the sweep grid and return one row dict per point, row-major.
 
     Rows carry the axis values, the requested observable columns, and an
     error column that holds the exception tag for failed points (empty on
-    success). workers > 1 distributes points over processes; the table is
+    success). workers > 1 distributes points over processes. Every point
+    is solved at one BLAS thread, serial or parallel, so the table is
     identical to the serial one.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     grid = _grid_values(spec)
     if workers == 1:
-        return [_evaluate_point(spec, values, capacity) for values in grid]
+        with lapack.threads(1):
+            return [_evaluate_point(spec, values, capacity) for values in grid]
     tasks = [(spec, values, capacity) for values in grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_init_sweep_worker) as pool:
         return list(pool.map(_evaluate_point_task, tasks))
 
 
@@ -241,70 +280,101 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     resolution and jp_star is its upper end. A non-monotone pre-scan falls
     back to a full scan at the resolution step and returns the first
     crossing. Raises ValueError when the bracket does not actually bracket
-    a crossing.
+    a crossing, or when eps_im is negative or NaN.
+
+    Solves run on solve_lanes() threads at one BLAS thread each. With two
+    lanes the pre-scan solves lo and hi together and then its three inner
+    points; each bisection round also solves the next round's midpoint on
+    the side where linear interpolation of the indicator puts the
+    crossing; the fallback scan solves its grid two points at a time. The
+    answer does not depend on the lanes; evaluations and trace count every
+    solve, speculative ones included.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
     if resolution <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
+    if eps_im is not None:
+        check_eps_im(eps_im)
     basis = sector_basis(params, capacity=capacity)
     if min_gap is None:
         min_gap = default_min_gap(params.jl_a, params.jr_a)
+    lanes = solve_lanes()
 
-    evaluations = 0
-    cache: Dict[float, float] = {}
-    eps = eps_im
-
-    def measure(jp: float) -> float:
-        nonlocal evaluations, eps
-        if jp in cache:
-            return cache[jp]
+    def solve(jp: float) -> Tuple[float, float]:
         p = params.with_updates(jp=jp)
         result = eigendecompose(build_hamiltonian(p, basis), capacity=capacity)
-        if eps is None:
-            eps = default_eps_im(result.matrix_norm)
-        value = _max_im_for_selector(result, p, cluster_selector,
-                                     gap_factor, min_gap)
-        evaluations += 1
-        cache[jp] = value
-        return value
+        return (_max_im_for_selector(result, p, cluster_selector, gap_factor,
+                                     min_gap), result.matrix_norm)
 
-    f_lo = measure(lo)
-    if f_lo > eps:
-        raise ValueError(f"invalid bracket: spectrum already complex at "
-                         f"jp={lo} (max |Im| = {f_lo:.3e} > {eps:.3e})")
-    f_hi = measure(hi)
-    if f_hi <= eps:
-        raise ValueError(f"invalid bracket: spectrum still real at "
-                         f"jp={hi} (max |Im| = {f_hi:.3e} <= {eps:.3e})")
+    cache: Dict[float, float] = {}
+    trace: List[Tuple[float, float]] = []
+    eps = eps_im
 
-    scan = np.linspace(lo, hi, 5)
-    above = [measure(float(jp)) > eps for jp in scan]
-    first_above = above.index(True)
-    monotone = all(above[first_above:])
+    with lapack.threads(1), ThreadPoolExecutor(max_workers=lanes) as pool:
+        run = pool.map if lanes > 1 else map
 
-    if monotone:
-        b_lo = float(scan[first_above - 1])
-        b_hi = float(scan[first_above])
-        while b_hi - b_lo > resolution:
-            mid = 0.5 * (b_lo + b_hi)
-            if measure(mid) > eps:
-                b_hi = mid
-            else:
-                b_lo = mid
-        return ThresholdResult(jp_star=b_hi, bracket=(b_lo, b_hi),
-                               eps_im=eps, evaluations=evaluations)
+        def measure(*points: float) -> Iterator[float]:
+            """The indicator at each point, in order; the points not yet
+            solved are solved together, and eps is set by the first solve."""
+            nonlocal eps
+            solved = run(solve, [jp for jp in dict.fromkeys(points)
+                                 if jp not in cache])
+            for jp in points:
+                if jp not in cache:
+                    value, norm = next(solved)
+                    if eps is None:
+                        eps = default_eps_im(norm)
+                    cache[jp] = value
+                    trace.append((jp, value))
+                yield cache[jp]
 
-    steps = max(1, int(math.ceil((hi - lo) / resolution)))
-    grid = [lo + k * (hi - lo) / steps for k in range(steps + 1)]
-    prev = lo
-    for jp in grid[1:]:
-        if measure(float(jp)) > eps:
-            return ThresholdResult(jp_star=float(jp), bracket=(prev, float(jp)),
-                                   eps_im=eps, evaluations=evaluations,
-                                   used_fallback=True)
-        prev = float(jp)
+        def result(jp_star: float, below: float, fallback: bool = False):
+            return ThresholdResult(jp_star=jp_star, bracket=(below, jp_star),
+                                   eps_im=eps, evaluations=len(trace),
+                                   used_fallback=fallback, trace=tuple(trace))
+
+        ends = measure(lo, hi)
+        f_lo = next(ends)
+        if f_lo > eps:
+            raise ValueError(f"invalid bracket: spectrum already complex at "
+                             f"jp={lo} (max |Im| = {f_lo:.3e} > {eps:.3e})")
+        f_hi = next(ends)
+        if f_hi <= eps:
+            raise ValueError(f"invalid bracket: spectrum still real at "
+                             f"jp={hi} (max |Im| = {f_hi:.3e} <= {eps:.3e})")
+
+        scan = [float(jp) for jp in np.linspace(lo, hi, 5)]
+        above = [value > eps for value in measure(*scan)]
+        first_above = above.index(True)
+
+        if all(above[first_above:]):
+            b_lo, b_hi = scan[first_above - 1], scan[first_above]
+            while b_hi - b_lo > resolution:
+                mid = 0.5 * (b_lo + b_hi)
+                points = [mid]
+                if lanes > 1 and mid not in cache:
+                    at_lo, at_hi = cache[b_lo], cache[b_hi]
+                    guess = b_lo + (eps - at_lo) * (b_hi - b_lo) / (at_hi - at_lo)
+                    q_lo, q_hi = (b_lo, mid) if guess < mid else (mid, b_hi)
+                    if q_hi - q_lo > resolution:
+                        points.append(0.5 * (q_lo + q_hi))
+                if list(measure(*points))[0] > eps:
+                    b_hi = mid
+                else:
+                    b_lo = mid
+            return result(b_hi, b_lo)
+
+        steps = max(1, int(math.ceil((hi - lo) / resolution)))
+        grid = [lo + k * (hi - lo) / steps for k in range(steps + 1)]
+        prev = lo
+        for start in range(1, len(grid), lanes):
+            chunk = grid[start:start + lanes]
+            for jp, value in zip(chunk, list(measure(*chunk))):
+                if value > eps:
+                    return result(jp, prev, fallback=True)
+                prev = jp
     raise ValueError("fallback scan found no crossing inside the bracket")
 
 

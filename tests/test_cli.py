@@ -93,6 +93,10 @@ def test_sidecar_environment_round_trips_as_config(tmp_path, monkeypatch):
     assert set(env["blas"]) == {"name", "version"}
     assert env["thread_env"]["OMP_NUM_THREADS"] == "1"
     assert env["thread_env"]["MKL_NUM_THREADS"] is None
+    from nhladder import lapack
+    assert env["lapack"] == lapack.symbol()
+    assert env["blas_threads"] == lapack.get_threads()
+    assert env["solve_lanes"] in (1, 2)
     keys = list(sidecar)
     assert keys.index("diagnostics") == keys.index("environment") + 1
     diagnostics = sidecar["diagnostics"]
@@ -318,7 +322,8 @@ def test_threshold_command(tmp_path):
     results = sidecar["results"]
     assert 0.0 < results["jp_star"] < 0.2
     assert results["bracket"][1] - results["bracket"][0] <= 0.01 + 1e-12
-    assert results["evaluations"] > 0
+    assert results["evaluations"] == len(results["trace"]) > 0
+    assert [jp for jp, _ in results["trace"][:2]] == [0.0, 0.2]
     # invalid bracket is a parameter error
     assert main(["threshold", "--cells", "8", "--particles", "1",
                  "--bracket", "0.15:0.2",

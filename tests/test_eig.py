@@ -239,3 +239,15 @@ def test_diagnostics_report_stages_and_balancing():
     assert trivial["balance_sweeps"] == 0
     assert trivial["balance_log10_spread"] == 0.0
     assert eigendecompose(np.zeros((0, 0))).diagnostics["balance_sweep_cap"] == 0
+
+
+def test_column_norms_match_numpy_norm():
+    # the blocked sum keeps np.linalg.norm's arithmetic, so the unit
+    # eigenvectors keep their bits
+    from nhladder.eig import _column_norms
+
+    rng = np.random.default_rng(12)
+    for shape in ((1, 1), (3, 5), (64, 64), (130, 130), (200, 70)):
+        real = rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
+        for m in (real, real + 1j * rng.normal(size=shape)):
+            assert np.array_equal(_column_norms(m), np.linalg.norm(m, axis=0))

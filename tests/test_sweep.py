@@ -213,6 +213,108 @@ def test_threshold_fallback_on_nonmonotone_indicator(monkeypatch):
     assert result.bracket[0] == pytest.approx(0.04, abs=1e-9)
 
 
+def _search_outcome(lanes, monkeypatch, *args, **kwargs):
+    monkeypatch.setattr(sweep_mod, "solve_lanes", lambda: lanes)
+    try:
+        r = find_threshold_jp(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    assert r.evaluations == len(r.trace)
+    assert len({jp for jp, _ in r.trace}) == len(r.trace)  # no repeated solve
+    return r.jp_star, r.bracket, r.eps_im, r.used_fallback
+
+
+def _reentrant_indicator(result, params, selector, gap_factor, min_gap):
+    jp = params.jp
+    return 1.0 if (0.04 < jp < 0.06) or jp > 0.17 else 0.0
+
+
+@pytest.mark.parametrize("case", ["bisection", "resolution 1e-4", "fallback",
+                                  "complex at lo", "real at hi"])
+def test_threshold_does_not_depend_on_lanes(case, monkeypatch):
+    p = ModelParams(cells=8, particles=1)
+    kwargs = {"bisection": dict(bracket=(0.0, 0.2)),
+              "resolution 1e-4": dict(bracket=(0.0, 0.2), resolution=1e-4),
+              "fallback": dict(eps_im=0.5, bracket=(0.0, 0.2), resolution=0.01),
+              "complex at lo": dict(bracket=(0.15, 0.2)),
+              "real at hi": dict(bracket=(0.0, 1e-6))}[case]
+    if case == "fallback":
+        monkeypatch.setattr(sweep_mod, "_max_im_for_selector",
+                            _reentrant_indicator)
+    one = _search_outcome(1, monkeypatch, p, **kwargs)
+    two = _search_outcome(2, monkeypatch, p, **kwargs)
+    assert one == two
+    if case == "fallback":
+        assert one[3] and one[0] == pytest.approx(0.05, abs=1e-9)
+    elif case.startswith("bisection") or case.startswith("resolution"):
+        assert not one[3]
+    else:
+        assert one.startswith("invalid bracket: spectrum "
+                              + ("already complex" if case == "complex at lo"
+                                 else "still real"))
+
+
+def test_threshold_trace_records_every_solve(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "solve_lanes", lambda: 2)
+    p = ModelParams(cells=8, particles=1)
+    result = find_threshold_jp(p, bracket=(0.0, 0.2), resolution=1e-3)
+    jps = [jp for jp, _ in result.trace]
+    assert jps[:2] == [0.0, 0.2]  # lo and hi first, then the inner scan
+    assert jps[2:5] == [0.05, 0.1, 0.15000000000000002]
+    assert result.evaluations == len(result.trace)
+    values = dict(result.trace)
+    lo, hi = result.bracket
+    assert values[lo] <= result.eps_im < values[hi]
+
+
+def test_threshold_restores_blas_threads(monkeypatch):
+    from nhladder import lapack
+
+    p = ModelParams(cells=8, particles=1)
+    with lapack.threads(2):
+        before = lapack.get_threads()
+        find_threshold_jp(p, bracket=(0.0, 0.2), resolution=0.05)
+        assert lapack.get_threads() == before
+        with pytest.raises(ValueError):
+            find_threshold_jp(p, bracket=(0.0, 1e-6))
+        assert lapack.get_threads() == before
+
+        def failing(*args):
+            raise RuntimeError("indicator failed")
+
+        monkeypatch.setattr(sweep_mod, "_max_im_for_selector", failing)
+        with pytest.raises(RuntimeError):
+            find_threshold_jp(p, bracket=(0.0, 0.2))
+        assert lapack.get_threads() == before
+
+
+@pytest.mark.parametrize("eps_im", [-1.0, math.nan])
+def test_negative_or_nan_eps_im_is_rejected(eps_im):
+    p = ModelParams(cells=4, particles=1, mu=0.2)
+    with pytest.raises(ValueError, match="eps_im must be non-negative"):
+        find_threshold_jp(p, eps_im=eps_im, bracket=(0.0, 1.0))
+    with pytest.raises(ValueError, match="eps_im must be non-negative"):
+        small_spec(eps_im=eps_im)
+
+
+def _worker_budget():
+    from nhladder import lapack
+
+    return sweep_mod.solve_lanes(), lapack.get_threads()
+
+
+def test_sweep_workers_run_one_lane_at_one_blas_thread():
+    from concurrent.futures import ProcessPoolExecutor
+
+    from nhladder import lapack
+
+    with ProcessPoolExecutor(max_workers=1,
+                             initializer=sweep_mod._init_sweep_worker) as pool:
+        lanes, threads = pool.submit(_worker_budget).result()
+    assert lanes == 1
+    assert threads == (1 if lapack.symbol() else None)
+
+
 def test_threshold_observable_in_sweep():
     base = ModelParams(cells=8, particles=1)
     spec = SweepSpec(base=base, axes=(Axis("mu", 0.0, 0.0, 1),),
