@@ -35,7 +35,8 @@ from .observables import (cluster_spectrum, correlation_ncor,
                           site_density)
 from .perturb import ResonanceError, validate_effective_model
 from .sweep import (OBSERVABLES, Axis, SweepSpec, cut_entropies, eonsite_table,
-                    find_threshold_jp, run_sweep, solve_lanes, usable_cores)
+                    find_threshold_jp, lane_threads, run_sweep,
+                    solve_lanes, usable_cores)
 
 
 def _int(value) -> int:
@@ -277,7 +278,7 @@ def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
                "results": results,
                "outputs": outputs,
                "timings": timings,
-               "environment": _environment(),
+               "environment": _environment(command, cfg),
                "diagnostics": diagnostics,
                "versions": {"python": platform.python_version(),
                             "numpy": np.__version__,
@@ -286,22 +287,28 @@ def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
     return path
 
 
-def _environment() -> Dict:
+def _environment(command: str, cfg: Dict) -> Dict:
     """Usable cores, the BLAS numpy was built against, the thread variables
-    as set, and the thread budget: the OpenBLAS pool size, the concurrent
-    solves of a threshold search, and the bound dgeev symbol (null when
-    solves go through np.linalg.eig)."""
+    as set, and the budget the command's solves ran with: BLAS threads per
+    solve (null when solves go through np.linalg.eig), solves at once in
+    the process, and the bound dgeev symbol."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no mode argument
         blas = {}
+    if command == "threshold":
+        threads, lanes = lane_threads(), solve_lanes()
+    elif command == "sweep":
+        threads, lanes = 1, solve_lanes() if cfg["workers"] == 1 else 1
+    else:
+        threads, lanes = lapack.get_threads(), 1
     return {"cores": usable_cores(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "thread_env": {k: os.environ.get(k) for k in
                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                             "MKL_NUM_THREADS")},
-            "blas_threads": lapack.get_threads(),
-            "solve_lanes": solve_lanes(),
+            "blas_threads": threads if lapack.symbol() else None,
+            "solve_lanes": lanes,
             "lapack": lapack.symbol()}
 
 

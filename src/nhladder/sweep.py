@@ -1,11 +1,12 @@
 """Parameter sweeps, size-transition thresholds, and diagonal-energy tables.
 
 Sweep grids are row-major over one or two linear axes. Every grid point is
-an independent job whose row depends on that point alone, so serial and
-parallel runs produce identical tables; per-point failures are recorded in
-the row's error column instead of aborting the sweep. The max_im_per_cluster
-columns and the threshold selectors split clusters into scattering and bound
-with observables.bound_clusters.
+an independent job whose row depends on that point alone, and every solve
+runs at one BLAS thread, so serial and parallel runs produce identical
+tables; per-point failures are recorded in the row's error column instead
+of aborting the sweep. The max_im_per_cluster columns and the threshold
+selectors split clusters into scattering and bound with
+observables.bound_clusters.
 """
 
 from __future__ import annotations
@@ -184,14 +185,9 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
             elif obs == "entropies":
                 row.update(cut_entropies(vec, basis))
             elif obs == "threshold":
-                t = find_threshold_jp(params,
-                                      cluster_selector=spec.threshold_selector,
-                                      eps_im=spec.eps_im,
-                                      bracket=spec.threshold_bracket,
-                                      resolution=spec.threshold_resolution,
-                                      gap_factor=spec.gap_factor,
-                                      min_gap=spec.min_gap,
-                                      capacity=capacity)
+                t = _search(params, spec.threshold_selector, spec.eps_im,
+                            spec.threshold_bracket, spec.threshold_resolution,
+                            spec.gap_factor, spec.min_gap, capacity, lanes=1)
                 row["jp_star"] = t.jp_star
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -210,25 +206,25 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# True in a sweep's worker processes, whose searches solve one point at a
-# time so that workers x lanes x BLAS threads stays within the cores
-_in_sweep_worker = False
-
-
 def solve_lanes() -> int:
-    """Solves a threshold search runs at once: min(2, usable cores), or 1
-    in a sweep worker or where lapack cannot bind dgeev. Two in-place solves
+    """Solves a threshold search or a serial sweep runs at once: min(2,
+    usable cores), or 1 where lapack cannot bind dgeev. Two in-place solves
     hold about the memory of one np.linalg.eig solve; a third lane would
     raise the peak."""
-    if _in_sweep_worker or lapack.symbol() is None:
+    if lapack.symbol() is None:
         return 1
     return min(2, usable_cores())
 
 
+def lane_threads() -> int:
+    """BLAS threads of each solve of a threshold search: the usable cores
+    shared among its lanes, so that lanes x BLAS threads stays within the
+    cores."""
+    return max(1, usable_cores() // solve_lanes())
+
+
 def _init_sweep_worker() -> None:
-    """Pin a sweep worker process to one BLAS thread and one solve lane."""
-    global _in_sweep_worker
-    _in_sweep_worker = True
+    """Pin a sweep worker process to one BLAS thread."""
     lapack.set_threads(1)
 
 
@@ -238,17 +234,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
 
     Rows carry the axis values, the requested observable columns, and an
     error column that holds the exception tag for failed points (empty on
-    success). workers > 1 distributes points over processes. Every point
-    is solved at one BLAS thread, serial or parallel, so the table is
-    identical to the serial one.
+    success). workers > 1 distributes points over processes, each solving
+    one point at a time; with workers == 1 the process solves solve_lanes()
+    points at once on threads. Every solve of a sweep, threshold searches
+    included, runs at one BLAS thread, so the table does not depend on the
+    worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    grid = _grid_values(spec)
+    tasks = [(spec, values, capacity) for values in _grid_values(spec)]
     if workers == 1:
-        with lapack.threads(1):
-            return [_evaluate_point(spec, values, capacity) for values in grid]
-    tasks = [(spec, values, capacity) for values in grid]
+        lanes = solve_lanes()
+        with lapack.threads(1), ThreadPoolExecutor(max_workers=lanes) as pool:
+            run = pool.map if lanes > 1 else map
+            return list(run(_evaluate_point_task, tasks))
     with ProcessPoolExecutor(max_workers=workers,
                              initializer=_init_sweep_worker) as pool:
         return list(pool.map(_evaluate_point_task, tasks))
@@ -282,14 +281,26 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     crossing. Raises ValueError when the bracket does not actually bracket
     a crossing, or when eps_im is negative or NaN.
 
-    Solves run on solve_lanes() threads at one BLAS thread each. With two
-    lanes the pre-scan solves lo and hi together and then its three inner
-    points; each bisection round also solves the next round's midpoint on
-    the side where linear interpolation of the indicator puts the
-    crossing; the fallback scan solves its grid two points at a time. The
-    answer does not depend on the lanes; evaluations and trace count every
-    solve, speculative ones included.
+    Solves run on solve_lanes() threads at lane_threads() BLAS threads
+    each (one each on two cores); the pool size is restored afterwards.
+    With two lanes the pre-scan solves lo and hi together and then its
+    three inner points; each bisection round also solves the next round's
+    midpoint on the side where linear interpolation of the indicator puts
+    the crossing; the fallback scan solves its grid two points at a time.
+    The answer does not depend on the lanes; evaluations and trace count
+    every solve, speculative ones included.
     """
+    with lapack.threads(lane_threads()):
+        return _search(params, cluster_selector, eps_im, bracket, resolution,
+                       gap_factor, min_gap, capacity, solve_lanes())
+
+
+def _search(params: ModelParams, cluster_selector: str,
+            eps_im: Optional[float], bracket: Tuple[float, float],
+            resolution: float, gap_factor: float, min_gap: Optional[float],
+            capacity: Optional[int], lanes: int) -> ThresholdResult:
+    """find_threshold_jp with `lanes` solves at once, at the BLAS thread
+    count the caller has set."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -300,7 +311,6 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     basis = sector_basis(params, capacity=capacity)
     if min_gap is None:
         min_gap = default_min_gap(params.jl_a, params.jr_a)
-    lanes = solve_lanes()
 
     def solve(jp: float) -> Tuple[float, float]:
         p = params.with_updates(jp=jp)
@@ -312,7 +322,7 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     trace: List[Tuple[float, float]] = []
     eps = eps_im
 
-    with lapack.threads(1), ThreadPoolExecutor(max_workers=lanes) as pool:
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
         run = pool.map if lanes > 1 else map
 
         def measure(*points: float) -> Iterator[float]:

@@ -96,7 +96,7 @@ def test_sidecar_environment_round_trips_as_config(tmp_path, monkeypatch):
     from nhladder import lapack
     assert env["lapack"] == lapack.symbol()
     assert env["blas_threads"] == lapack.get_threads()
-    assert env["solve_lanes"] in (1, 2)
+    assert env["solve_lanes"] == 1
     keys = list(sidecar)
     assert keys.index("diagnostics") == keys.index("environment") + 1
     diagnostics = sidecar["diagnostics"]
@@ -293,6 +293,10 @@ def test_sweep_command(tmp_path):
     assert all(r["error"] == "" for r in rows)
     sidecar = read_json(f"{out}.json")
     assert sidecar["results"]["failures"] == 0
+    from nhladder import lapack
+    env = sidecar["environment"]
+    assert env["blas_threads"] == (1 if lapack.symbol() else None)
+    assert env["solve_lanes"] == 1  # one point at a time in each worker
 
 
 def test_sweep_round_trip_via_sidecar(tmp_path):
@@ -312,13 +316,28 @@ def test_sweep_requires_axis(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
-def test_threshold_command(tmp_path):
+def test_threshold_command(tmp_path, monkeypatch):
+    import nhladder.sweep as sweep_mod
+    from nhladder import lapack
+
+    threads = []
+    original = sweep_mod.eigendecompose
+
+    def recording(*args, **kwargs):
+        threads.append(lapack.get_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", recording)
     out = tmp_path / "t"
     assert main(["threshold", "--cells", "8", "--particles", "1",
                  "--bracket", "0:0.2", "--resolution", "0.01",
                  "--out", str(out)]) == 0
     sidecar = read_json(f"{out}.json")
     assert sidecar["diagnostics"] is None  # many solves, no single record
+    # the environment records the thread count the solves ran at
+    env = sidecar["environment"]
+    assert set(threads) == {env["blas_threads"]}
+    assert env["solve_lanes"] == sweep_mod.solve_lanes()
     results = sidecar["results"]
     assert 0.0 < results["jp_star"] < 0.2
     assert results["bracket"][1] - results["bracket"][0] <= 0.01 + 1e-12

@@ -297,22 +297,70 @@ def test_negative_or_nan_eps_im_is_rejected(eps_im):
         small_spec(eps_im=eps_im)
 
 
-def _worker_budget():
+def _pool_size():
     from nhladder import lapack
 
-    return sweep_mod.solve_lanes(), lapack.get_threads()
+    return lapack.get_threads()
 
 
-def test_sweep_workers_run_one_lane_at_one_blas_thread():
+def test_sweep_workers_run_at_one_blas_thread():
     from concurrent.futures import ProcessPoolExecutor
 
     from nhladder import lapack
 
     with ProcessPoolExecutor(max_workers=1,
                              initializer=sweep_mod._init_sweep_worker) as pool:
-        lanes, threads = pool.submit(_worker_budget).result()
-    assert lanes == 1
+        threads = pool.submit(_pool_size).result()
     assert threads == (1 if lapack.symbol() else None)
+
+
+def test_serial_sweep_solves_in_lanes_at_one_blas_thread(monkeypatch):
+    import threading
+
+    from nhladder import lapack
+
+    lock = threading.Lock()
+    active, seen = [0], []
+    original = sweep_mod.eigendecompose
+
+    def recording(*args, **kwargs):
+        with lock:
+            active[0] += 1
+            seen.append((active[0], lapack.get_threads()))
+        try:
+            return original(*args, **kwargs)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", recording)
+    spec = SweepSpec(base=ModelParams(cells=8, particles=1),
+                     axes=(Axis("mu", 0.0, 0.1, 4),),
+                     observables=("max_im_global", "threshold"),
+                     threshold_bracket=(0.0, 0.2), threshold_resolution=1e-2)
+    with lapack.threads(2):
+        before = lapack.get_threads()
+        rows = run_sweep(spec)
+        assert lapack.get_threads() == before
+    assert all(row["error"] == "" for row in rows)
+    # a search inside a sweep point solves one point at a time, so no more
+    # than the sweep's lanes ever run at once
+    assert max(n for n, _ in seen) <= sweep_mod.solve_lanes()
+    if lapack.symbol():
+        assert {threads for _, threads in seen} == {1}
+    monkeypatch.setattr(sweep_mod, "solve_lanes", lambda: 1)
+    assert run_sweep(spec) == rows
+
+
+def test_tables_do_not_depend_on_workers_at_large_dimension():
+    # at D=465 dgeev's last bits depend on the BLAS thread count; the
+    # tables agree because every solve of a sweep runs at one thread
+    spec = SweepSpec(base=ModelParams(cells=15, particles=2, jp=0.01, u=4.0),
+                     axes=(Axis("mu", 0.1, 0.2, 2),),
+                     observables=("max_im_global", "ncor_of_max_im_state"))
+    serial = run_sweep(spec, workers=1)
+    assert all(row["error"] == "" for row in serial)
+    assert run_sweep(spec, workers=2) == serial
 
 
 def test_threshold_observable_in_sweep():
