@@ -35,8 +35,8 @@ from .observables import (cluster_spectrum, correlation_ncor,
                           site_density)
 from .perturb import ResonanceError, validate_effective_model
 from .sweep import (OBSERVABLES, Axis, SweepSpec, cut_entropies, eonsite_table,
-                    find_threshold_jp, lane_threads, run_sweep,
-                    solve_lanes, usable_cores)
+                    find_threshold_jp, run_sweep, solve_lanes,
+                    sweep_lanes, usable_cores)
 
 
 def _int(value) -> int:
@@ -126,7 +126,8 @@ OPTIONS: Dict[str, Option] = {
     "unn": Option("--unn", _float, 0.0, help="fermion neighbor repulsion"),
     "eps_im": Option("--eps-im", _nonnegative,
                      help="reality threshold on |Im E|"),
-    "workers": Option("--workers", _int, 1, help="parallel worker processes"),
+    "workers": Option("--workers", _int, 1,
+                      help="sweep points solved at once, on threads"),
     "gap_factor": Option("--gap-factor", _float, 10.0),
     "min_gap": Option("--min-gap", _float),
     "capacity": Option("--capacity", _int, help="basis size budget"),
@@ -297,9 +298,9 @@ def _environment(command: str, cfg: Dict) -> Dict:
     except (TypeError, KeyError):  # numpy before 1.26 has no mode argument
         blas = {}
     if command == "threshold":
-        threads, lanes = lane_threads(), solve_lanes()
+        threads, lanes = 1, solve_lanes()
     elif command == "sweep":
-        threads, lanes = 1, solve_lanes() if cfg["workers"] == 1 else 1
+        threads, lanes = 1, sweep_lanes(cfg["workers"])
     else:
         threads, lanes = lapack.get_threads(), 1
     return {"cores": usable_cores(),
@@ -324,7 +325,7 @@ def _diagonalize(cfg: Dict):
     return params, basis, result, timings
 
 
-def _cluster_payload(clusters, result) -> List[Dict]:
+def _cluster_payload(clusters) -> List[Dict]:
     payload = []
     for cid, c in enumerate(clusters):
         payload.append({"id": cid, "label": c.label, "size": c.size,
@@ -370,7 +371,7 @@ def cmd_spectrum(cfg: Dict, out: str) -> int:
                "eps_im": eps,
                "max_im": max_im,
                "spectrum_real": max_im <= eps,
-               "clusters": _cluster_payload(clusters, result)}
+               "clusters": _cluster_payload(clusters)}
     sidecar = _sidecar(out, "spectrum", cfg, results, [csv_path], timings,
                        result.diagnostics)
     print(f"spectrum: dimension={result.dimension} max_im={max_im:.6g} "

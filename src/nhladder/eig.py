@@ -78,13 +78,13 @@ def _balance(matrix: np.ndarray,
 
     The sweeps and the final rescale work on the off-diagonal nonzeros
     alone, so each costs O(nnz) rather than O(n^2); only finding the
-    nonzeros and zeroing the output touch every entry. The sweep cap, which shrinks with n, is the
-    one the dense sweeps had: on the larger ladder sectors the stop test
-    does not fire before it, so the cap decides D, and keeping it keeps D,
-    the eigenvalues and the eigenvectors what the dense sweeps gave up to
-    rounding in the row sums. If given, diagnostics receives the sweeps
-    applied and the cap. The rescaled matrix is a new Fortran-ordered
-    array, ready for LAPACK to overwrite.
+    nonzeros and zeroing the output touch every entry. The sweep cap, which
+    shrinks with n, is the one the dense sweeps had: on the larger ladder
+    sectors the stop test does not fire before it, so the cap decides D,
+    and keeping it keeps D, the eigenvalues and the eigenvectors what the
+    dense sweeps gave up to rounding in the row sums. If given, diagnostics
+    receives the sweeps applied and the cap. The rescaled matrix is a new
+    Fortran-ordered array, ready for LAPACK to overwrite.
     """
     n = matrix.shape[0]
     cap = min(1000, 12 + int(4e7) // (n * n)) if n > 1 else 0

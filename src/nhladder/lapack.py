@@ -2,11 +2,12 @@
 OpenBLAS.
 
 numpy's Linux and Windows wheels bundle an ILP64 OpenBLAS (64-bit
-integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls its `dgeev` on a private copy of the
-input and keeps about five n x n buffers of its own; `geev` calls the same
-routine in place on the caller's Fortran-ordered array and adds one real
-n x n array to the eigenvectors it returns. `threads` sets the size of the
-OpenBLAS thread pool for a block of code.
+integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
+its `dgeev` on a private copy of the input and keeps about five n x n
+buffers of its own; `geev` calls the same routine in place on the caller's
+Fortran-ordered array and adds one real n x n array to the eigenvectors it
+returns. `threads` sets the size of the OpenBLAS thread pool for a block of
+code.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel

@@ -1,11 +1,12 @@
 """Parameter sweeps, size-transition thresholds, and diagonal-energy tables.
 
 Sweep grids are row-major over one or two linear axes. Every grid point is
-an independent job whose row depends on that point alone, and every solve
-runs at one BLAS thread, so serial and parallel runs produce identical
-tables; per-point failures are recorded in the row's error column instead
-of aborting the sweep. The max_im_per_cluster columns and the threshold
-selectors split clusters into scattering and bound with
+an independent job whose row depends on that point alone. Sweeps and
+threshold searches run their solves on threads of this process, every
+solve at one BLAS thread, so tables and thresholds do not depend on how
+many solves run at once; per-point failures are recorded in the row's
+error column instead of aborting the sweep. The max_im_per_cluster columns
+and the threshold selectors split clusters into scattering and bound with
 observables.bound_clusters.
 """
 
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,11 +196,6 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
     return row
 
 
-def _evaluate_point_task(args) -> Dict:
-    spec, values, capacity = args
-    return _evaluate_point(spec, values, capacity)
-
-
 def usable_cores() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -207,25 +204,26 @@ def usable_cores() -> int:
 
 
 def solve_lanes() -> int:
-    """Solves a threshold search or a serial sweep runs at once: min(2,
-    usable cores), or 1 where lapack cannot bind dgeev. Two in-place solves
-    hold about the memory of one np.linalg.eig solve; a third lane would
-    raise the peak."""
+    """Solves a threshold search runs at once: min(2, usable cores), or 1
+    where lapack cannot bind dgeev. Two in-place solves hold about the
+    memory of one np.linalg.eig solve; a third lane would raise the peak."""
     if lapack.symbol() is None:
         return 1
     return min(2, usable_cores())
 
 
-def lane_threads() -> int:
-    """BLAS threads of each solve of a threshold search: the usable cores
-    shared among its lanes, so that lanes x BLAS threads stays within the
-    cores."""
-    return max(1, usable_cores() // solve_lanes())
+def sweep_lanes(workers: int) -> int:
+    """Solves a sweep runs at once: workers, and never fewer than
+    solve_lanes()."""
+    return max(workers, solve_lanes())
 
 
-def _init_sweep_worker() -> None:
-    """Pin a sweep worker process to one BLAS thread."""
-    lapack.set_threads(1)
+@contextmanager
+def _lanes(lanes: int) -> Iterator[Callable]:
+    """A map that runs up to `lanes` calls at once on threads, with OpenBLAS
+    at one thread for the block; the previous count is restored after."""
+    with lapack.threads(1), ThreadPoolExecutor(max_workers=lanes) as pool:
+        yield pool.map if lanes > 1 else map
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1,
@@ -234,23 +232,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
 
     Rows carry the axis values, the requested observable columns, and an
     error column that holds the exception tag for failed points (empty on
-    success). workers > 1 distributes points over processes, each solving
-    one point at a time; with workers == 1 the process solves solve_lanes()
-    points at once on threads. Every solve of a sweep, threshold searches
-    included, runs at one BLAS thread, so the table does not depend on the
-    worker count.
+    success). The points are solved sweep_lanes(workers) at a time on
+    threads, two on two cores with workers == 1. Every solve runs at one
+    BLAS thread, and a threshold search inside a point solves one jp at a
+    time, so the table does not depend on the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(spec, values, capacity) for values in _grid_values(spec)]
-    if workers == 1:
-        lanes = solve_lanes()
-        with lapack.threads(1), ThreadPoolExecutor(max_workers=lanes) as pool:
-            run = pool.map if lanes > 1 else map
-            return list(run(_evaluate_point_task, tasks))
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_init_sweep_worker) as pool:
-        return list(pool.map(_evaluate_point_task, tasks))
+    with _lanes(sweep_lanes(workers)) as run:
+        return list(run(lambda values: _evaluate_point(spec, values, capacity),
+                        _grid_values(spec)))
 
 
 def _max_im_for_selector(result, params: ModelParams, selector: str,
@@ -281,26 +272,24 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     crossing. Raises ValueError when the bracket does not actually bracket
     a crossing, or when eps_im is negative or NaN.
 
-    Solves run on solve_lanes() threads at lane_threads() BLAS threads
-    each (one each on two cores); the pool size is restored afterwards.
-    With two lanes the pre-scan solves lo and hi together and then its
-    three inner points; each bisection round also solves the next round's
-    midpoint on the side where linear interpolation of the indicator puts
-    the crossing; the fallback scan solves its grid two points at a time.
+    Solves run on solve_lanes() threads at one BLAS thread each, as inside
+    a sweep; the pool size is restored afterwards. With two lanes the
+    pre-scan solves lo and hi together and then its three inner points;
+    each bisection round also solves the next round's midpoint on the side
+    where linear interpolation of the indicator puts the crossing; the
+    fallback scan solves its grid two points at a time.
     The answer does not depend on the lanes; evaluations and trace count
     every solve, speculative ones included.
     """
-    with lapack.threads(lane_threads()):
-        return _search(params, cluster_selector, eps_im, bracket, resolution,
-                       gap_factor, min_gap, capacity, solve_lanes())
+    return _search(params, cluster_selector, eps_im, bracket, resolution,
+                   gap_factor, min_gap, capacity, solve_lanes())
 
 
 def _search(params: ModelParams, cluster_selector: str,
             eps_im: Optional[float], bracket: Tuple[float, float],
             resolution: float, gap_factor: float, min_gap: Optional[float],
             capacity: Optional[int], lanes: int) -> ThresholdResult:
-    """find_threshold_jp with `lanes` solves at once, at the BLAS thread
-    count the caller has set."""
+    """find_threshold_jp with `lanes` solves at once."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -322,8 +311,7 @@ def _search(params: ModelParams, cluster_selector: str,
     trace: List[Tuple[float, float]] = []
     eps = eps_im
 
-    with ThreadPoolExecutor(max_workers=lanes) as pool:
-        run = pool.map if lanes > 1 else map
+    with _lanes(lanes) as run:
 
         def measure(*points: float) -> Iterator[float]:
             """The indicator at each point, in order; the points not yet

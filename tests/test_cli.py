@@ -296,7 +296,7 @@ def test_sweep_command(tmp_path):
     from nhladder import lapack
     env = sidecar["environment"]
     assert env["blas_threads"] == (1 if lapack.symbol() else None)
-    assert env["solve_lanes"] == 1  # one point at a time in each worker
+    assert env["solve_lanes"] == 2  # --workers 2: two points at once
 
 
 def test_sweep_round_trip_via_sidecar(tmp_path):

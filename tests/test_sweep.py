@@ -297,24 +297,10 @@ def test_negative_or_nan_eps_im_is_rejected(eps_im):
         small_spec(eps_im=eps_im)
 
 
-def _pool_size():
-    from nhladder import lapack
-
-    return lapack.get_threads()
-
-
-def test_sweep_workers_run_at_one_blas_thread():
-    from concurrent.futures import ProcessPoolExecutor
-
-    from nhladder import lapack
-
-    with ProcessPoolExecutor(max_workers=1,
-                             initializer=sweep_mod._init_sweep_worker) as pool:
-        threads = pool.submit(_pool_size).result()
-    assert threads == (1 if lapack.symbol() else None)
-
-
-def test_serial_sweep_solves_in_lanes_at_one_blas_thread(monkeypatch):
+def _recording_solves(monkeypatch):
+    """Patch the sweep's eigendecompose to record, for each solve, the
+    solves running at once, the BLAS thread count and the process id."""
+    import os
     import threading
 
     from nhladder import lapack
@@ -326,7 +312,7 @@ def test_serial_sweep_solves_in_lanes_at_one_blas_thread(monkeypatch):
     def recording(*args, **kwargs):
         with lock:
             active[0] += 1
-            seen.append((active[0], lapack.get_threads()))
+            seen.append((active[0], lapack.get_threads(), os.getpid()))
         try:
             return original(*args, **kwargs)
         finally:
@@ -334,22 +320,56 @@ def test_serial_sweep_solves_in_lanes_at_one_blas_thread(monkeypatch):
                 active[0] -= 1
 
     monkeypatch.setattr(sweep_mod, "eigendecompose", recording)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_solves_in_lanes_at_one_blas_thread(workers, monkeypatch):
+    import multiprocessing.process
+    import os
+
+    from nhladder import lapack
+
+    def no_child(self):
+        raise AssertionError("a sweep started a child process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_child)
     spec = SweepSpec(base=ModelParams(cells=8, particles=1),
                      axes=(Axis("mu", 0.0, 0.1, 4),),
                      observables=("max_im_global", "threshold"),
                      threshold_bracket=(0.0, 0.2), threshold_resolution=1e-2)
+    with monkeypatch.context() as one_lane:
+        one_lane.setattr(sweep_mod, "solve_lanes", lambda: 1)
+        reference = run_sweep(spec, workers=1)
+    seen = _recording_solves(monkeypatch)
     with lapack.threads(2):
         before = lapack.get_threads()
-        rows = run_sweep(spec)
+        rows = run_sweep(spec, workers=workers)
         assert lapack.get_threads() == before
     assert all(row["error"] == "" for row in rows)
+    assert rows == reference
+    assert len(seen) > len(rows)
     # a search inside a sweep point solves one point at a time, so no more
     # than the sweep's lanes ever run at once
-    assert max(n for n, _ in seen) <= sweep_mod.solve_lanes()
+    assert max(n for n, _, _ in seen) <= sweep_mod.sweep_lanes(workers)
+    assert {pid for _, _, pid in seen} == {os.getpid()}
     if lapack.symbol():
-        assert {threads for _, threads in seen} == {1}
-    monkeypatch.setattr(sweep_mod, "solve_lanes", lambda: 1)
-    assert run_sweep(spec) == rows
+        assert {threads for _, threads, _ in seen} == {1}
+
+
+def test_threshold_solves_at_one_blas_thread_on_any_core_count(monkeypatch):
+    # on four cores a standalone search runs the same budget as a search
+    # inside a sweep: every solve at one BLAS thread
+    from nhladder import lapack
+
+    monkeypatch.setattr(sweep_mod, "usable_cores", lambda: 4)
+    seen = _recording_solves(monkeypatch)
+    with lapack.threads(2):
+        find_threshold_jp(ModelParams(cells=8, particles=1),
+                          bracket=(0.0, 0.2), resolution=1e-2)
+    assert seen
+    assert {threads for _, threads, _ in seen} == {1 if lapack.symbol()
+                                                   else None}
 
 
 def test_tables_do_not_depend_on_workers_at_large_dimension():
