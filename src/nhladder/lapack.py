@@ -4,10 +4,11 @@ OpenBLAS.
 numpy's Linux and Windows wheels bundle an ILP64 OpenBLAS (64-bit
 integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
 its `dgeev` on a private copy of the input and keeps about five n x n
-buffers of its own; `geev` calls the same routine in place on the caller's
-Fortran-ordered array and adds one real n x n array to the eigenvectors it
-returns. `threads` sets the size of the OpenBLAS thread pool for a block of
-code.
+buffers of its own. `geev` calls the same routine in place on a matrix from
+`matrix(n)`, the first half of one buffer of 2n^2 floats: dgeev writes the
+eigenvectors into the second half, and complex eigenvectors are unpacked
+over the whole buffer, so a solve holds two real n x n arrays. `threads`
+sets the size of the OpenBLAS thread pool for a block of code.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
@@ -28,6 +29,8 @@ import numpy as np
 
 # symbol prefixes of numpy's OpenBLAS, newest wheels first
 _PREFIXES = ("scipy_", "")
+# eigenvector columns unpacked per block
+BLOCK = 64
 
 
 class _Binding:
@@ -101,20 +104,29 @@ def threads(n: int) -> Iterator[None]:
             set_threads(previous)
 
 
+def matrix(n: int) -> np.ndarray:
+    """A zeroed, Fortran-ordered n x n float64 array for `geev` to overwrite:
+    the first half of a buffer of 2n^2 floats, whose second half `geev`
+    fills with the eigenvectors."""
+    return np.zeros(2 * n * n)[:n * n].reshape((n, n), order="F")
+
+
 def geev(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors (columns) of a square matrix, as
     `np.linalg.eig` returns them: real arrays when every eigenvalue is real,
-    complex ones otherwise, the eigenvectors C-ordered.
+    complex ones otherwise, the eigenvectors Fortran-ordered.
 
     A Fortran-ordered, writable float64 `a` is overwritten; any other real
-    input is first copied into one. geev drops its reference to that array
-    before it unpacks the eigenvectors, so an argument the caller holds no
-    reference to is freed then. Complex input, and any input when the
-    library is not bound, goes to `np.linalg.eig`.
+    input is first copied into one. When `a` comes from `matrix`, the
+    eigenvectors are views of its buffer and the solve allocates nothing of
+    order n^2; otherwise they take a new buffer of 2n^2 floats. Complex
+    input, and any input when the library is not bound, goes to
+    `np.linalg.eig`.
     """
     binding = _bind()
     if binding is None or np.iscomplexobj(a):
-        return np.linalg.eig(a)
+        values, vectors = np.linalg.eig(a)
+        return values, np.asfortranarray(vectors)
     a = np.require(a, dtype=np.float64, requirements=["F", "W"])
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
@@ -123,8 +135,13 @@ def geev(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
+    buffer = a.base
+    if not (buffer is not None and buffer.shape == (2 * n * n,)
+            and buffer.dtype == np.float64
+            and buffer.ctypes.data == a.ctypes.data):
+        buffer = np.zeros(2 * n * n)
+    vr = buffer[n * n:].reshape((n, n), order="F")
     wr, wi = np.empty(n), np.empty(n)
-    vr = np.empty((n, n), order="F")
     query = np.empty(1)
     if _dgeev(binding, a, wr, wi, vr, query, -1) != 0:
         raise RuntimeError("dgeev workspace query failed")
@@ -136,18 +153,37 @@ def geev(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if status < 0:
         raise RuntimeError(f"dgeev rejected argument {-status}")
     if not wi.any():
-        return wr, np.ascontiguousarray(vr)
+        return wr, vr
     values = np.empty(n, dtype=np.complex128)
     values.real, values.imag = wr, wi
-    vectors = np.empty((n, n), dtype=np.complex128)
-    vectors.real = vr
-    vectors.imag = 0.0
-    # a conjugate pair (wi > 0, then wi < 0) stores re and im of its first
-    # vector in consecutive columns; the second vector is the conjugate
-    for j in np.flatnonzero(wi > 0.0):
-        vectors.imag[:, j] = vr[:, j + 1]
-        vectors[:, j + 1] = vectors[:, j].conj()
-    return values, vectors
+    return values, _unpack(buffer, vr, wi > 0.0)
+
+
+def _unpack(buffer: np.ndarray, vr: np.ndarray,
+            first: np.ndarray) -> np.ndarray:
+    """dgeev's real eigenvector columns as complex ones, in place over the
+    whole buffer, whose second half is vr. A conjugate pair (first[j], then
+    wi < 0) stores re and im of its first vector in columns j and j + 1; the
+    second vector is the conjugate.
+
+    Complex column j takes floats 2jn to 2(j + 1)n of the buffer, which
+    hold vr columns j + 1 and below, so a block of columns is copied out of
+    vr before it is written, and no block ends inside a pair."""
+    n = len(first)
+    vectors = buffer.view(np.complex128).reshape((n, n), order="F")
+    start = 0
+    while start < n:
+        stop = min(start + BLOCK, n)
+        stop += bool(first[stop - 1])
+        source = vr[:, start:stop].copy()
+        pairs = np.flatnonzero(first[start:stop])
+        block = vectors[:, start:stop]
+        block.real = source
+        block.imag = 0.0
+        block.imag[:, pairs] = source[:, pairs + 1]
+        block[:, pairs + 1] = block[:, pairs].conj()
+        start = stop
+    return vectors
 
 
 def _dgeev(binding: _Binding, a: np.ndarray, wr: np.ndarray, wi: np.ndarray,

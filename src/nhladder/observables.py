@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,25 +24,48 @@ EDGE_FRACTION = 0.25
 BI_THRESHOLD = 0.30
 SIDE_THRESHOLD = 0.60
 ALLOWED_LABELS = ("RS", "BiS", "LS", "RB", "LB", "mixed", "unclassified")
+# eigenvector columns whose weights are formed at once
+CHUNK = 128
 
 
 def _weights(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
-    """|psi|^2 of each column of a (dimension, n) array, normalized to one."""
+    """|psi|^2 of each column of a (dimension, n) array, normalized to one;
+    a new C-ordered array, summed down the rows whatever the input order."""
     v = np.asarray(eigenvectors)
     if v.shape[0] != basis.dimension:
         raise ValueError(f"vector length {v.shape[0]} does not match "
                          f"basis dimension {basis.dimension}")
-    w = np.abs(v) ** 2
+    w = np.abs(v, order="C")
+    w *= w
     total = w.sum(axis=0)
     if np.any(total == 0.0):
         raise ValueError("cannot form weights from a zero vector")
-    return w / total
+    w /= total
+    return w
 
 
-def site_density_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
+def _per_chunk(fn: Callable[[np.ndarray], np.ndarray],
+               eigenvectors: np.ndarray, basis: Basis, chunk: int,
+               shape: Tuple[int, ...] = ()) -> np.ndarray:
+    """fn of the _weights of `chunk` columns at a time, one result row (of
+    the given shape) per column; no temporary exceeds a few dimension x
+    chunk arrays."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    out = np.empty((eigenvectors.shape[1],) + shape)
+    for start in range(0, eigenvectors.shape[1], chunk):
+        out[start:start + chunk] = fn(
+            _weights(eigenvectors[:, start:start + chunk], basis))
+    return out
+
+
+def site_density_all(eigenvectors: np.ndarray, basis: Basis,
+                     chunk: int = CHUNK) -> np.ndarray:
     """Expected occupation per combined site for every eigenvector column;
-    shape (n_states, 2L), each row sums to the particle number."""
-    return _weights(eigenvectors, basis).T @ basis.occupations
+    shape (n_states, 2L), each row sums to the particle number. Weights are
+    formed `chunk` columns at a time."""
+    return _per_chunk(lambda w: w.T @ basis.occupations,
+                      np.asarray(eigenvectors), basis, chunk, (basis.nsites,))
 
 
 def site_density(vector: np.ndarray, basis: Basis) -> np.ndarray:
@@ -83,7 +106,7 @@ def pair_correlation(vector: np.ndarray, basis: Basis) -> np.ndarray:
 
 
 def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis,
-                         chunk: int = 128) -> np.ndarray:
+                         chunk: int = CHUNK) -> np.ndarray:
     """Pair participation (tr G)^2 - ||G||_F^2 of the normal-ordered matrix
     G = <n_x n_y> - delta_xy <n_x> for every column; two particles only.
 
@@ -99,17 +122,11 @@ def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis,
     if basis.particles != 2:
         raise ValueError(f"correlation_ncor is defined for exactly two "
                          f"particles, got {basis.particles}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     trace_coef = 2.0 * (basis.occupations.max(axis=1) == 2)
     frobenius_coef = 2.0 + trace_coef  # 4 [doublon] + 2 [pair]
-    n_states = eigenvectors.shape[1]
-    out = np.empty(n_states)
-    for start in range(0, n_states, chunk):
-        w = _weights(eigenvectors[:, start:start + chunk], basis)
-        out[start:start + chunk] = (trace_coef @ w) ** 2 \
-            - frobenius_coef @ (w * w)
-    return out
+    return _per_chunk(
+        lambda w: (trace_coef @ w) ** 2 - frobenius_coef @ (w * w),
+        eigenvectors, basis, chunk)
 
 
 def correlation_ncor(vector: np.ndarray, basis: Basis) -> float:
@@ -307,7 +324,10 @@ def classify_cluster(cluster: Cluster, result: SpectrumResult, basis: Basis,
     two the ncor signal is undefined and the label is unclassified.
     """
     members = np.asarray(cluster.members)
-    dens = site_density_all(result.eigenvectors[:, members], basis)
+    dens = np.concatenate([
+        site_density_all(result.eigenvectors[:, members[start:start + CHUNK]],
+                         basis)
+        for start in range(0, len(members), CHUNK)])
     mean_density = dens.mean(axis=0)
     left, right = _edge_weights(mean_density, basis.cells)
     if basis.particles == 2:

@@ -205,8 +205,9 @@ def usable_cores() -> int:
 
 def solve_lanes() -> int:
     """Solves a threshold search runs at once: min(2, usable cores), or 1
-    where lapack cannot bind dgeev. Two in-place solves hold about the
-    memory of one np.linalg.eig solve; a third lane would raise the peak."""
+    where lapack cannot bind dgeev. Each in-place solve holds one buffer of
+    two real D x D arrays, so two lanes hold fewer than one np.linalg.eig
+    solve, which keeps about five; a third lane would hold six."""
     if lapack.symbol() is None:
         return 1
     return min(2, usable_cores())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from nhladder.model import (ModelParams, SparseOperator, build_hamiltonian,
 
 from oracles import (charpoly_eigenvalues, dense_balance,
                      hn_open_chain_spectrum, multisets_close)
+from test_lapack import SOLVE_INPUTS
 
 
 def test_asymmetric_2x2_frozen():
@@ -52,12 +55,26 @@ def test_matches_open_chain_formula():
                                hn_open_chain_spectrum(length, 1.0, 0.5), 1e-10)
 
 
-def test_balancing_is_a_similarity_transform():
-    from nhladder.eig import _balance
+def _dense(operator):
+    return operator.to_dense() if isinstance(operator, SparseOperator) \
+        else operator
 
+
+def _balance_entries(operator):
+    """_balance on the nonzeros of a dense array or a SparseOperator: the
+    balanced matrix and d."""
+    from nhladder.eig import _balance, _entries
+
+    rows, cols, values = _entries(operator)
+    dim = len(_dense(operator))
+    out = np.zeros((dim, dim), np.result_type(values, float), order="F")
+    return out, _balance(rows, cols, values, out)
+
+
+def test_balancing_is_a_similarity_transform():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(12, 12)) * np.exp(rng.normal(size=(12, 12)))
-    balanced, diag = _balance(a)
+    balanced, diag = _balance_entries(a)
     # same spectrum, same diagonal, b = D^-1 a D exactly
     assert np.array_equal(np.diagonal(balanced), np.diagonal(a))
     np.testing.assert_allclose(balanced * diag[:, None] / diag[None, :], a,
@@ -201,12 +218,9 @@ BALANCE_INPUTS = {
 
 @pytest.mark.parametrize("name", list(BALANCE_INPUTS))
 def test_sparse_balancing_matches_dense_sweeps(name):
-    from nhladder.eig import _balance
-
-    matrix = BALANCE_INPUTS[name]()
-    if isinstance(matrix, SparseOperator):
-        matrix = matrix.to_dense()
-    balanced, d = _balance(matrix)
+    operator = BALANCE_INPUTS[name]()
+    balanced, d = _balance_entries(operator)
+    matrix = _dense(operator)
     _, d_dense = dense_balance(matrix)
     # only the order of the row sums differs from the dense sweeps
     assert d.shape == d_dense.shape
@@ -219,8 +233,6 @@ def test_sparse_balancing_matches_dense_sweeps(name):
 
 
 def test_diagnostics_report_stages_and_balancing():
-    from nhladder.eig import _balance
-
     op = _sector(6, 2, jp=0.01, mu=0.2, u=4.0)
     diagnostics = eigendecompose(op).diagnostics
     assert list(diagnostics) == ["densify_s", "balance_s", "geev_s",
@@ -231,7 +243,7 @@ def test_diagnostics_report_stages_and_balancing():
     dim = op.dimension
     assert diagnostics["balance_sweep_cap"] == min(1000, 12 + int(4e7) // dim**2)
     assert 0 <= diagnostics["balance_sweeps"] <= diagnostics["balance_sweep_cap"]
-    _, d = _balance(op.to_dense())
+    _, d = _balance_entries(op.to_dense())
     assert diagnostics["balance_log10_spread"] == np.log10(d.max() / d.min())
     assert diagnostics["balance_log10_spread"] > 0.0
     # converged early: a diagonal matrix has nothing to balance
@@ -251,3 +263,83 @@ def test_column_norms_match_numpy_norm():
         real = rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
         for m in (real, real + 1j * rng.normal(size=shape)):
             assert np.array_equal(_column_norms(m), np.linalg.norm(m, axis=0))
+
+
+def test_solve_peaks_below_three_real_arrays():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic:
+    # the buffer of two real n x n arrays plus O(n * BLOCK) temporaries
+    from nhladder import lapack
+
+    if lapack.symbol() is None:
+        pytest.skip("np.linalg.eig keeps its own buffers")
+    eigendecompose(_sector(4, 2, jp=0.01, mu=0.2, u=4.0))
+    op = _sector(20, 2, jp=0.01, mu=0.2, u=4.0)
+    tracemalloc.start()
+    try:
+        eigendecompose(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * op.dimension ** 2
+
+
+def test_solve_never_densifies_a_sparse_operator(monkeypatch):
+    operators = [_sector(8, 2, jp=0.01, mu=0.2, u=4.0),
+                 _sector(8, 2, statistics="fermion", jp=0.01, mu=0.2, u_nn=4.0),
+                 _cancelling_duplicates()]
+
+    def refuse(self):
+        raise AssertionError("the solve built a dense matrix")
+
+    monkeypatch.setattr(SparseOperator, "to_dense", refuse)
+    for op in operators:
+        result = eigendecompose(op)
+        assert result.dimension == op.dimension
+
+
+RESIDUAL_INPUTS = {**BALANCE_INPUTS,
+                   **{f"solve {name}": make for name, make in SOLVE_INPUTS.items()}}
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_INPUTS))
+def test_residuals_from_nonzeros_match_dense_residuals(name):
+    from nhladder.eig import _entries, _entry_residuals, _residuals
+
+    operator = RESIDUAL_INPUTS[name]()
+    result = eigendecompose(operator)
+    dense = _dense(operator)
+    sparse = _entry_residuals(*_entries(operator), result.eigenvalues,
+                              result.eigenvectors)
+    full = _residuals(dense, result.eigenvalues, result.eigenvectors)
+    assert sparse.shape == full.shape == (len(dense),)
+    np.testing.assert_allclose(sparse, full, rtol=0.0,
+                               atol=1e-13 * result.matrix_norm)
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_INPUTS))
+def test_norm_and_entries_keep_the_dense_bits(name):
+    from nhladder.eig import _entries, _norm
+
+    operator = RESIDUAL_INPUTS[name]()
+    dense = _dense(operator)
+    rows, cols, values = _entries(operator)
+    expected_rows, expected_cols = np.nonzero(dense)
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(cols, expected_cols)
+    assert np.array_equal(values, dense[rows, cols])
+    expected = float(np.max(np.sum(np.abs(dense), axis=1))) if len(dense) else 0.0
+    assert _norm(len(dense), rows, cols, values) == expected
+
+
+def test_permute_columns_matches_fancy_indexing():
+    from nhladder.eig import _permute_columns
+
+    rng = np.random.default_rng(13)
+    for n in (0, 1, 2, 7, 50):
+        for order in (np.arange(n), np.arange(n)[::-1].copy(),
+                      rng.permutation(n)):
+            a = np.asfortranarray(rng.normal(size=(5, n))
+                                  + 1j * rng.normal(size=(5, n)))
+            expected = a[:, order]
+            _permute_columns(a, order)
+            assert np.array_equal(a, expected)

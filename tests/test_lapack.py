@@ -51,7 +51,40 @@ def test_geev_returns_what_numpy_eig_returns():
     expected_values, expected_vectors = np.linalg.eig(a)
     assert np.array_equal(values, expected_values)
     assert np.array_equal(vectors, expected_vectors)
-    assert vectors.flags.c_contiguous
+    assert vectors.flags.f_contiguous
+
+
+@pytest.mark.parametrize("name", list(SOLVE_INPUTS))
+def test_eigenpairs_sorted_on_both_paths(name, monkeypatch):
+    fast = eigendecompose(SOLVE_INPUTS[name]())
+    monkeypatch.setattr(lapack, "_bind", lambda: None)
+    slow = eigendecompose(SOLVE_INPUTS[name]())
+    for result in (fast, slow):
+        w = result.eigenvalues
+        assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(len(w)))
+        assert result.eigenvectors.flags.f_contiguous
+    assert np.array_equal(fast.eigenvalues, slow.eigenvalues)
+    assert np.array_equal(fast.eigenvectors, slow.eigenvectors)
+
+
+@bound
+def test_unpack_in_place_matches_numpy_eig_across_blocks():
+    rng = np.random.default_rng(10)
+    straddled = False
+    for n in (63, 64, 65, 129, 200):
+        a = rng.normal(size=(n, n))
+        head = lapack.matrix(n)
+        head[:] = a
+        values, vectors = lapack.geev(head)
+        expected_values, expected_vectors = np.linalg.eig(a)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(vectors, expected_vectors)
+        assert vectors.flags.f_contiguous
+        assert np.shares_memory(vectors, head.base)
+        # a conjugate pair split by the end of a block
+        straddled |= any(values.imag[j - 1] > 0.0
+                         for j in range(lapack.BLOCK, n, lapack.BLOCK))
+    assert straddled
 
 
 @bound

@@ -186,3 +186,33 @@ def test_onsite_energy_rejects_wrong_length():
     p = ModelParams(cells=3, particles=2)
     with pytest.raises(ValueError):
         onsite_energy((1, 1), p)
+
+
+REFLECTION_SECTORS = [(1, 2, "boson"), (3, 2, "boson"), (4, 3, "boson"),
+                      (5, 2, "boson"), (2, 4, "boson"), (3, 2, "fermion"),
+                      (4, 3, "fermion"), (5, 4, "fermion"), (3, 5, "fermion")]
+
+
+@pytest.mark.parametrize("cells,particles,statistics", REFLECTION_SECTORS)
+def test_leg_reflection_maps_hamiltonian_to_its_transpose(cells, particles,
+                                                          statistics):
+    # reflecting both legs (x -> L-1-x) swaps left and right hops, so
+    # R H R^T = H^T for any per-leg amplitudes, jp, mu and interaction;
+    # for fermions R reverses each leg's creation operators, a sign of
+    # (-1)^(n(n-1)/2) per leg
+    rng = np.random.default_rng(100 * cells + 10 * particles + len(statistics))
+    values = dict(zip(("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu"),
+                      rng.normal(size=6)))
+    values["u" if statistics == "boson" else "u_nn"] = 4.0 * rng.normal()
+    p = ModelParams(cells=cells, particles=particles, statistics=statistics,
+                    **values)
+    basis = sector_basis(p)
+    h = build_hamiltonian(p, basis).to_dense()
+    legs = basis.occupations.reshape(-1, 2, cells)
+    image = basis.rank_all(legs[:, :, ::-1].reshape(-1, 2 * cells))
+    sign = np.ones(basis.dimension)
+    if statistics == "fermion":
+        n = legs.sum(axis=2).astype(np.int64)
+        sign = (-1.0) ** ((n * (n - 1) // 2).sum(axis=1))
+    assert np.array_equal(image[image], np.arange(basis.dimension))
+    assert np.array_equal(sign[:, None] * h[np.ix_(image, image)] * sign, h.T)

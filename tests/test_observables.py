@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from nhladder.eig import SpectrumResult, eigendecompose
 from nhladder.fock import enumerate_basis
 from nhladder.model import ModelParams, build_hamiltonian, sector_basis
-from nhladder.observables import (bound_clusters, classify_cluster,
+from nhladder.observables import (CHUNK, bound_clusters, classify_cluster,
                                   cluster_spectrum,
                                   correlation_ncor, correlation_ncor_all,
                                   default_min_gap, entanglement_entropy,
@@ -185,6 +186,36 @@ def test_batched_observables_reject_zero_column_and_bad_chunk():
         correlation_ncor_all(np.ones((basis.dimension, 2)), basis, chunk=0)
     with pytest.raises(ValueError):
         correlation_ncor_all(np.ones((6, 2)), enumerate_basis(3, 1, "boson"))
+
+
+def test_observables_add_only_chunks_of_eigenvectors():
+    # numpy reports its buffers to tracemalloc: everything the spectrum
+    # command computes from the eigenvectors stays within a few
+    # dimension x CHUNK complex arrays
+    p = ModelParams(cells=20, particles=2, jp=0.01, mu=0.2, u=4.0)
+    basis = sector_basis(p)
+    result = eigendecompose(build_hamiltonian(p, basis))
+    tracemalloc.start()
+    try:
+        label_clusters(result, basis)
+        polarization_all(result.eigenvectors, basis)
+        correlation_ncor_all(result.eigenvectors, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * CHUNK * basis.dimension
+
+
+def test_site_density_chunks_agree():
+    p = ModelParams(cells=4, particles=2, jp=0.2, mu=0.1, u=3.0)
+    basis = sector_basis(p)
+    vectors = eigendecompose(build_hamiltonian(p, basis)).eigenvectors
+    whole = site_density_all(vectors, basis, chunk=basis.dimension)
+    for chunk in (1, 7):
+        np.testing.assert_allclose(site_density_all(vectors, basis, chunk),
+                                   whole, rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError):
+        site_density_all(vectors, basis, chunk=0)
 
 
 # ---------------------------------------------------------------------------
