@@ -208,7 +208,8 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
         np.zeros((dim, dim), np.result_type(values, float), order="F")
     diag = _balance(rows, cols, values, balanced, sweeps)
     balanced_at = time.perf_counter()
-    eigenvalues, eigenvectors = lapack.geev(balanced)
+    eigenvalues, eigenvectors = lapack.geev(
+        balanced, balanced.base if real_input else None)
     del balanced  # a separate array on the np.linalg.eig path
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]

@@ -5,9 +5,10 @@ numpy's Linux and Windows wheels bundle an ILP64 OpenBLAS (64-bit
 integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
 its `dgeev` on a private copy of the input and keeps about five n x n
 buffers of its own. `geev` calls the same routine in place on a matrix from
-`matrix(n)`, the first half of one buffer of 2n^2 floats: dgeev writes the
-eigenvectors into the second half, and complex eigenvectors are unpacked
-over the whole buffer, so a solve holds two real n x n arrays. `threads`
+`matrix(n)`, the first half of one buffer of 2n^2 floats that the caller
+passes along: dgeev writes the eigenvectors into the second half, and
+complex eigenvectors are unpacked over the whole buffer, so a solve holds
+two real n x n arrays. `threads`
 sets the size of the OpenBLAS thread pool for a block of code.
 
 The library is found and bound on first use, so importing the package
@@ -106,22 +107,24 @@ def threads(n: int) -> Iterator[None]:
 
 def matrix(n: int) -> np.ndarray:
     """A zeroed, Fortran-ordered n x n float64 array for `geev` to overwrite:
-    the first half of a buffer of 2n^2 floats, whose second half `geev`
-    fills with the eigenvectors."""
+    the first half of a buffer of 2n^2 floats, its `.base`, which `geev`
+    takes as `buffer` to fill with the eigenvectors."""
     return np.zeros(2 * n * n)[:n * n].reshape((n, n), order="F")
 
 
-def geev(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def geev(a: np.ndarray, buffer: Optional[np.ndarray] = None
+         ) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors (columns) of a square matrix, as
     `np.linalg.eig` returns them: real arrays when every eigenvalue is real,
     complex ones otherwise, the eigenvectors Fortran-ordered.
 
     A Fortran-ordered, writable float64 `a` is overwritten; any other real
-    input is first copied into one. When `a` comes from `matrix`, the
-    eigenvectors are views of its buffer and the solve allocates nothing of
-    order n^2; otherwise they take a new buffer of 2n^2 floats. Complex
-    input, and any input when the library is not bound, goes to
-    `np.linalg.eig`.
+    input is first copied into one. `buffer`, when given, is the 1-D array
+    of 2n^2 floats whose first half is `a`, as `matrix(n).base` is: the
+    eigenvectors are views of it and the solve allocates nothing of order
+    n^2. Without it they take a new buffer, and no memory but `a` is
+    written. Complex input, and any input when the library is not bound,
+    goes to `np.linalg.eig`.
     """
     binding = _bind()
     if binding is None or np.iscomplexobj(a):
@@ -135,11 +138,12 @@ def geev(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
-    buffer = a.base
-    if not (buffer is not None and buffer.shape == (2 * n * n,)
-            and buffer.dtype == np.float64
-            and buffer.ctypes.data == a.ctypes.data):
+    if buffer is None:
         buffer = np.zeros(2 * n * n)
+    elif not (buffer.shape == (2 * n * n,) and buffer.dtype == np.float64
+              and buffer.flags.c_contiguous and buffer.flags.writeable
+              and buffer.ctypes.data == a.ctypes.data):
+        raise ValueError("buffer must be the 2n^2 floats whose first half is a")
     vr = buffer[n * n:].reshape((n, n), order="F")
     wr, wi = np.empty(n), np.empty(n)
     query = np.empty(1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,26 +46,28 @@ def _weights(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
 
 def _per_chunk(fn: Callable[[np.ndarray], np.ndarray],
                eigenvectors: np.ndarray, basis: Basis, chunk: int,
-               shape: Tuple[int, ...] = ()) -> np.ndarray:
-    """fn of the _weights of `chunk` columns at a time, one result row (of
-    the given shape) per column; no temporary exceeds a few dimension x
-    chunk arrays."""
+               shape: Tuple[int, ...] = (),
+               columns: Optional[np.ndarray] = None) -> np.ndarray:
+    """fn of the _weights of `chunk` columns at a time (of the given column
+    indices, or of all columns), one result row of the given shape per
+    column; no temporary exceeds a few dimension x chunk arrays."""
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
-    out = np.empty((eigenvectors.shape[1],) + shape)
-    for start in range(0, eigenvectors.shape[1], chunk):
-        out[start:start + chunk] = fn(
-            _weights(eigenvectors[:, start:start + chunk], basis))
+    n = eigenvectors.shape[1] if columns is None else len(columns)
+    out = np.empty((n,) + shape)
+    for start in range(0, n, chunk):
+        part = slice(start, start + chunk)
+        block = eigenvectors[:, part if columns is None else columns[part]]
+        out[part] = fn(_weights(block, basis))
     return out
 
 
-def site_density_all(eigenvectors: np.ndarray, basis: Basis,
-                     chunk: int = CHUNK) -> np.ndarray:
+def site_density_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
     """Expected occupation per combined site for every eigenvector column;
     shape (n_states, 2L), each row sums to the particle number. Weights are
-    formed `chunk` columns at a time."""
+    formed CHUNK columns at a time."""
     return _per_chunk(lambda w: w.T @ basis.occupations,
-                      np.asarray(eigenvectors), basis, chunk, (basis.nsites,))
+                      np.asarray(eigenvectors), basis, CHUNK, (basis.nsites,))
 
 
 def site_density(vector: np.ndarray, basis: Basis) -> np.ndarray:
@@ -323,11 +325,9 @@ def classify_cluster(cluster: Cluster, result: SpectrumResult, basis: Basis,
     suffix combination give unclassified. For particle numbers other than
     two the ncor signal is undefined and the label is unclassified.
     """
-    members = np.asarray(cluster.members)
-    dens = np.concatenate([
-        site_density_all(result.eigenvectors[:, members[start:start + CHUNK]],
-                         basis)
-        for start in range(0, len(members), CHUNK)])
+    dens = _per_chunk(lambda w: w.T @ basis.occupations, result.eigenvectors,
+                      basis, CHUNK, (basis.nsites,),
+                      np.asarray(cluster.members))
     mean_density = dens.mean(axis=0)
     left, right = _edge_weights(mean_density, basis.cells)
     if basis.particles == 2:

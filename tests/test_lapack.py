@@ -38,6 +38,10 @@ def test_in_place_dgeev_matches_numpy_eig(name, monkeypatch):
         a, b = getattr(fast, attr), getattr(slow, attr)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)  # bit-identical
+    w = fast.eigenvalues
+    assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(len(w)))
+    assert fast.eigenvectors.flags.f_contiguous
+    assert slow.eigenvectors.flags.f_contiguous
     assert fast.matrix_norm == slow.matrix_norm
     assert np.all(fast.residuals <= 1e-9 * max(fast.matrix_norm, 1e-300))
     np.testing.assert_allclose(fast.residuals, slow.residuals,
@@ -54,19 +58,6 @@ def test_geev_returns_what_numpy_eig_returns():
     assert vectors.flags.f_contiguous
 
 
-@pytest.mark.parametrize("name", list(SOLVE_INPUTS))
-def test_eigenpairs_sorted_on_both_paths(name, monkeypatch):
-    fast = eigendecompose(SOLVE_INPUTS[name]())
-    monkeypatch.setattr(lapack, "_bind", lambda: None)
-    slow = eigendecompose(SOLVE_INPUTS[name]())
-    for result in (fast, slow):
-        w = result.eigenvalues
-        assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(len(w)))
-        assert result.eigenvectors.flags.f_contiguous
-    assert np.array_equal(fast.eigenvalues, slow.eigenvalues)
-    assert np.array_equal(fast.eigenvectors, slow.eigenvectors)
-
-
 @bound
 def test_unpack_in_place_matches_numpy_eig_across_blocks():
     rng = np.random.default_rng(10)
@@ -75,7 +66,7 @@ def test_unpack_in_place_matches_numpy_eig_across_blocks():
         a = rng.normal(size=(n, n))
         head = lapack.matrix(n)
         head[:] = a
-        values, vectors = lapack.geev(head)
+        values, vectors = lapack.geev(head, head.base)
         expected_values, expected_vectors = np.linalg.eig(a)
         assert np.array_equal(values, expected_values)
         assert np.array_equal(vectors, expected_vectors)
@@ -96,6 +87,24 @@ def test_geev_overwrites_fortran_input_only():
     owned = np.asfortranarray(a)
     lapack.geev(owned)
     assert not np.array_equal(owned, kept)
+
+
+@bound
+def test_geev_leaves_the_memory_after_a_view_alone():
+    n = 6
+    a = np.random.default_rng(11).normal(size=(n, n))
+    pairs = np.zeros(2 * n * n).reshape((n, n, 2), order="F")
+    pairs[:, :, 0], pairs[:, :, 1] = a, 7.0
+    flat = np.full(2 * n * n, 7.0)
+    head = flat[:n * n].reshape((n, n), order="F")
+    head[:] = a
+    for view, rest in ((pairs[:, :, 0], pairs[:, :, 1]), (head, flat[n * n:])):
+        values, vectors = lapack.geev(view)
+        assert np.all(rest == 7.0)
+        assert np.array_equal(values, np.linalg.eig(a)[0])
+        assert not np.shares_memory(vectors, rest)
+    with pytest.raises(ValueError):
+        lapack.geev(lapack.matrix(n), np.zeros(2 * n * n))
 
 
 def test_complex_input_takes_numpy_eig(monkeypatch):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nhladder import observables
 from nhladder.eig import SpectrumResult, eigendecompose
 from nhladder.fock import enumerate_basis
 from nhladder.model import ModelParams, build_hamiltonian, sector_basis
@@ -206,16 +207,22 @@ def test_observables_add_only_chunks_of_eigenvectors():
     assert peak <= 3 * 16 * CHUNK * basis.dimension
 
 
-def test_site_density_chunks_agree():
+def test_site_density_chunks_agree(monkeypatch):
     p = ModelParams(cells=4, particles=2, jp=0.2, mu=0.1, u=3.0)
     basis = sector_basis(p)
     vectors = eigendecompose(build_hamiltonian(p, basis)).eigenvectors
-    whole = site_density_all(vectors, basis, chunk=basis.dimension)
+    monkeypatch.setattr(observables, "CHUNK", basis.dimension)
+    whole = site_density_all(vectors, basis)
     for chunk in (1, 7):
-        np.testing.assert_allclose(site_density_all(vectors, basis, chunk),
+        monkeypatch.setattr(observables, "CHUNK", chunk)
+        np.testing.assert_allclose(site_density_all(vectors, basis),
                                    whole, rtol=0.0, atol=1e-14)
-    with pytest.raises(ValueError):
-        site_density_all(vectors, basis, chunk=0)
+    members = np.array([5, 0, 2, 9])
+    picked = observables._per_chunk(lambda w: w.T @ basis.occupations, vectors,
+                                    basis, 3, (basis.nsites,), members)
+    np.testing.assert_allclose(picked, site_density_all(vectors[:, members],
+                                                        basis),
+                               rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
