@@ -154,7 +154,7 @@ class Basis:
         """Occupation tuple at a basis index; raises ValueError out of range."""
         if not 0 <= index < self.dimension:
             raise ValueError(f"index must be in 0..{self.dimension - 1}, got {index}")
-        return self.states[index]
+        return tuple(self.occupations[index].astype(np.int64).tolist())
 
     def __len__(self) -> int:
         return self.dimension

@@ -1,5 +1,5 @@
-"""In-place LAPACK `dgeev` and the BLAS thread count, through numpy's own
-OpenBLAS.
+"""In-place LAPACK `dgeev`, the BLAS thread count and the solve budget,
+through numpy's own OpenBLAS.
 
 numpy's Linux and Windows wheels bundle an ILP64 OpenBLAS (64-bit
 integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
@@ -9,7 +9,8 @@ buffers of its own. `geev` calls the same routine in place on a matrix from
 passes along: dgeev writes the eigenvectors into the second half, and
 complex eigenvectors are unpacked over the whole buffer, so a solve holds
 two real n x n arrays. `threads`
-sets the size of the OpenBLAS thread pool for a block of code.
+sets the size of the OpenBLAS thread pool for a block of code, and
+`solve_lanes` is how many such solves a threshold search runs at once.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
@@ -91,6 +92,23 @@ def set_threads(n: int) -> Optional[int]:
     previous = binding.get_threads()
     binding.set_threads(int(n))
     return previous
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def solve_lanes() -> int:
+    """Solves a threshold search runs at once: min(2, usable cores), or 1
+    where dgeev is not bound. Each in-place solve holds one buffer of two
+    real D x D arrays, so two lanes hold fewer than one np.linalg.eig
+    solve, which keeps about five; a third lane would hold six."""
+    if symbol() is None:
+        return 1
+    return min(2, usable_cores())
 
 
 @contextmanager

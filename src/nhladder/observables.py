@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,9 @@ SIDE_THRESHOLD = 0.60
 ALLOWED_LABELS = ("RS", "BiS", "LS", "RB", "LB", "mixed", "unclassified")
 # eigenvector columns whose weights are formed at once
 CHUNK = 128
+# what a sweep can tabulate at each grid point (sweep.SweepSpec.observables)
+OBSERVABLES = ("max_im_global", "max_im_per_cluster", "ncor_of_max_im_state",
+               "polarization", "entropies", "threshold")
 
 
 def _weights(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
@@ -51,8 +54,6 @@ def _per_chunk(fn: Callable[[np.ndarray], np.ndarray],
     """fn of the _weights of `chunk` columns at a time (of the given column
     indices, or of all columns), one result row of the given shape per
     column; no temporary exceeds a few dimension x chunk arrays."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     n = eigenvectors.shape[1] if columns is None else len(columns)
     out = np.empty((n,) + shape)
     for start in range(0, n, chunk):
@@ -107,8 +108,7 @@ def pair_correlation(vector: np.ndarray, basis: Basis) -> np.ndarray:
     return rho - np.diag(dens)
 
 
-def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis,
-                         chunk: int = CHUNK) -> np.ndarray:
+def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
     """Pair participation (tr G)^2 - ||G||_F^2 of the normal-ordered matrix
     G = <n_x n_y> - delta_xy <n_x> for every column; two particles only.
 
@@ -116,7 +116,7 @@ def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis,
     2 w_i on G_xx, a pair on sites x < y puts w_i on G_xy and G_yx, with
     w_i = |psi_i|^2 normalized. Hence tr G = sum_i 2 [doublon_i] w_i and
     ||G||_F^2 = sum_i (4 [doublon_i] + 2 [pair_i]) w_i^2: O(dimension) per
-    column. Weights are formed for `chunk` columns at a time.
+    column. Weights are formed CHUNK columns at a time.
 
     Equals -2 for two pinned distinguishable-site particles, 0 for a single
     doublon, and approaches 4 (1 - 1/L) for a doublon spread evenly over L
@@ -128,7 +128,7 @@ def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis,
     frobenius_coef = 2.0 + trace_coef  # 4 [doublon] + 2 [pair]
     return _per_chunk(
         lambda w: (trace_coef @ w) ** 2 - frobenius_coef @ (w * w),
-        eigenvectors, basis, chunk)
+        eigenvectors, basis, CHUNK)
 
 
 def correlation_ncor(vector: np.ndarray, basis: Basis) -> float:
@@ -213,6 +213,18 @@ def entanglement_entropy(vector: np.ndarray, basis: Basis,
     return float(-np.sum(probs * np.log(probs)))
 
 
+def cut_entropies(vector: np.ndarray, basis: Basis) -> Dict[str, float]:
+    """Entanglement entropies across the leg cut (A | B) and the left-right
+    cut, and the state's density shares on leg A and on the left half."""
+    cells = basis.cells
+    dens = site_density(vector, basis)
+    left = left_half_sites(cells)
+    return {"s_ab": entanglement_entropy(vector, basis, leg_sites(cells, "A")),
+            "s_leftright": entanglement_entropy(vector, basis, left),
+            "rho_a_frac": float(dens[:cells].sum() / basis.particles),
+            "rho_left_frac": float(dens[left].sum() / basis.particles)}
+
+
 @dataclass(frozen=True)
 class Cluster:
     """A contiguous group of eigenvalues along the real axis.
@@ -236,6 +248,16 @@ def default_min_gap(jl: float, jr: float) -> float:
     return 0.1 * max(abs(jl), abs(jr))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty array of finite floats, bit for bit, from a
+    sort: np.median's NaN check imports numpy.ma."""
+    ordered = np.sort(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
 def cluster_spectrum(result: SpectrumResult, gap_factor: float = 10.0,
                      min_gap: float = 0.1) -> List[Cluster]:
     """Partition the spectrum into clusters separated by real-axis gaps
@@ -252,7 +274,7 @@ def cluster_spectrum(result: SpectrumResult, gap_factor: float = 10.0,
     order = np.argsort(ev.real, kind="stable")
     res = ev.real[order]
     gaps = np.diff(res)
-    median_gap = float(np.median(gaps)) if len(gaps) else 0.0
+    median_gap = _median(gaps) if len(gaps) else 0.0
     threshold = max(min_gap, gap_factor * median_gap)
     breaks = np.where(gaps > threshold)[0]
     clusters = []

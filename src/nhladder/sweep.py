@@ -13,7 +13,6 @@ observables.bound_clusters.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -23,16 +22,14 @@ import numpy as np
 
 from . import lapack
 from .eig import check_eps_im, default_eps_im, eigendecompose
-from .fock import Basis, enumerate_basis
+from .fock import enumerate_basis
 from .model import (FLOAT_FIELDS, ModelParams, build_hamiltonian, diagonal_counts,
                     sector_basis)
-from .observables import (bound_clusters, cluster_spectrum, correlation_ncor,
-                          default_min_gap, entanglement_entropy,
-                          left_half_sites, leg_sites, polarization,
-                          site_density)
-
-OBSERVABLES = ("max_im_global", "max_im_per_cluster", "ncor_of_max_im_state",
-               "polarization", "entropies", "threshold")
+from .observables import (OBSERVABLES, bound_clusters, cluster_spectrum,
+                          correlation_ncor, cut_entropies, default_min_gap,
+                          polarization)
+# bound here for perfbench/tracing.py, which wraps these names in this module
+from .observables import entanglement_entropy, site_density  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -144,18 +141,6 @@ def _peaks_by_group(result, params: ModelParams, gap_factor: float,
     return peaks
 
 
-def cut_entropies(vector: np.ndarray, basis: Basis) -> Dict[str, float]:
-    """Entanglement entropies across the leg cut (A | B) and the left-right
-    cut, and the state's density shares on leg A and on the left half."""
-    cells = basis.cells
-    dens = site_density(vector, basis)
-    left = left_half_sites(cells)
-    return {"s_ab": entanglement_entropy(vector, basis, leg_sites(cells, "A")),
-            "s_leftright": entanglement_entropy(vector, basis, left),
-            "rho_a_frac": float(dens[:cells].sum() / basis.particles),
-            "rho_left_frac": float(dens[left].sum() / basis.particles)}
-
-
 def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
                     capacity: Optional[int]) -> Dict:
     row: Dict = {axis.name: v for axis, v in zip(spec.axes, values)}
@@ -196,27 +181,10 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
     return row
 
 
-def usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def solve_lanes() -> int:
-    """Solves a threshold search runs at once: min(2, usable cores), or 1
-    where lapack cannot bind dgeev. Each in-place solve holds one buffer of
-    two real D x D arrays, so two lanes hold fewer than one np.linalg.eig
-    solve, which keeps about five; a third lane would hold six."""
-    if lapack.symbol() is None:
-        return 1
-    return min(2, usable_cores())
-
-
 def sweep_lanes(workers: int) -> int:
     """Solves a sweep runs at once: workers, and never fewer than
-    solve_lanes()."""
-    return max(workers, solve_lanes())
+    lapack.solve_lanes()."""
+    return max(workers, lapack.solve_lanes())
 
 
 @contextmanager
@@ -273,8 +241,8 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     crossing. Raises ValueError when the bracket does not actually bracket
     a crossing, or when eps_im is negative or NaN.
 
-    Solves run on solve_lanes() threads at one BLAS thread each, as inside
-    a sweep; the pool size is restored afterwards. With two lanes the
+    Solves run on lapack.solve_lanes() threads at one BLAS thread each, as
+    inside a sweep; the pool size is restored afterwards. With two lanes the
     pre-scan solves lo and hi together and then its three inner points;
     each bisection round also solves the next round's midpoint on the side
     where linear interpolation of the indicator puts the crossing; the
@@ -283,7 +251,7 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     every solve, speculative ones included.
     """
     return _search(params, cluster_selector, eps_im, bracket, resolution,
-                   gap_factor, min_gap, capacity, solve_lanes())
+                   gap_factor, min_gap, capacity, lapack.solve_lanes())
 
 
 def _search(params: ModelParams, cluster_selector: str,

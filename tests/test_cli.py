@@ -337,7 +337,7 @@ def test_threshold_command(tmp_path, monkeypatch):
     # the environment records the thread count the solves ran at
     env = sidecar["environment"]
     assert set(threads) == {env["blas_threads"]}
-    assert env["solve_lanes"] == sweep_mod.solve_lanes()
+    assert env["solve_lanes"] == lapack.solve_lanes()
     results = sidecar["results"]
     assert 0.0 < results["jp_star"] < 0.2
     assert results["bracket"][1] - results["bracket"][0] <= 0.01 + 1e-12

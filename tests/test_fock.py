@@ -59,6 +59,14 @@ def test_rank_unrank_roundtrip():
             assert basis.rank(basis.unrank(i)) == i
 
 
+def test_unrank_leaves_states_unbuilt():
+    basis = enumerate_basis(4, 3, "fermion")
+    rows = [basis.unrank(i) for i in range(basis.dimension)]
+    assert "states" not in vars(basis)
+    assert all(type(n) is int for n in rows[0])
+    assert tuple(rows) == basis.states
+
+
 def test_rank_rejects_foreign_states():
     basis = enumerate_basis(2, 2, "boson")
     with pytest.raises(ValueError):

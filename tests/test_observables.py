@@ -146,11 +146,12 @@ def test_ncor_requires_two_particles():
         pair_density(np.ones(8), enumerate_basis(4, 1, "boson"))
 
 
-def test_ncor_batch_matches_single():
+def test_ncor_batch_matches_single(monkeypatch):
     p = ModelParams(cells=3, particles=2, jp=0.2, mu=0.1, u=3.0)
     basis = sector_basis(p)
     result = eigendecompose(build_hamiltonian(p, basis))
-    batch = correlation_ncor_all(result.eigenvectors, basis, chunk=7)
+    monkeypatch.setattr(observables, "CHUNK", 7)
+    batch = correlation_ncor_all(result.eigenvectors, basis)
     for k in range(result.dimension):
         single = correlation_ncor(result.eigenvectors[:, k], basis)
         assert batch[k] == pytest.approx(single, abs=1e-12)
@@ -158,7 +159,7 @@ def test_ncor_batch_matches_single():
 
 @pytest.mark.parametrize("stats", ["boson", "fermion"])
 @pytest.mark.parametrize("cells", [3, 4, 5, 6])
-def test_ncor_closed_form_matches_einsum_oracle(stats, cells):
+def test_ncor_closed_form_matches_einsum_oracle(stats, cells, monkeypatch):
     rng = np.random.default_rng(cells)
     interaction = {"u": 3.0} if stats == "boson" else {"u_nn": 2.0}
     p = ModelParams(cells=cells, particles=2, statistics=stats, jp=0.2,
@@ -170,11 +171,12 @@ def test_ncor_closed_form_matches_einsum_oracle(stats, cells):
     for vectors in (random, eigen):
         expected = einsum_ncor(vectors, basis.states)
         for chunk in (1, 7, dim):
-            got = correlation_ncor_all(vectors, basis, chunk=chunk)
+            monkeypatch.setattr(observables, "CHUNK", chunk)
+            got = correlation_ncor_all(vectors, basis)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
 
-def test_batched_observables_reject_zero_column_and_bad_chunk():
+def test_batched_observables_reject_zero_column_and_bad_length():
     basis = enumerate_basis(3, 2, "boson")
     vectors = np.ones((basis.dimension, 3))
     vectors[:, 1] = 0.0
@@ -183,8 +185,6 @@ def test_batched_observables_reject_zero_column_and_bad_chunk():
             fn(vectors, basis)
     with pytest.raises(ValueError):
         correlation_ncor_all(np.ones((basis.dimension - 1, 2)), basis)
-    with pytest.raises(ValueError):
-        correlation_ncor_all(np.ones((basis.dimension, 2)), basis, chunk=0)
     with pytest.raises(ValueError):
         correlation_ncor_all(np.ones((6, 2)), enumerate_basis(3, 1, "boson"))
 
@@ -339,6 +339,17 @@ def test_cluster_max_im_and_representative():
     assert len(clusters) == 1
     assert clusters[0].max_im == pytest.approx(0.3)
     assert clusters[0].representative == 2  # largest |Im|
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 135, 136])
+def test_median_gap_matches_numpy_median_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    for scale in (1e-12, 1.0, 1e3):
+        values = np.sort(rng.normal(size=length + 1)) * scale
+        for gaps in (np.diff(values), np.round(np.diff(values), 2)):
+            ours = observables._median(gaps)
+            assert type(ours) is float
+            assert np.float64(ours).tobytes() == np.median(gaps).tobytes()
 
 
 def test_cluster_validation():

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import types
+
+import pytest
 
 import nhladder
 
@@ -15,3 +20,48 @@ def test_every_public_import_is_exported():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public <= set(nhladder.__all__)
+
+
+def _loaded_modules(*args):
+    """Modules a fresh interpreter run with these arguments imports, read
+    from its -X importtime report."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nhladder.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_a_solve_loads_no_driver_module():
+    loaded = _loaded_modules(
+        "-c", "import nhladder as nh; "
+        "p = nh.ModelParams(cells=4, particles=2, jp=0.01, mu=0.2, u=4.0); "
+        "nh.eigendecompose(nh.build_hamiltonian(p, nh.sector_basis(p)))")
+    assert "nhladder.eig" in loaded
+    assert not loaded & {"nhladder.sweep", "nhladder.perturb",
+                         "nhladder.observables", "concurrent.futures"}
+
+
+def test_spectrum_command_loads_no_sweep_driver(tmp_path):
+    loaded = _loaded_modules("-m", "nhladder", "spectrum", "--cells", "4",
+                             "--particles", "2", "--jp", "0.01", "--mu", "0.2",
+                             "--u", "4", "--out", str(tmp_path / "s"))
+    assert "nhladder.observables" in loaded
+    assert not loaded & {"nhladder.sweep", "nhladder.perturb",
+                         "concurrent.futures", "numpy.ma"}
+
+
+def test_dir_lists_every_export_and_submodule():
+    modules = {"eig", "fock", "lapack", "model", "observables", "perturb",
+               "sweep"}
+    dunders = {"__all__", "__builtins__", "__cached__", "__doc__", "__file__",
+               "__loader__", "__name__", "__package__", "__path__", "__spec__"}
+    # cli is bound here once any test has imported it
+    expected = set(nhladder.__all__) | modules | dunders
+    assert set(dir(nhladder)) - {"cli"} == expected
+    assert dir(nhladder) == sorted(dir(nhladder))
+    assert nhladder.sweep.run_sweep is nhladder.run_sweep
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        nhladder.cli_main

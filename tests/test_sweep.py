@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nhladder.sweep as sweep_mod
+from nhladder import lapack
 from nhladder.eig import default_eps_im, eigendecompose
 from nhladder.model import ModelParams, build_hamiltonian, sector_basis
 from nhladder.observables import cluster_spectrum
@@ -214,7 +215,7 @@ def test_threshold_fallback_on_nonmonotone_indicator(monkeypatch):
 
 
 def _search_outcome(lanes, monkeypatch, *args, **kwargs):
-    monkeypatch.setattr(sweep_mod, "solve_lanes", lambda: lanes)
+    monkeypatch.setattr(lapack, "solve_lanes", lambda: lanes)
     try:
         r = find_threshold_jp(*args, **kwargs)
     except ValueError as exc:
@@ -255,7 +256,7 @@ def test_threshold_does_not_depend_on_lanes(case, monkeypatch):
 
 
 def test_threshold_trace_records_every_solve(monkeypatch):
-    monkeypatch.setattr(sweep_mod, "solve_lanes", lambda: 2)
+    monkeypatch.setattr(lapack, "solve_lanes", lambda: 2)
     p = ModelParams(cells=8, particles=1)
     result = find_threshold_jp(p, bracket=(0.0, 0.2), resolution=1e-3)
     jps = [jp for jp, _ in result.trace]
@@ -268,8 +269,6 @@ def test_threshold_trace_records_every_solve(monkeypatch):
 
 
 def test_threshold_restores_blas_threads(monkeypatch):
-    from nhladder import lapack
-
     p = ModelParams(cells=8, particles=1)
     with lapack.threads(2):
         before = lapack.get_threads()
@@ -303,8 +302,6 @@ def _recording_solves(monkeypatch):
     import os
     import threading
 
-    from nhladder import lapack
-
     lock = threading.Lock()
     active, seen = [0], []
     original = sweep_mod.eigendecompose
@@ -328,8 +325,6 @@ def test_sweep_solves_in_lanes_at_one_blas_thread(workers, monkeypatch):
     import multiprocessing.process
     import os
 
-    from nhladder import lapack
-
     def no_child(self):
         raise AssertionError("a sweep started a child process")
 
@@ -339,7 +334,7 @@ def test_sweep_solves_in_lanes_at_one_blas_thread(workers, monkeypatch):
                      observables=("max_im_global", "threshold"),
                      threshold_bracket=(0.0, 0.2), threshold_resolution=1e-2)
     with monkeypatch.context() as one_lane:
-        one_lane.setattr(sweep_mod, "solve_lanes", lambda: 1)
+        one_lane.setattr(lapack, "solve_lanes", lambda: 1)
         reference = run_sweep(spec, workers=1)
     seen = _recording_solves(monkeypatch)
     with lapack.threads(2):
@@ -360,9 +355,7 @@ def test_sweep_solves_in_lanes_at_one_blas_thread(workers, monkeypatch):
 def test_threshold_solves_at_one_blas_thread_on_any_core_count(monkeypatch):
     # on four cores a standalone search runs the same budget as a search
     # inside a sweep: every solve at one BLAS thread
-    from nhladder import lapack
-
-    monkeypatch.setattr(sweep_mod, "usable_cores", lambda: 4)
+    monkeypatch.setattr(lapack, "usable_cores", lambda: 4)
     seen = _recording_solves(monkeypatch)
     with lapack.threads(2):
         find_threshold_jp(ModelParams(cells=8, particles=1),
