@@ -1,20 +1,22 @@
-"""Verified dense non-symmetric eigendecomposition.
+"""Verified dense non-symmetric eigendecomposition of real matrices.
 
-A solve gathers the nonzeros of the operator, balances them (a diagonal
+Every Hamiltonian of the model is real, so a solve takes real input only: a
+real SparseOperator or a real dense array, which both go the same way. A
+solve gathers the nonzeros of the operator, balances them (a diagonal
 similarity scaling) into the first half of a buffer of 2n^2 floats, and runs
 LAPACK dgeev in place there through lapack.geev, which writes the
 eigenvectors into the second half and unpacks complex ones over the whole
 buffer. geev calls numpy's own OpenBLAS and falls back to np.linalg.eig
-where that library cannot be bound or the input is complex; both give the
-same bits. A SparseOperator is never made dense: apart from the buffer, a
-solve holds O(nnz) entries and O(n * BLOCK) temporaries.
+where that library cannot be bound; both give the same bits. No operator is
+made dense: apart from the buffer, a solve holds O(nnz) entries and
+O(n * BLOCK) temporaries.
 
 Every decomposition is checked before it is returned: per-eigenpair
-residuals against a norm-scaled tolerance, computed against the original
-matrix, the trace identity, and (for real input) closure of the spectrum
-under complex conjugation. A failed check raises ConvergenceError rather
-than returning silently wrong data. The eigenpairs come out sorted by real
-part, then imaginary part.
+residuals against a norm-scaled tolerance, computed from the nonzeros of the
+original matrix, the trace identity, and closure of the spectrum under
+complex conjugation. A failed check raises ConvergenceError rather than
+returning silently wrong data. The eigenpairs come out sorted by real part,
+then imaginary part.
 """
 
 from __future__ import annotations
@@ -171,46 +173,44 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
                    capacity: Optional[int] = None) -> SpectrumResult:
     """Full eigendecomposition with mandatory verification.
 
-    Accepts a SparseOperator or a dense square array. Raises CapacityError
-    when the dimension exceeds the size budget, ConvergenceError when any
-    eigenpair residual exceeds tol * norm(H, inf) or the trace or
-    conjugation checks fail.
+    Accepts a real SparseOperator or a real dense square array; complex
+    input raises ValueError. Raises CapacityError when the dimension exceeds
+    the size budget, ConvergenceError when any eigenpair residual exceeds
+    tol * norm(H, inf) or the trace or conjugation checks fail.
 
-    For real input the solve holds one buffer of two real n x n arrays: the
-    balanced matrix, which LAPACK overwrites, and the eigenvectors, which
-    end up spread over both halves when complex. A SparseOperator is never
-    made dense: the norm, the trace, the balancing and the residuals all
-    come from its nonzeros. The eigenpairs are sorted by (re, im).
+    The solve holds one buffer of two real n x n arrays: the balanced
+    matrix, which LAPACK overwrites, and the eigenvectors, which end up
+    spread over both halves when complex. Dense or sparse, the norm, the
+    trace, the balancing and the residuals all come from the nonzeros, so
+    both give the same bits. The eigenpairs are sorted by (re, im).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     start = time.perf_counter()
-    matrix = None
     if isinstance(operator, SparseOperator):
-        dim = operator.dimension
+        dim, dtype = operator.dimension, operator.values.dtype
     else:
-        matrix = np.asarray(operator)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-        dim = matrix.shape[0]
+        operator = np.asarray(operator)
+        if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {operator.shape}")
+        dim, dtype = len(operator), operator.dtype
+    if dtype.kind not in "biuf":
+        raise ValueError(f"expected a real matrix, got dtype {dtype}")
     cap = resolve_capacity(capacity)
     if dim > cap:
         raise CapacityError(f"matrix dimension {dim} exceeds capacity {cap}")
 
-    rows, cols, values = _entries(operator if matrix is None else matrix)
-    real_input = not np.iscomplexobj(values)
+    rows, cols, values = _entries(operator)
     norm = _norm(dim, rows, cols, values)
     trace = np.sum(values[rows == cols])
     gathered = time.perf_counter()
 
     sweeps: Dict[str, float] = {}
-    balanced = lapack.matrix(dim) if real_input else \
-        np.zeros((dim, dim), np.result_type(values, float), order="F")
+    balanced = lapack.matrix(dim)
     diag = _balance(rows, cols, values, balanced, sweeps)
     balanced_at = time.perf_counter()
-    eigenvalues, eigenvectors = lapack.geev(
-        balanced, balanced.base if real_input else None)
-    del balanced  # a separate array on the np.linalg.eig path
+    eigenvalues, eigenvectors = lapack.geev(balanced)
+    del balanced
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
     _permute_columns(eigenvectors, order)
@@ -222,11 +222,7 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     eigenvectors /= scales
     solved = time.perf_counter()
 
-    if matrix is None:
-        residuals = _entry_residuals(rows, cols, values, eigenvalues,
-                                     eigenvectors)
-    else:
-        residuals = _residuals(matrix, eigenvalues, eigenvectors)
+    residuals = _entry_residuals(rows, cols, values, eigenvalues, eigenvectors)
     bound = tol * max(norm, 1e-300)
     worst = int(np.argmax(residuals)) if dim else 0
     if dim and residuals[worst] > bound:
@@ -237,8 +233,7 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     if trace_gap > TRACE_RTOL * max(norm, 1e-300) * max(dim, 1):
         raise ConvergenceError(f"eigenvalue sum deviates from trace by {trace_gap:.3e}")
 
-    if real_input and dim:
-        _check_conjugate_closure(eigenvalues)
+    _check_conjugate_closure(eigenvalues)
 
     spread = float(np.log10(diag.max() / diag.min())) if dim else 0.0
     diagnostics = {"densify_s": gathered - start,
@@ -281,26 +276,6 @@ def _column_norms(vectors: np.ndarray) -> np.ndarray:
         for square in (rows.conj() * rows).real:
             sums += square
     return np.sqrt(sums)
-
-
-def _residuals(matrix: np.ndarray, eigenvalues: np.ndarray,
-               eigenvectors: np.ndarray) -> np.ndarray:
-    """Column norms of H X - X diag(w) for a dense H, a block of columns at
-    a time. A real H times complex columns is two real products."""
-    dim = len(eigenvalues)
-    residuals = np.empty(dim)
-    split = not np.iscomplexobj(matrix) and np.iscomplexobj(eigenvectors)
-    for j in range(0, dim, BLOCK):
-        block = eigenvectors[:, j:j + BLOCK]
-        if split:
-            image = np.empty(block.shape, block.dtype)
-            image.real = matrix @ block.real
-            image.imag = matrix @ block.imag
-        else:
-            image = matrix @ block
-        image -= block * eigenvalues[j:j + BLOCK]
-        residuals[j:j + BLOCK] = np.linalg.norm(image, axis=0)
-    return residuals
 
 
 def _entry_residuals(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,

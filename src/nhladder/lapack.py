@@ -4,13 +4,13 @@ through numpy's own OpenBLAS.
 numpy's Linux and Windows wheels bundle an ILP64 OpenBLAS (64-bit
 integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
 its `dgeev` on a private copy of the input and keeps about five n x n
-buffers of its own. `geev` calls the same routine in place on a matrix from
-`matrix(n)`, the first half of one buffer of 2n^2 floats that the caller
-passes along: dgeev writes the eigenvectors into the second half, and
-complex eigenvectors are unpacked over the whole buffer, so a solve holds
-two real n x n arrays. `threads`
-sets the size of the OpenBLAS thread pool for a block of code, and
-`solve_lanes` is how many such solves a threshold search runs at once.
+buffers of its own. `geev` takes only a real matrix from `matrix(n)`, the
+first half of one buffer of 2n^2 floats (its base), and calls the same
+routine in place there: dgeev writes the eigenvectors into the second half,
+and complex eigenvectors are unpacked over the whole buffer, so a solve
+holds two real n x n arrays. `threads` sets the size of the OpenBLAS thread
+pool for a block of code, and `solve_lanes` is how many such solves a
+threshold search runs at once.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
@@ -126,42 +126,40 @@ def threads(n: int) -> Iterator[None]:
 def matrix(n: int) -> np.ndarray:
     """A zeroed, Fortran-ordered n x n float64 array for `geev` to overwrite:
     the first half of a buffer of 2n^2 floats, its `.base`, which `geev`
-    takes as `buffer` to fill with the eigenvectors."""
+    fills with the eigenvectors."""
     return np.zeros(2 * n * n)[:n * n].reshape((n, n), order="F")
 
 
-def geev(a: np.ndarray, buffer: Optional[np.ndarray] = None
-         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and right eigenvectors (columns) of a square matrix, as
-    `np.linalg.eig` returns them: real arrays when every eigenvalue is real,
-    complex ones otherwise, the eigenvectors Fortran-ordered.
+def geev(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and right eigenvectors (columns) of a real square matrix
+    from `matrix(n)`, as `np.linalg.eig` returns them: real arrays when
+    every eigenvalue is real, complex ones otherwise, the eigenvectors
+    Fortran-ordered.
 
-    A Fortran-ordered, writable float64 `a` is overwritten; any other real
-    input is first copied into one. `buffer`, when given, is the 1-D array
-    of 2n^2 floats whose first half is `a`, as `matrix(n).base` is: the
-    eigenvectors are views of it and the solve allocates nothing of order
-    n^2. Without it they take a new buffer, and no memory but `a` is
-    written. Complex input, and any input when the library is not bound,
-    goes to `np.linalg.eig`.
+    `a` is overwritten, and the eigenvectors are views of `a.base`: the
+    solve allocates nothing of order n^2. Raises ValueError unless `a` is
+    square, Fortran-ordered and finite, and its base is the writable,
+    C-contiguous 2n^2 floats that start at `a`. Where the library is not
+    bound, `np.linalg.eig` solves a copy instead.
     """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    buffer = a.base
+    if not (a.dtype == np.float64 and a.flags.f_contiguous
+            and a.flags.writeable and isinstance(buffer, np.ndarray)
+            and buffer.shape == (2 * n * n,) and buffer.dtype == np.float64
+            and buffer.flags.c_contiguous and buffer.flags.writeable
+            and buffer.ctypes.data == a.ctypes.data):
+        raise ValueError("expected a matrix from lapack.matrix(n)")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must not contain infs or NaNs")
     binding = _bind()
-    if binding is None or np.iscomplexobj(a):
+    if binding is None:
         values, vectors = np.linalg.eig(a)
         return values, np.asfortranarray(vectors)
-    a = np.require(a, dtype=np.float64, requirements=["F", "W"])
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
-    if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    n = a.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
-    if buffer is None:
-        buffer = np.zeros(2 * n * n)
-    elif not (buffer.shape == (2 * n * n,) and buffer.dtype == np.float64
-              and buffer.flags.c_contiguous and buffer.flags.writeable
-              and buffer.ctypes.data == a.ctypes.data):
-        raise ValueError("buffer must be the 2n^2 floats whose first half is a")
     vr = buffer[n * n:].reshape((n, n), order="F")
     wr, wi = np.empty(n), np.empty(n)
     query = np.empty(1)
@@ -169,7 +167,6 @@ def geev(a: np.ndarray, buffer: Optional[np.ndarray] = None
         raise RuntimeError("dgeev workspace query failed")
     status = _dgeev(binding, a, wr, wi, vr, np.empty(max(1, int(query[0]))),
                     int(query[0]))
-    del a
     if status > 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     if status < 0:

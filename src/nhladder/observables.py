@@ -266,9 +266,9 @@ def cluster_spectrum(result: SpectrumResult, gap_factor: float = 10.0,
     Every eigenvalue index lands in exactly one cluster; clusters are
     returned ordered by Re(E).
     """
-    if gap_factor <= 0.0:
+    if not gap_factor > 0.0:
         raise ValueError(f"gap_factor must be positive, got {gap_factor}")
-    if min_gap < 0.0:
+    if not min_gap >= 0.0:
         raise ValueError(f"min_gap must be non-negative, got {min_gap}")
     ev = result.eigenvalues
     order = np.argsort(ev.real, kind="stable")

@@ -262,7 +262,7 @@ def _search(params: ModelParams, cluster_selector: str,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     if eps_im is not None:
         check_eps_im(eps_im)

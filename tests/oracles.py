@@ -2,8 +2,9 @@
 
 Everything here is built from a different code path than the package:
 operator matrices assembled with numpy.kron on full product spaces,
-characteristic-polynomial eigenvalues, closed-form band formulas, and
-balancing sweeps over the dense array. The package is correct when it
+characteristic-polynomial eigenvalues, closed-form band formulas,
+balancing sweeps over the dense array, and residuals from the dense
+product. The package is correct when it
 agrees with these on desk-scale problems.
 """
 
@@ -288,6 +289,14 @@ def dense_balance(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     balanced = matrix * (d[np.newaxis, :] / d[:, np.newaxis])
     np.fill_diagonal(balanced, matrix.diagonal())
     return balanced, d
+
+
+def dense_residuals(matrix: np.ndarray, eigenvalues: np.ndarray,
+                    eigenvectors: np.ndarray) -> np.ndarray:
+    """Column norms of H X - X diag(w) from the dense product, the form the
+    package's residuals from the nonzeros replace."""
+    return np.linalg.norm(matrix @ eigenvectors - eigenvectors * eigenvalues,
+                          axis=0)
 
 
 def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:

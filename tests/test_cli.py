@@ -208,6 +208,23 @@ def test_negative_eps_im_is_rejected(tmp_path, capsys):
                  "--eps-im", "0", "--out", str(tmp_path / "zero")]) == 0
 
 
+def test_nan_options_are_rejected(tmp_path, capsys):
+    # every comparison with NaN is False, so a NaN bound would pass a
+    # "reject if <= 0" test and silently change the result
+    cases = {"resolution": ["threshold", "--cells", "8", "--particles", "1",
+                            "--mu", "0.2", "--bracket", "0:0.2",
+                            "--resolution", "nan"],
+             "min_gap": ["spectrum", "--cells", "6", "--particles", "2",
+                         "--min-gap", "nan"],
+             "gap_factor": ["spectrum", "--cells", "6", "--particles", "2",
+                            "--gap-factor", "nan"]}
+    for key, argv in cases.items():
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / key)]) == 2, argv
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / key).exists()
+
+
 def test_exit_code_3_on_capacity(tmp_path, monkeypatch):
     assert main(["spectrum", "--cells", "20", "--particles", "2",
                  "--capacity", "100", "--out", str(tmp_path / "x")]) == 3

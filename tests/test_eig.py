@@ -9,7 +9,7 @@ from nhladder.fock import CapacityError
 from nhladder.model import (ModelParams, SparseOperator, build_hamiltonian,
                             build_single_particle_matrix, sector_basis)
 
-from oracles import (charpoly_eigenvalues, dense_balance,
+from oracles import (charpoly_eigenvalues, dense_balance, dense_residuals,
                      hn_open_chain_spectrum, multisets_close)
 from test_lapack import SOLVE_INPUTS
 
@@ -67,7 +67,7 @@ def _balance_entries(operator):
 
     rows, cols, values = _entries(operator)
     dim = len(_dense(operator))
-    out = np.zeros((dim, dim), np.result_type(values, float), order="F")
+    out = np.zeros((dim, dim), order="F")
     return out, _balance(rows, cols, values, out)
 
 
@@ -119,6 +119,37 @@ def test_residual_verification_can_fail():
         eigendecompose(m, tol=1e-18)
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_every_check_fires_on_dense_and_sparse_input(sparse, monkeypatch):
+    from nhladder import lapack
+
+    m = np.random.default_rng(5).normal(size=(40, 40))
+    rows, cols = np.nonzero(m)
+    operator = SparseOperator(40, rows, cols, m[rows, cols]) if sparse else m
+    with pytest.raises(CapacityError):
+        eigendecompose(operator, capacity=39)
+    with pytest.raises(ConvergenceError, match="residual"):
+        eigendecompose(operator, tol=1e-18)
+    geev = lapack.geev
+
+    def shifted(shift):
+        def solve(a):
+            values, vectors = geev(a)
+            return values + shift, vectors
+        return solve
+
+    # shifts of 1e-3 pass the residual check at tol=1
+    monkeypatch.setattr(lapack, "geev", shifted(1e-3))
+    with pytest.raises(ConvergenceError, match="trace"):
+        eigendecompose(operator, tol=1.0)
+    # one eigenvalue up and another down: the sum holds, conjugation breaks
+    tilt = np.zeros(40, complex)
+    tilt[0], tilt[-1] = 1e-3j, -1e-3j
+    monkeypatch.setattr(lapack, "geev", shifted(tilt))
+    with pytest.raises(ConvergenceError, match="conjugation"):
+        eigendecompose(operator, tol=1.0)
+
+
 def test_max_imag_and_is_spectrum_real():
     h = np.array([[1.0, 0.3, 0.0], [-0.3, 1.0, 0.0], [0.0, 0.0, 2.0]])
     result = eigendecompose(h)
@@ -147,8 +178,9 @@ def test_capacity_budget():
 def test_input_validation():
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        eigendecompose(np.eye(2), tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            eigendecompose(np.eye(2), tol=tol)
     with pytest.raises(ValueError):
         is_spectrum_real(eigendecompose(np.eye(2)), eps_im=-1.0)
 
@@ -182,13 +214,6 @@ def _cancelling_duplicates():
     return dup
 
 
-def _random_complex():
-    rng = np.random.default_rng(3)
-    shape = (30, 30)
-    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
-        * np.exp(2.0 * rng.normal(size=shape))
-
-
 def _zero_row_and_column():
     m = np.random.default_rng(4).normal(size=(20, 20))
     m[3, :] = 0.0
@@ -207,7 +232,6 @@ BALANCE_INPUTS = {
     "fermion L=20 N=2 (D=780)": lambda: _sector(20, 2, statistics="fermion",
                                                 jp=0.01, mu=0.2, u_nn=4.0),
     "L=50 N=1 (1000 sweeps)": lambda: _sector(50, 1, jp=0.01, mu=0.2),
-    "random complex": _random_complex,
     "zero row and column": _zero_row_and_column,
     "n=0": lambda: np.zeros((0, 0)),
     "n=1": lambda: np.array([[2.5]]),
@@ -303,17 +327,26 @@ RESIDUAL_INPUTS = {**BALANCE_INPUTS,
 
 @pytest.mark.parametrize("name", list(RESIDUAL_INPUTS))
 def test_residuals_from_nonzeros_match_dense_residuals(name):
-    from nhladder.eig import _entries, _entry_residuals, _residuals
-
     operator = RESIDUAL_INPUTS[name]()
     result = eigendecompose(operator)
     dense = _dense(operator)
-    sparse = _entry_residuals(*_entries(operator), result.eigenvalues,
-                              result.eigenvectors)
-    full = _residuals(dense, result.eigenvalues, result.eigenvectors)
-    assert sparse.shape == full.shape == (len(dense),)
-    np.testing.assert_allclose(sparse, full, rtol=0.0,
+    full = dense_residuals(dense, result.eigenvalues, result.eigenvectors)
+    assert result.residuals.shape == full.shape == (len(dense),)
+    np.testing.assert_allclose(result.residuals, full, rtol=0.0,
                                atol=1e-13 * result.matrix_norm)
+
+
+@pytest.mark.parametrize("name", [name for name, make in SOLVE_INPUTS.items()
+                                  if isinstance(make(), SparseOperator)])
+def test_dense_and_sparse_input_give_the_same_bits(name):
+    operator = SOLVE_INPUTS[name]()
+    sparse = eigendecompose(operator)
+    dense = eigendecompose(operator.to_dense())
+    for attr in ("eigenvalues", "eigenvectors", "residuals"):
+        a, b = getattr(sparse, attr), getattr(dense, attr)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert sparse.matrix_norm == dense.matrix_norm
 
 
 @pytest.mark.parametrize("name", list(RESIDUAL_INPUTS))

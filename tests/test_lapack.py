@@ -3,7 +3,8 @@ import pytest
 
 from nhladder import lapack
 from nhladder.eig import eigendecompose
-from nhladder.model import ModelParams, build_hamiltonian, sector_basis
+from nhladder.model import (ModelParams, SparseOperator, build_hamiltonian,
+                            sector_basis)
 
 bound = pytest.mark.skipif(lapack.symbol() is None,
                            reason="numpy's OpenBLAS dgeev is not bound here")
@@ -48,10 +49,17 @@ def test_in_place_dgeev_matches_numpy_eig(name, monkeypatch):
                                rtol=0.0, atol=1e-13 * max(fast.matrix_norm, 1.0))
 
 
+def _matrix(a):
+    """a copied into a matrix from lapack.matrix(n)."""
+    head = lapack.matrix(len(a))
+    head[:] = a
+    return head
+
+
 @bound
 def test_geev_returns_what_numpy_eig_returns():
     a = np.random.default_rng(8).normal(size=(40, 40))
-    values, vectors = lapack.geev(np.asfortranarray(a))
+    values, vectors = lapack.geev(_matrix(a))
     expected_values, expected_vectors = np.linalg.eig(a)
     assert np.array_equal(values, expected_values)
     assert np.array_equal(vectors, expected_vectors)
@@ -64,9 +72,8 @@ def test_unpack_in_place_matches_numpy_eig_across_blocks():
     straddled = False
     for n in (63, 64, 65, 129, 200):
         a = rng.normal(size=(n, n))
-        head = lapack.matrix(n)
-        head[:] = a
-        values, vectors = lapack.geev(head, head.base)
+        head = _matrix(a)
+        values, vectors = lapack.geev(head)
         expected_values, expected_vectors = np.linalg.eig(a)
         assert np.array_equal(values, expected_values)
         assert np.array_equal(vectors, expected_vectors)
@@ -78,56 +85,68 @@ def test_unpack_in_place_matches_numpy_eig_across_blocks():
     assert straddled
 
 
-@bound
 def test_geev_overwrites_fortran_input_only():
+    # only a matrix from lapack.matrix(n) is taken: anything else, C-ordered
+    # or a Fortran array that owns its memory, is refused untouched
     a = np.random.default_rng(9).normal(size=(6, 6))
     kept = a.copy()
-    lapack.geev(a)  # C-ordered: copied, not touched
-    assert np.array_equal(a, kept)
-    owned = np.asfortranarray(a)
-    lapack.geev(owned)
-    assert not np.array_equal(owned, kept)
+    for other in (a, np.asfortranarray(a)):
+        with pytest.raises(ValueError):
+            lapack.geev(other)
+        assert np.array_equal(other, kept)
+    head = _matrix(a)
+    lapack.geev(head)
+    if lapack.symbol() is not None:
+        assert not np.array_equal(head, kept)
 
 
-@bound
 def test_geev_leaves_the_memory_after_a_view_alone():
+    # views whose base is not the 2n^2 floats that start at them are
+    # refused before the foreign call, so nothing after them is written
     n = 6
     a = np.random.default_rng(11).normal(size=(n, n))
-    pairs = np.zeros(2 * n * n).reshape((n, n, 2), order="F")
+    pairs = np.zeros(2 * n * n).reshape((n, n, 2))  # interleaved halves
     pairs[:, :, 0], pairs[:, :, 1] = a, 7.0
-    flat = np.full(2 * n * n, 7.0)
-    head = flat[:n * n].reshape((n, n), order="F")
-    head[:] = a
-    for view, rest in ((pairs[:, :, 0], pairs[:, :, 1]), (head, flat[n * n:])):
-        values, vectors = lapack.geev(view)
-        assert np.all(rest == 7.0)
-        assert np.array_equal(values, np.linalg.eig(a)[0])
-        assert not np.shares_memory(vectors, rest)
+    longer = np.full(2 * n * n + 1, 7.0)
+    shifted = np.full(2 * n * n, 7.0)
+    frozen = np.full(2 * n * n, 7.0)
+    views = [pairs[:, :, 0],
+             longer[:n * n].reshape((n, n), order="F"),
+             shifted[1:n * n + 1].reshape((n, n), order="F"),
+             frozen[:n * n].reshape((n, n), order="F")]
+    frozen.flags.writeable = False
+    for view in views[:3]:
+        view[:] = a
+    for view, base in zip(views, (pairs, longer, shifted, frozen)):
+        kept = base.copy()
+        with pytest.raises(ValueError):
+            lapack.geev(view)
+        assert np.array_equal(base, kept)
     with pytest.raises(ValueError):
-        lapack.geev(lapack.matrix(n), np.zeros(2 * n * n))
+        lapack.geev(lapack.matrix(n)[:3, :3])
 
 
-def test_complex_input_takes_numpy_eig(monkeypatch):
-    calls = []
-    eig = np.linalg.eig
+def test_complex_input_raises_value_error(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the solve started on complex input")
 
-    def spy(a):
-        calls.append(a.dtype)
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", spy)
+    monkeypatch.setattr(lapack, "matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     rng = np.random.default_rng(3)
     m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    result = eigendecompose(m)
-    assert calls == [np.complex128]
-    values, vectors = eig(m)
-    assert np.allclose(np.sort_complex(result.eigenvalues), np.sort_complex(values))
+    rows, cols = np.nonzero(m)
+    for operator in (m, SparseOperator(12, rows, cols, m[rows, cols])):
+        with pytest.raises(ValueError, match="real"):
+            eigendecompose(operator)
+    with pytest.raises(ValueError):
+        lapack.geev(np.asfortranarray(m))
 
 
-@bound
 def test_geev_rejects_non_finite_input():
-    with pytest.raises(np.linalg.LinAlgError):
-        lapack.geev(np.array([[1.0, np.nan], [0.0, 1.0]], order="F"))
+    for bad in (np.nan, np.inf):
+        head = _matrix(np.array([[1.0, bad], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            lapack.geev(head)
 
 
 def test_threads_restores_the_pool_size():
@@ -147,5 +166,7 @@ def test_unbound_library_changes_nothing(monkeypatch):
     assert lapack.set_threads(1) is None
     with lapack.threads(1):
         pass
-    values, _ = lapack.geev(np.array([[2.0, 0.0], [0.0, 3.0]]))
+    values, _ = lapack.geev(_matrix(np.array([[2.0, 0.0], [0.0, 3.0]])))
     assert sorted(values) == [2.0, 3.0]
+    with pytest.raises(ValueError):
+        lapack.geev(np.array([[2.0, 0.0], [0.0, 3.0]]))

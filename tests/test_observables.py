@@ -354,10 +354,12 @@ def test_median_gap_matches_numpy_median_bit_for_bit(length):
 
 def test_cluster_validation():
     result = synthetic_result([0.0, 1.0])
-    with pytest.raises(ValueError):
-        cluster_spectrum(result, gap_factor=0.0)
-    with pytest.raises(ValueError):
-        cluster_spectrum(result, min_gap=-0.1)
+    for gap_factor in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            cluster_spectrum(result, gap_factor=gap_factor)
+    for min_gap in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            cluster_spectrum(result, min_gap=min_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,9 @@ def test_threshold_invalid_bracket():
         find_threshold_jp(p, bracket=(0.0, 1e-6))  # real at both ends
     with pytest.raises(ValueError):
         find_threshold_jp(p, bracket=(0.2, 0.1))
-    with pytest.raises(ValueError):
-        find_threshold_jp(p, bracket=(0.0, 0.2), resolution=0.0)
+    for resolution in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            find_threshold_jp(p, bracket=(0.0, 0.2), resolution=resolution)
     with pytest.raises(ValueError):
         find_threshold_jp(p, cluster_selector="everything")
 
