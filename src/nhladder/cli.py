@@ -10,6 +10,10 @@ headline results, timings, and library versions.
 Exit codes: 0 success, 2 configuration or parameter errors, 3 capacity
 overruns, 4 solver or verification failures.
 
+Every command runs at one OpenBLAS thread, dgeev and the observables'
+matrix products alike, so no output depends on the thread count; main
+restores the caller's count on every exit.
+
 Each command imports the driver module it runs (sweep, perturb) when it
 runs, so spectrum, density, ncor and entropy never load either.
 """
@@ -32,7 +36,8 @@ from . import __version__, lapack
 from .eig import ConvergenceError, default_eps_im, eigendecompose
 from .fock import CapacityError, site_cell_leg
 from .model import ModelParams, build_hamiltonian, sector_basis
-from .observables import (OBSERVABLES, cluster_spectrum, correlation_ncor,
+from .observables import (OBSERVABLES, SELECTORS, check_gaps,
+                          cluster_spectrum, correlation_ncor,
                           correlation_ncor_all, cut_entropies,
                           default_min_gap, label_clusters, pair_density,
                           polarization_all, site_density)
@@ -153,7 +158,7 @@ OPTIONS: Dict[str, Option] = {
     "observables": Option("--observables", _names, ("max_im_global",),
                           ("sweep",), "comma list: " + ", ".join(OBSERVABLES)),
     "selector": Option("--selector", _text, "all", ("sweep", "threshold"),
-                       choices=("all", "scattering", "bound")),
+                       choices=SELECTORS),
     "bracket": Option("--bracket", _range, (0.0, 0.1), ("sweep", "threshold"),
                       "lo:hi for the threshold search"),
     "resolution": Option("--resolution", _float, 1e-3, ("sweep", "threshold")),
@@ -239,6 +244,7 @@ def _resolve_config(args: argparse.Namespace, command: str) -> Dict:
         if opt.choices and cfg[key] not in opt.choices:
             raise ValueError(f"{key}: invalid choice: {cfg[key]!r} "
                              f"(choose from {', '.join(opt.choices)})")
+    check_gaps(cfg["gap_factor"], cfg["min_gap"])
     _finalize_amplitudes(cfg)
     return cfg
 
@@ -302,26 +308,26 @@ def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
 
 def _environment(command: str, cfg: Dict) -> Dict:
     """Usable cores, the BLAS numpy was built against, the thread variables
-    as set, and the budget the command's solves ran with: BLAS threads per
-    solve (null when solves go through np.linalg.eig), solves at once in
-    the process, and the bound dgeev symbol."""
+    as set, and the budget the command ran with: BLAS threads (1, as main
+    sets for every command; null when solves go through np.linalg.eig),
+    solves at once in the process, and the bound dgeev symbol."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no mode argument
         blas = {}
     if command == "threshold":
-        threads, lanes = 1, lapack.solve_lanes()
+        lanes = lapack.solve_lanes()
     elif command == "sweep":
         from .sweep import sweep_lanes
-        threads, lanes = 1, sweep_lanes(cfg["workers"])
+        lanes = sweep_lanes(cfg["workers"])
     else:
-        threads, lanes = lapack.get_threads(), 1
+        lanes = 1
     return {"cores": lapack.usable_cores(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "thread_env": {k: os.environ.get(k) for k in
                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                             "MKL_NUM_THREADS")},
-            "blas_threads": threads if lapack.symbol() else None,
+            "blas_threads": 1 if lapack.symbol() else None,
             "solve_lanes": lanes,
             "lapack": lapack.symbol()}
 
@@ -612,9 +618,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     command = args.command
     try:
-        cfg = _resolve_config(args, command)
-        out = args.out if args.out else command
-        return COMMANDS[command](cfg, out)
+        with lapack.threads(1):
+            cfg = _resolve_config(args, command)
+            out = args.out if args.out else command
+            return COMMANDS[command](cfg, out)
     except CapacityError as exc:
         print(f"error (capacity): {exc}", file=sys.stderr)
         return 3

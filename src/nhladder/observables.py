@@ -29,6 +29,8 @@ CHUNK = 128
 # what a sweep can tabulate at each grid point (sweep.SweepSpec.observables)
 OBSERVABLES = ("max_im_global", "max_im_per_cluster", "ncor_of_max_im_state",
                "polarization", "entropies", "threshold")
+# the clusters whose reality a threshold search tests (bound_clusters)
+SELECTORS = ("all", "scattering", "bound")
 
 
 def _weights(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
@@ -248,6 +250,22 @@ def default_min_gap(jl: float, jr: float) -> float:
     return 0.1 * max(abs(jl), abs(jr))
 
 
+def check_gaps(gap_factor: float, min_gap: Optional[float] = None) -> None:
+    """Raise ValueError unless gap_factor is positive and min_gap, where
+    given, non-negative (neither NaN); None stands for default_min_gap."""
+    if not gap_factor > 0.0:
+        raise ValueError(f"gap_factor must be positive, got {gap_factor}")
+    if min_gap is not None and not min_gap >= 0.0:
+        raise ValueError(f"min_gap must be non-negative, got {min_gap}")
+
+
+def check_selector(selector: str) -> None:
+    """Raise ValueError unless selector is one of SELECTORS."""
+    if selector not in SELECTORS:
+        raise ValueError(f"selector must be one of {', '.join(SELECTORS)}, "
+                         f"got {selector!r}")
+
+
 def _median(values: np.ndarray) -> float:
     """np.median of a non-empty array of finite floats, bit for bit, from a
     sort: np.median's NaN check imports numpy.ma."""
@@ -266,10 +284,7 @@ def cluster_spectrum(result: SpectrumResult, gap_factor: float = 10.0,
     Every eigenvalue index lands in exactly one cluster; clusters are
     returned ordered by Re(E).
     """
-    if not gap_factor > 0.0:
-        raise ValueError(f"gap_factor must be positive, got {gap_factor}")
-    if not min_gap >= 0.0:
-        raise ValueError(f"min_gap must be non-negative, got {min_gap}")
+    check_gaps(gap_factor, min_gap)
     ev = result.eigenvalues
     order = np.argsort(ev.real, kind="stable")
     res = ev.real[order]

@@ -25,9 +25,9 @@ from .eig import check_eps_im, default_eps_im, eigendecompose
 from .fock import enumerate_basis
 from .model import (FLOAT_FIELDS, ModelParams, build_hamiltonian, diagonal_counts,
                     sector_basis)
-from .observables import (OBSERVABLES, bound_clusters, cluster_spectrum,
-                          correlation_ncor, cut_entropies, default_min_gap,
-                          polarization)
+from .observables import (OBSERVABLES, bound_clusters, check_gaps,
+                          check_selector, cluster_spectrum, correlation_ncor,
+                          cut_entropies, default_min_gap, polarization)
 # bound here for perfbench/tracing.py, which wraps these names in this module
 from .observables import entanglement_entropy, site_density  # noqa: F401
 
@@ -82,6 +82,8 @@ class SweepSpec:
             raise ValueError("at least one observable is required")
         if self.eps_im is not None:
             check_eps_im(self.eps_im)
+        check_gaps(self.gap_factor, self.min_gap)
+        check_selector(self.threshold_selector)
 
 
 @dataclass(frozen=True)
@@ -217,9 +219,6 @@ def _max_im_for_selector(result, params: ModelParams, selector: str,
                          gap_factor: float, min_gap: float) -> float:
     if selector == "all":
         return float(np.max(np.abs(result.eigenvalues.imag)))
-    if selector not in ("scattering", "bound"):
-        raise ValueError(f"cluster_selector must be 'all', 'scattering', or "
-                         f"'bound', got {selector!r}")
     peaks = _peaks_by_group(result, params, gap_factor, min_gap)
     return max(peaks[selector], default=0.0)
 
@@ -239,7 +238,9 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     resolution and jp_star is its upper end. A non-monotone pre-scan falls
     back to a full scan at the resolution step and returns the first
     crossing. Raises ValueError when the bracket does not actually bracket
-    a crossing, or when eps_im is negative or NaN.
+    a crossing, or, before any solve, when eps_im is negative or NaN,
+    gap_factor or min_gap is out of range (observables.check_gaps) or
+    cluster_selector is not one of observables.SELECTORS.
 
     Solves run on lapack.solve_lanes() threads at one BLAS thread each, as
     inside a sweep; the pool size is restored afterwards. With two lanes the
@@ -266,6 +267,8 @@ def _search(params: ModelParams, cluster_selector: str,
         raise ValueError(f"resolution must be positive, got {resolution}")
     if eps_im is not None:
         check_eps_im(eps_im)
+    check_gaps(gap_factor, min_gap)
+    check_selector(cluster_selector)
     basis = sector_basis(params, capacity=capacity)
     if min_gap is None:
         min_gap = default_min_gap(params.jl_a, params.jr_a)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nhladder.cli as cli
+from nhladder import lapack
 from nhladder.eig import ConvergenceError
 from nhladder.cli import main
 
@@ -93,9 +94,8 @@ def test_sidecar_environment_round_trips_as_config(tmp_path, monkeypatch):
     assert set(env["blas"]) == {"name", "version"}
     assert env["thread_env"]["OMP_NUM_THREADS"] == "1"
     assert env["thread_env"]["MKL_NUM_THREADS"] is None
-    from nhladder import lapack
     assert env["lapack"] == lapack.symbol()
-    assert env["blas_threads"] == lapack.get_threads()
+    assert env["blas_threads"] == (1 if lapack.symbol() else None)
     assert env["solve_lanes"] == 1
     keys = list(sidecar)
     assert keys.index("diagnostics") == keys.index("environment") + 1
@@ -115,6 +115,67 @@ def test_sidecar_environment_round_trips_as_config(tmp_path, monkeypatch):
     third = tmp_path / "third"
     assert main(["ncor", "--config", f"{first}.json", "--out", str(third)]) == 0
     assert set(read_json(f"{third}.json")["diagnostics"]) == set(diagnostics)
+    # every command runs its BLAS work at one thread
+    assert read_json(f"{third}.json")["environment"]["blas_threads"] == \
+        env["blas_threads"]
+    for command, extra in [("density", []), ("entropy", []),
+                           ("effective", ["--u", "8", "--mu", "0"]),
+                           ("eonsite", ["--mu-range", "0:4"])]:
+        out = tmp_path / command
+        assert main([command, "--config", f"{first}.json", *extra,
+                     "--out", str(out)]) == 0, command
+        assert read_json(f"{out}.json")["environment"]["blas_threads"] == \
+            env["blas_threads"], command
+
+
+D465 = ["--cells", "15", "--particles", "2", "--u", "4", "--jp", "0.01"]
+
+
+@pytest.mark.skipif(lapack.symbol() is None, reason="dgeev is not bound")
+def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path,
+                                                           monkeypatch):
+    # at D=465 dgeev and the polarization matmul give other last bits at
+    # two threads than at one; main runs every command at one thread and
+    # gives the caller's count back on every exit
+    csvs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        with lapack.threads(threads):
+            before = lapack.get_threads()
+            assert main(["spectrum", *D465, "--mu", "0.2",
+                         "--out", str(out)]) == 0
+            assert lapack.get_threads() == before
+        with open(f"{out}.csv", "rb") as handle:
+            csvs.append(handle.read())
+    assert csvs[0] == csvs[1]
+
+    def explode(*args, **kwargs):
+        raise ConvergenceError("synthetic failure")
+
+    with lapack.threads(2):
+        before = lapack.get_threads()
+        assert main(["spectrum", "--cells", "2", "--particles", "1",
+                     "--min-gap", "-1", "--out", str(tmp_path / "x")]) == 2
+        assert lapack.get_threads() == before
+        assert main(["spectrum", "--cells", "20", "--particles", "2",
+                     "--capacity", "100", "--out", str(tmp_path / "x")]) == 3
+        assert lapack.get_threads() == before
+        monkeypatch.setattr(cli, "eigendecompose", explode)
+        assert main(["spectrum", "--cells", "2", "--particles", "1",
+                     "--out", str(tmp_path / "x")]) == 4
+        assert lapack.get_threads() == before
+
+
+@pytest.mark.skipif(lapack.symbol() is None, reason="dgeev is not bound")
+def test_spectrum_max_im_equals_one_point_sweep(tmp_path):
+    with lapack.threads(2):
+        assert main(["spectrum", *D465, "--mu", "0.2",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert main(["sweep", *D465, "--axis", "mu:0.2:0.2:1",
+                     "--out", str(tmp_path / "w")]) == 0
+    (row,) = read_csv(tmp_path / "w.csv")
+    max_im = read_json(tmp_path / "s.json")["results"]["max_im"]
+    assert float(row["max_im_global"]) == max_im
 
 
 def test_j_alpha_parameterization(tmp_path):
@@ -211,18 +272,24 @@ def test_negative_eps_im_is_rejected(tmp_path, capsys):
 def test_nan_options_are_rejected(tmp_path, capsys):
     # every comparison with NaN is False, so a NaN bound would pass a
     # "reject if <= 0" test and silently change the result
-    cases = {"resolution": ["threshold", "--cells", "8", "--particles", "1",
-                            "--mu", "0.2", "--bracket", "0:0.2",
-                            "--resolution", "nan"],
-             "min_gap": ["spectrum", "--cells", "6", "--particles", "2",
-                         "--min-gap", "nan"],
-             "gap_factor": ["spectrum", "--cells", "6", "--particles", "2",
-                            "--gap-factor", "nan"]}
-    for key, argv in cases.items():
+    cases = [("resolution", ["threshold", "--cells", "8", "--particles", "1",
+                             "--mu", "0.2", "--bracket", "0:0.2",
+                             "--resolution", "nan"]),
+             ("min_gap", ["spectrum", "--cells", "6", "--particles", "2",
+                          "--min-gap", "nan"]),
+             ("gap_factor", ["spectrum", "--cells", "6", "--particles", "2",
+                             "--gap-factor", "nan"]),
+             # a sweep checks it before its points, not in each point's row
+             ("gap_factor", ["sweep", "--cells", "4", "--particles", "2",
+                             "--axis", "jp:0:0.1:3",
+                             "--observables", "max_im_per_cluster",
+                             "--gap-factor", "nan"])]
+    for case, (key, argv) in enumerate(cases):
+        out = tmp_path / f"case{case}"
         capsys.readouterr()
-        assert main([*argv, "--out", str(tmp_path / key)]) == 2, argv
+        assert main([*argv, "--out", str(out)]) == 2, argv
         assert f"{key} must be" in capsys.readouterr().err
-        assert not (tmp_path / key).exists()
+        assert not list(tmp_path.glob(f"case{case}*"))
 
 
 def test_exit_code_3_on_capacity(tmp_path, monkeypatch):
@@ -310,7 +377,6 @@ def test_sweep_command(tmp_path):
     assert all(r["error"] == "" for r in rows)
     sidecar = read_json(f"{out}.json")
     assert sidecar["results"]["failures"] == 0
-    from nhladder import lapack
     env = sidecar["environment"]
     assert env["blas_threads"] == (1 if lapack.symbol() else None)
     assert env["solve_lanes"] == 2  # --workers 2: two points at once
@@ -335,7 +401,6 @@ def test_sweep_requires_axis(tmp_path):
 
 def test_threshold_command(tmp_path, monkeypatch):
     import nhladder.sweep as sweep_mod
-    from nhladder import lapack
 
     threads = []
     original = sweep_mod.eigendecompose

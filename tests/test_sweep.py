@@ -297,6 +297,25 @@ def test_negative_or_nan_eps_im_is_rejected(eps_im):
         small_spec(eps_im=eps_im)
 
 
+def test_cluster_inputs_are_rejected_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the inputs were checked")
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", no_solve)
+    for bad, message in [(dict(gap_factor=math.nan), "gap_factor must be"),
+                         (dict(min_gap=-1.0), "min_gap must be"),
+                         (dict(threshold_selector="bogus"), "selector must be")]:
+        with pytest.raises(ValueError, match=message):
+            small_spec(**bad)
+    p = ModelParams(cells=4, particles=2, u=4.0, mu=0.2)
+    for bad, message in [(dict(gap_factor=0.0), "gap_factor must be"),
+                         (dict(cluster_selector="bogus"), "selector must be"),
+                         (dict(cluster_selector="bound", gap_factor=math.nan),
+                          "gap_factor must be")]:
+        with pytest.raises(ValueError, match=message):
+            find_threshold_jp(p, **bad)
+
+
 def _recording_solves(monkeypatch):
     """Patch the sweep's eigendecompose to record, for each solve, the
     solves running at once, the BLAS thread count and the process id."""
