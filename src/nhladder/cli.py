@@ -3,9 +3,17 @@
 Subcommands: spectrum, density, ncor, entropy, sweep, threshold, effective,
 eonsite. Parameters resolve in three layers: built-in defaults, then a JSON
 config file (--config), then explicit flags. Passing a result sidecar JSON
-as --config reruns its stored configuration. Every command writes CSV and/or
-JSON outputs plus a sidecar named <out>.json holding the resolved config,
-headline results, timings, and library versions.
+as --config reruns its stored configuration.
+
+Each command computes and returns an Outcome; main alone writes it: the
+command's CSV tables (<out>.csv for spectrum, density, sweep and effective,
+<out>_classes.csv and <out>_crossings.csv for eonsite, none for ncor,
+entropy and threshold), then the sidecar <out>.json holding the command,
+resolved config, headline results, the paths written, timings, environment,
+solver diagnostics and library versions, then two stdout lines:
+"<command>: <summary>" and "wrote <paths>". Inputs that need no spectrum
+(--select spellings, an index past the sector dimension, the particle count
+of ncor and of pair densities) are rejected before any solve.
 
 Exit codes: 0 success, 2 configuration or parameter errors, 3 capacity
 overruns, 4 solver or verification failures.
@@ -34,7 +42,7 @@ import numpy as np
 
 from . import __version__, lapack
 from .eig import ConvergenceError, default_eps_im, eigendecompose
-from .fock import CapacityError, site_cell_leg
+from .fock import CapacityError, basis_dimension, site_cell_leg
 from .model import ModelParams, build_hamiltonian, sector_basis
 from .observables import (OBSERVABLES, SELECTORS, check_gaps,
                           cluster_spectrum, correlation_ncor,
@@ -83,6 +91,22 @@ def _text(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
     return value
+
+
+def _selector(value) -> str:
+    """--select text, kept as given: max_im, index:K or cluster:K with K an
+    integer >= 0. An index is checked against the sector dimension, and a
+    cluster id against the clusters, where the command reads it."""
+    text = _text(value)
+    kind, _, number = text.partition(":")
+    try:
+        if text == "max_im" or kind in ("index", "cluster") \
+                and int(number) >= 0:
+            return text
+    except ValueError:
+        pass
+    raise ValueError(f"expected max_im, index:K or cluster:K with K >= 0, "
+                     f"got {text!r}")
 
 
 def _fields(value, sep: Optional[str]) -> Sequence:
@@ -148,7 +172,7 @@ OPTIONS: Dict[str, Option] = {
     "gap_factor": Option("--gap-factor", _float, 10.0),
     "min_gap": Option("--min-gap", _float),
     "capacity": Option("--capacity", _int, help="basis size budget"),
-    "select": Option("--select", _text, "max_im",
+    "select": Option("--select", _selector, "max_im",
                      ("density", "ncor", "entropy"),
                      "max_im | index:K | cluster:K"),
     "kind": Option("--kind", _text, "site", ("density",),
@@ -286,26 +310,6 @@ def _min_gap_from(cfg: Dict, params: ModelParams) -> float:
     return default_min_gap(params.jl_a, params.jr_a)
 
 
-def _sidecar(out: str, command: str, cfg: Dict, results: Dict,
-             outputs: List[str], timings: Dict,
-             diagnostics: Optional[Dict] = None) -> str:
-    """Write <out>.json; diagnostics are those of the command's one
-    eigendecomposition (null for commands that make none or many)."""
-    path = f"{out}.json"
-    payload = {"command": command,
-               "config": {k: v for k, v in cfg.items()},
-               "results": results,
-               "outputs": outputs,
-               "timings": timings,
-               "environment": _environment(command, cfg),
-               "diagnostics": diagnostics,
-               "versions": {"python": platform.python_version(),
-                            "numpy": np.__version__,
-                            "nhladder": __version__}}
-    _write_json(path, payload)
-    return path
-
-
 def _environment(command: str, cfg: Dict) -> Dict:
     """Usable cores, the BLAS numpy was built against, the thread variables
     as set, and the budget the command ran with: BLAS threads (1, as main
@@ -332,6 +336,46 @@ def _environment(command: str, cfg: Dict) -> Dict:
             "lapack": lapack.symbol()}
 
 
+class Outcome(NamedTuple):
+    """What a command returns for main to write: the sidecar's results, the
+    CSV tables as (header, rows) keyed by file suffix ("" for <out>.csv),
+    the timings, the diagnostics of its one eigendecomposition (None for
+    commands that make none or many) and the summary line it prints."""
+
+    results: Dict
+    tables: Dict[str, Tuple[Sequence[str], Sequence[Sequence]]]
+    timings: Dict
+    diagnostics: Optional[Dict]
+    summary: str
+
+
+def _write_outputs(command: str, cfg: Dict, out: str, run: Outcome) -> None:
+    """Write the tables as <out><suffix>.csv in order, then the sidecar
+    <out>.json listing them, then print the summary and the paths."""
+    paths = []
+    for suffix, (header, rows) in run.tables.items():
+        paths.append(f"{out}{suffix}.csv")
+        _write_csv(paths[-1], header, rows)
+    sidecar = f"{out}.json"
+    _write_json(sidecar, {"command": command,
+                          "config": cfg,
+                          "results": run.results,
+                          "outputs": paths,
+                          "timings": run.timings,
+                          "environment": _environment(command, cfg),
+                          "diagnostics": run.diagnostics,
+                          "versions": {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "nhladder": __version__}})
+    print(f"{command}: {run.summary}")
+    print("wrote", *paths, sidecar)
+
+
+def _table(header: Sequence[str], records: Sequence[Dict]):
+    """(header, rows) of each record's values under the header's names."""
+    return header, [[record[key] for key in header] for record in records]
+
+
 def _diagonalize(cfg: Dict):
     params = _params_from_config(cfg)
     t0 = time.perf_counter()
@@ -354,7 +398,7 @@ def _cluster_payload(clusters) -> List[Dict]:
     return payload
 
 
-def cmd_spectrum(cfg: Dict, out: str) -> int:
+def cmd_spectrum(cfg: Dict) -> Outcome:
     """Full spectrum with per-state observables."""
     params, basis, result, timings = _diagonalize(cfg)
     t0 = time.perf_counter()
@@ -378,9 +422,8 @@ def cmd_spectrum(cfg: Dict, out: str) -> int:
         rows.append([i, result.eigenvalues[i].real, result.eigenvalues[i].imag,
                      float(pols[i]), float(ncors[i]), cid, label,
                      float(result.residuals[i])])
-    csv_path = f"{out}.csv"
-    _write_csv(csv_path, ["index", "re_e", "im_e", "polarization", "ncor",
-                          "cluster_id", "cluster_label", "residual"], rows)
+    header = ["index", "re_e", "im_e", "polarization", "ncor", "cluster_id",
+              "cluster_label", "residual"]
 
     eps = cfg["eps_im"] if cfg["eps_im"] is not None \
         else default_eps_im(result.matrix_norm)
@@ -391,43 +434,42 @@ def cmd_spectrum(cfg: Dict, out: str) -> int:
                "max_im": max_im,
                "spectrum_real": max_im <= eps,
                "clusters": _cluster_payload(clusters)}
-    sidecar = _sidecar(out, "spectrum", cfg, results, [csv_path], timings,
-                       result.diagnostics)
-    print(f"spectrum: dimension={result.dimension} max_im={max_im:.6g} "
-          f"eps_im={eps:.3g} clusters="
-          f"{[(c['label'], c['size']) for c in results['clusters']]}")
-    print(f"wrote {csv_path} {sidecar}")
-    return 0
+    return Outcome(results, {"": (header, rows)}, timings, result.diagnostics,
+                   f"dimension={result.dimension} max_im={max_im:.6g} "
+                   f"eps_im={eps:.3g} clusters="
+                   f"{[(c.label, c.size) for c in clusters]}")
 
 
 def _selected_state(cfg: Dict):
     """Diagonalize and pick the state named by --select: max_im (largest
     |Im E|), index:K, or cluster:K (the representative, max-|Im E| member
-    of cluster K).
+    of cluster K). An index past the sector dimension is rejected before
+    the solve; a cluster id needs the spectrum, so it is checked after.
 
     Returns params, basis, the state's eigenvector, the results dict opened
     with the state's index and eigenvalue, the timings and the solve's
     diagnostics."""
+    kind, _, number = cfg["select"].partition(":")
+    k = int(number or 0)
+    if kind == "index":
+        params = _params_from_config(cfg)
+        dimension = basis_dimension(params.cells, params.particles,
+                                    params.statistics)
+        if k >= dimension:
+            raise ValueError(f"select: state index {k} out of range "
+                             f"0..{dimension - 1}")
     params, basis, result, timings = _diagonalize(cfg)
-    selector = cfg["select"]
-    if selector == "max_im":
+    if kind == "max_im":
         state = int(np.argmax(np.abs(result.eigenvalues.imag)))
-    elif selector.startswith("index:"):
-        state = int(selector.split(":", 1)[1])
-        if not 0 <= state < result.dimension:
-            raise ValueError(f"state index {state} out of range "
-                             f"0..{result.dimension - 1}")
-    elif selector.startswith("cluster:"):
+    elif kind == "index":
+        state = k
+    else:
         clusters = cluster_spectrum(result, gap_factor=cfg["gap_factor"],
                                     min_gap=_min_gap_from(cfg, params))
-        cluster_id = int(selector.split(":", 1)[1])
-        if not 0 <= cluster_id < len(clusters):
-            raise ValueError(f"cluster id {cluster_id} out of range "
+        if k >= len(clusters):
+            raise ValueError(f"cluster id {k} out of range "
                              f"0..{len(clusters) - 1}")
-        state = clusters[cluster_id].representative
-    else:
-        raise ValueError(f"selector must be 'max_im', 'index:K', or "
-                         f"'cluster:K', got {selector!r}")
+        state = clusters[k].representative
     results = {"state_index": state,
                "re_e": result.eigenvalues[state].real,
                "im_e": result.eigenvalues[state].imag}
@@ -435,55 +477,53 @@ def _selected_state(cfg: Dict):
             result.diagnostics)
 
 
-def cmd_density(cfg: Dict, out: str) -> int:
+def cmd_density(cfg: Dict) -> Outcome:
     """Site or pair density of one state."""
+    if cfg["kind"] == "pair" and cfg["particles"] < 2:
+        raise ValueError(f"pair density needs at least two particles, "
+                         f"got {cfg['particles']}")
     params, basis, vec, results, timings, diagnostics = _selected_state(cfg)
-    csv_path = f"{out}.csv"
     if cfg["kind"] == "site":
         dens = site_density(vec, basis)
-        rows = [[s, *site_cell_leg(s, params.cells), float(dens[s])]
-                for s in range(basis.nsites)]
-        _write_csv(csv_path, ["site", "cell", "leg", "density"], rows)
+        table = (["site", "cell", "leg", "density"],
+                 [[s, *site_cell_leg(s, params.cells), float(dens[s])]
+                  for s in range(basis.nsites)])
         total = float(dens.sum())
     else:
         rho = pair_density(vec, basis)
-        rows = [[x1, x2, float(rho[x1, x2])]
-                for x1 in range(basis.nsites) for x2 in range(basis.nsites)]
-        _write_csv(csv_path, ["site1", "site2", "value"], rows)
+        table = (["site1", "site2", "value"],
+                 [[x1, x2, float(rho[x1, x2])]
+                  for x1 in range(basis.nsites) for x2 in range(basis.nsites)])
         total = float(rho.sum())
     results.update(kind=cfg["kind"], total=total)
-    sidecar = _sidecar(out, "density", cfg, results, [csv_path], timings,
-                       diagnostics)
-    print(f"density: state={results['state_index']} e=({results['re_e']:.6g}, "
-          f"{results['im_e']:.6g}) kind={cfg['kind']}")
-    print(f"wrote {csv_path} {sidecar}")
-    return 0
+    return Outcome(results, {"": table}, timings, diagnostics,
+                   f"state={results['state_index']} e=({results['re_e']:.6g}, "
+                   f"{results['im_e']:.6g}) kind={cfg['kind']}")
 
 
-def cmd_ncor(cfg: Dict, out: str) -> int:
+def cmd_ncor(cfg: Dict) -> Outcome:
     """Pair participation of one state."""
+    if cfg["particles"] != 2:
+        raise ValueError(f"ncor needs exactly two particles, "
+                         f"got {cfg['particles']}")
     params, basis, vec, results, timings, diagnostics = _selected_state(cfg)
     results["ncor"] = correlation_ncor(vec, basis)
-    sidecar = _sidecar(out, "ncor", cfg, results, [], timings, diagnostics)
-    print(f"ncor: state={results['state_index']} "
-          f"ncor={results['ncor']:.6g}")
-    print(f"wrote {sidecar}")
-    return 0
+    return Outcome(results, {}, timings, diagnostics,
+                   f"state={results['state_index']} "
+                   f"ncor={results['ncor']:.6g}")
 
 
-def cmd_entropy(cfg: Dict, out: str) -> int:
+def cmd_entropy(cfg: Dict) -> Outcome:
     """Cut entropies of one state."""
     params, basis, vec, results, timings, diagnostics = _selected_state(cfg)
     results.update(cut_entropies(vec, basis))
-    sidecar = _sidecar(out, "entropy", cfg, results, [], timings, diagnostics)
-    print(f"entropy: state={results['state_index']} "
-          f"s_ab={results['s_ab']:.6g} "
-          f"s_leftright={results['s_leftright']:.6g}")
-    print(f"wrote {sidecar}")
-    return 0
+    return Outcome(results, {}, timings, diagnostics,
+                   f"state={results['state_index']} "
+                   f"s_ab={results['s_ab']:.6g} "
+                   f"s_leftright={results['s_leftright']:.6g}")
 
 
-def cmd_sweep(cfg: Dict, out: str) -> int:
+def cmd_sweep(cfg: Dict) -> Outcome:
     """Observables over a parameter grid."""
     from .sweep import Axis, SweepSpec
     params = _params_from_config(cfg)
@@ -498,18 +538,14 @@ def cmd_sweep(cfg: Dict, out: str) -> int:
                              capacity=cfg["capacity"])
     timings = {"sweep_s": time.perf_counter() - t0}
     header = list(rows[0].keys())
-    csv_path = f"{out}.csv"
-    _write_csv(csv_path, header, [[row[k] for k in header] for row in rows])
     failures = sum(1 for row in rows if row["error"])
     results = {"points": len(rows), "failures": failures, "columns": header}
-    sidecar = _sidecar(out, "sweep", cfg, results, [csv_path], timings)
-    print(f"sweep: {len(rows)} points, {failures} failures, "
-          f"columns={header}")
-    print(f"wrote {csv_path} {sidecar}")
-    return 0
+    return Outcome(results, {"": _table(header, rows)}, timings, None,
+                   f"{len(rows)} points, {failures} failures, "
+                   f"columns={header}")
 
 
-def cmd_threshold(cfg: Dict, out: str) -> int:
+def cmd_threshold(cfg: Dict) -> Outcome:
     """Rung coupling where the spectrum turns complex."""
     params = _params_from_config(cfg)
     t0 = time.perf_counter()
@@ -527,15 +563,13 @@ def cmd_threshold(cfg: Dict, out: str) -> int:
                "evaluations": res.evaluations,
                "used_fallback": res.used_fallback,
                "trace": [list(point) for point in res.trace]}
-    sidecar = _sidecar(out, "threshold", cfg, results, [], timings)
-    print(f"threshold: jp_star={res.jp_star:.6g} "
-          f"bracket=({res.bracket[0]:.6g}, {res.bracket[1]:.6g}) "
-          f"evaluations={res.evaluations}")
-    print(f"wrote {sidecar}")
-    return 0
+    return Outcome(results, {}, timings, None,
+                   f"jp_star={res.jp_star:.6g} "
+                   f"bracket=({res.bracket[0]:.6g}, {res.bracket[1]:.6g}) "
+                   f"evaluations={res.evaluations}")
 
 
-def cmd_effective(cfg: Dict, out: str) -> int:
+def cmd_effective(cfg: Dict) -> Outcome:
     """Bound-pair band versus the effective pair model."""
     from .perturb import validate_effective_model
     params = _params_from_config(cfg)
@@ -546,9 +580,7 @@ def cmd_effective(cfg: Dict, out: str) -> int:
     for i, (f, e) in enumerate(zip(report.full_eigenvalues,
                                    report.effective_eigenvalues)):
         rows.append([i, f.real, f.imag, e.real, e.imag, abs(f - e)])
-    csv_path = f"{out}.csv"
-    _write_csv(csv_path, ["index", "re_full", "im_full", "re_eff", "im_eff",
-                          "abs_dev"], rows)
+    header = ["index", "re_full", "im_full", "re_eff", "im_eff", "abs_dev"]
     results = {"max_dev": report.max_dev,
                "max_dev_abs": report.max_dev_abs,
                "doubled_max_dev": report.doubled_max_dev,
@@ -556,14 +588,12 @@ def cmd_effective(cfg: Dict, out: str) -> int:
                "rung_coupling": report.rung_coupling,
                "full_eigenvalues": report.full_eigenvalues,
                "effective_eigenvalues": report.effective_eigenvalues}
-    sidecar = _sidecar(out, "effective", cfg, results, [csv_path], timings)
-    print(f"effective: max_dev={report.max_dev:.6g} ratio={report.ratio:.6g} "
-          f"rung_coupling={report.rung_coupling:.6g}")
-    print(f"wrote {csv_path} {sidecar}")
-    return 0
+    return Outcome(results, {"": (header, rows)}, timings, None,
+                   f"max_dev={report.max_dev:.6g} ratio={report.ratio:.6g} "
+                   f"rung_coupling={report.rung_coupling:.6g}")
 
 
-def cmd_eonsite(cfg: Dict, out: str) -> int:
+def cmd_eonsite(cfg: Dict) -> Outcome:
     """Diagonal-energy classes and crossings."""
     from .sweep import eonsite_table
     params = _params_from_config(cfg)
@@ -571,23 +601,14 @@ def cmd_eonsite(cfg: Dict, out: str) -> int:
     table = eonsite_table(params, cfg["mu_range"], capacity=cfg["capacity"])
     timings = {"table_s": time.perf_counter() - t0}
     quanta_name = "pairs" if params.statistics == "boson" else "adjacency"
-    classes_path = f"{out}_classes.csv"
-    _write_csv(classes_path,
-               ["class_id", quanta_name, "delta_n", "e_int", "population"],
-               [[r["class_id"], r[quanta_name], r["delta_n"], r["e_int"],
-                 r["population"]] for r in table.classes])
-    crossings_path = f"{out}_crossings.csv"
-    _write_csv(crossings_path,
-               ["class_i", "class_j", "mu_star", "order", "e_at_crossing"],
-               [[r["class_i"], r["class_j"], r["mu_star"], r["order"],
-                 r["e_at_crossing"]] for r in table.crossings])
+    tables = {"_classes": _table(["class_id", quanta_name, "delta_n",
+                                  "e_int", "population"], table.classes),
+              "_crossings": _table(["class_i", "class_j", "mu_star", "order",
+                                    "e_at_crossing"], table.crossings)}
     results = {"classes": table.classes, "crossings": table.crossings}
-    sidecar = _sidecar(out, "eonsite", cfg, results,
-                       [classes_path, crossings_path], timings)
-    print(f"eonsite: {len(table.classes)} classes, "
-          f"{len(table.crossings)} crossings in mu range {cfg['mu_range']}")
-    print(f"wrote {classes_path} {crossings_path} {sidecar}")
-    return 0
+    return Outcome(results, tables, timings, None,
+                   f"{len(table.classes)} classes, {len(table.crossings)} "
+                   f"crossings in mu range {cfg['mu_range']}")
 
 
 COMMANDS = {"spectrum": cmd_spectrum, "density": cmd_density,
@@ -620,8 +641,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with lapack.threads(1):
             cfg = _resolve_config(args, command)
-            out = args.out if args.out else command
-            return COMMANDS[command](cfg, out)
+            _write_outputs(command, cfg, args.out or command,
+                           COMMANDS[command](cfg))
+        return 0
     except CapacityError as exc:
         print(f"error (capacity): {exc}", file=sys.stderr)
         return 3

@@ -26,9 +26,15 @@ SIDE_THRESHOLD = 0.60
 ALLOWED_LABELS = ("RS", "BiS", "LS", "RB", "LB", "mixed", "unclassified")
 # eigenvector columns whose weights are formed at once
 CHUNK = 128
-# what a sweep can tabulate at each grid point (sweep.SweepSpec.observables)
-OBSERVABLES = ("max_im_global", "max_im_per_cluster", "ncor_of_max_im_state",
-               "polarization", "entropies", "threshold")
+# what a sweep can tabulate at each grid point (sweep.SweepSpec.observables),
+# each with the table columns it fills, in column order
+OBSERVABLES = {"max_im_global": ("max_im_global",),
+               "max_im_per_cluster": ("max_im_scattering", "max_im_bound"),
+               "ncor_of_max_im_state": ("ncor_of_max_im_state",),
+               "polarization": ("polarization",),
+               "entropies": ("s_ab", "s_leftright", "rho_a_frac",
+                             "rho_left_frac"),
+               "threshold": ("jp_star",)}
 # the clusters whose reality a threshold search tests (bound_clusters)
 SELECTORS = ("all", "scattering", "bound")
 

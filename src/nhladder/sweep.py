@@ -77,7 +77,7 @@ class SweepSpec:
         for obs in self.observables:
             if obs not in OBSERVABLES:
                 raise ValueError(f"unknown observable {obs!r}; "
-                                 f"choose from {OBSERVABLES}")
+                                 f"choose from {tuple(OBSERVABLES)}")
         if not self.observables:
             raise ValueError("at least one observable is required")
         if self.eps_im is not None:
@@ -114,21 +114,7 @@ def _point_params(spec: SweepSpec, values: Tuple[float, ...]) -> ModelParams:
 
 
 def _observable_columns(observables: Sequence[str]) -> List[str]:
-    cols: List[str] = []
-    for obs in observables:
-        if obs == "max_im_global":
-            cols.append("max_im_global")
-        elif obs == "max_im_per_cluster":
-            cols.extend(["max_im_scattering", "max_im_bound"])
-        elif obs == "ncor_of_max_im_state":
-            cols.append("ncor_of_max_im_state")
-        elif obs == "polarization":
-            cols.append("polarization")
-        elif obs == "entropies":
-            cols.extend(["s_ab", "s_leftright", "rho_a_frac", "rho_left_frac"])
-        elif obs == "threshold":
-            cols.append("jp_star")
-    return cols
+    return [col for obs in observables for col in OBSERVABLES[obs]]
 
 
 def _peaks_by_group(result, params: ModelParams, gap_factor: float,

@@ -191,7 +191,7 @@ def test_j_alpha_parameterization(tmp_path):
     assert cfgout["jr_b"] == pytest.approx(1.0)
 
 
-def test_exit_code_2_on_config_errors(tmp_path, capsys):
+def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
     # missing cells
     assert main(["spectrum", "--particles", "1"]) == 2
     # unknown config key
@@ -230,6 +230,43 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "typed")]) == 2, extra
         err = capsys.readouterr().err
         assert err.startswith("error (config): " + next(iter(extra))), err
+
+    # inputs that need no spectrum are rejected before the solve
+    def solve(*args, **kwargs):
+        pytest.fail("solved before rejecting the input")
+
+    monkeypatch.setattr(cli, "eigendecompose", solve)
+    d820 = ["--cells", "20", "--particles", "2", "--u", "4", "--jp", "0.01"]
+    for argv, start in [
+            (["density", *d820, "--select", "index:abc"], "select"),
+            (["density", *d820, "--select", "bogus"], "select"),
+            (["density", *d820, "--select", "index:-1"], "select"),
+            (["density", *d820, "--select", "index:820"], "select"),
+            (["density", *d820, "--select", "cluster:x"], "select"),
+            (["entropy", *d820, "--select", "cluster:-2"], "select"),
+            (["ncor", "--cells", "8", "--particles", "3", "--u", "4",
+              "--jp", "0.01"], "ncor needs exactly two particles, got 3"),
+            (["density", "--cells", "3", "--particles", "1", "--kind", "pair"],
+             "pair density needs at least two particles, got 1")]:
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "early")]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): " + start), err
+    assert not list(tmp_path.glob("early*"))
+
+
+def test_select_text_round_trips_through_the_sidecar(tmp_path):
+    first = tmp_path / "first"
+    assert main(["density", "--cells", "3", "--particles", "2", "--u", "4",
+                 "--select", "index:05", "--out", str(first)]) == 0
+    sidecar = read_json(f"{first}.json")
+    assert sidecar["config"]["select"] == "index:05"
+    assert sidecar["results"]["state_index"] == 5
+    second = tmp_path / "second"
+    assert main(["density", "--config", f"{first}.json",
+                 "--out", str(second)]) == 0
+    with open(f"{first}.csv", "rb") as a, open(f"{second}.csv", "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_float_keys_reject_json_booleans(tmp_path, capsys):
@@ -538,7 +575,15 @@ SURFACE = {
 }
 
 
-def test_option_surface_is_pinned(tmp_path):
+# The CSV files each command writes, by the suffix after its --out prefix.
+CSV_SUFFIXES = {"spectrum": [""], "density": [""], "ncor": [], "entropy": [],
+                "sweep": [""], "threshold": [], "effective": [""],
+                "eonsite": ["_classes", "_crossings"]}
+SIDECAR_LAYOUT = ["command", "config", "results", "outputs", "timings",
+                  "environment", "diagnostics", "versions"]
+
+
+def test_option_surface_is_pinned(tmp_path, capsys):
     parser = cli._build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
@@ -548,10 +593,21 @@ def test_option_surface_is_pinned(tmp_path):
                     for s in a.option_strings} - {"-h", "--help"}
         assert accepted == set(MODEL_FLAGS + flags), command
         assert list(cli._options_for(command)) == MODEL_KEYS + keys, command
-        out = tmp_path / command
+        (tmp_path / command).mkdir()
+        out = tmp_path / command / "run"
+        capsys.readouterr()
         assert main([command, *argv, "--out", str(out)]) == 0, command
-        assert list(read_json(f"{out}.json")["config"]) == \
-            SIDECAR_KEYS + keys, command
+        stdout = capsys.readouterr().out.splitlines()
+        sidecar = read_json(f"{out}.json")
+        assert list(sidecar["config"]) == SIDECAR_KEYS + keys, command
+        # the output contract: the tables, then the sidecar naming them
+        assert list(sidecar) == SIDECAR_LAYOUT, command
+        outputs = [f"{out}{suffix}.csv" for suffix in CSV_SUFFIXES[command]]
+        assert sidecar["outputs"] == outputs, command
+        assert sorted(str(p) for p in (tmp_path / command).iterdir()) == \
+            sorted([*outputs, f"{out}.json"]), command
+        assert len(stdout) == 2 and stdout[0].startswith(f"{command}: ")
+        assert stdout[-1] == " ".join(["wrote", *outputs, f"{out}.json"])
 
 
 @pytest.mark.parametrize("command", list(SURFACE))

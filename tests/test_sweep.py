@@ -7,7 +7,7 @@ import nhladder.sweep as sweep_mod
 from nhladder import lapack
 from nhladder.eig import default_eps_im, eigendecompose
 from nhladder.model import ModelParams, build_hamiltonian, sector_basis
-from nhladder.observables import cluster_spectrum
+from nhladder.observables import OBSERVABLES, cluster_spectrum
 from nhladder.sweep import (Axis, EonsiteTable, SweepSpec, ThresholdResult,
                             eonsite_table, find_threshold_jp, run_sweep)
 
@@ -137,6 +137,18 @@ def test_entropy_columns():
             assert math.isfinite(row[col])
         assert 0.0 <= row["rho_a_frac"] <= 1.0
         assert 0.0 <= row["rho_left_frac"] <= 1.0
+
+
+def test_row_columns_are_those_observables_declares():
+    # each observable fills exactly its declared columns, in request order
+    names = list(reversed(OBSERVABLES))
+    rows = run_sweep(small_spec(observables=tuple(names),
+                                threshold_bracket=(0.0, 0.3),
+                                threshold_resolution=0.05))
+    assert list(rows[0]) == ["jp", *(col for name in names
+                                     for col in OBSERVABLES[name]), "error"]
+    assert all(list(row) == list(rows[0]) and row["error"] == ""
+               for row in rows)
 
 
 def test_ncor_column_is_nan_for_other_particle_numbers():
