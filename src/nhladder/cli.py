@@ -11,7 +11,9 @@ command's CSV tables (<out>.csv for spectrum, density, sweep and effective,
 entropy and threshold), then the sidecar <out>.json holding the command,
 resolved config, headline results, the paths written, timings, environment,
 solver diagnostics and library versions, then two stdout lines:
-"<command>: <summary>" and "wrote <paths>". Inputs that need no spectrum
+"<command>: <summary>" and "wrote <paths>". The results of threshold,
+effective and eonsite are the fields of the result dataclass their library
+call returns, in declaration order (_record). Inputs that need no spectrum
 (--select spellings, an index past the sector dimension, the particle count
 of ncor and of pair densities) are rejected before any solve.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -376,6 +379,13 @@ def _table(header: Sequence[str], records: Sequence[Dict]):
     return header, [[record[key] for key in header] for record in records]
 
 
+def _record(record, *skip: str) -> Dict:
+    """A result dataclass's fields in declaration order, less those named in
+    skip: the sidecar results of a command whose library call returns one."""
+    return {f.name: getattr(record, f.name)
+            for f in dataclasses.fields(record) if f.name not in skip}
+
+
 def _diagonalize(cfg: Dict):
     params = _params_from_config(cfg)
     t0 = time.perf_counter()
@@ -557,13 +567,7 @@ def cmd_threshold(cfg: Dict) -> Outcome:
                                     min_gap=cfg["min_gap"],
                                     capacity=cfg["capacity"])
     timings = {"search_s": time.perf_counter() - t0}
-    results = {"jp_star": res.jp_star,
-               "bracket": list(res.bracket),
-               "eps_im": res.eps_im,
-               "evaluations": res.evaluations,
-               "used_fallback": res.used_fallback,
-               "trace": [list(point) for point in res.trace]}
-    return Outcome(results, {}, timings, None,
+    return Outcome(_record(res), {}, timings, None,
                    f"jp_star={res.jp_star:.6g} "
                    f"bracket=({res.bracket[0]:.6g}, {res.bracket[1]:.6g}) "
                    f"evaluations={res.evaluations}")
@@ -574,39 +578,30 @@ def cmd_effective(cfg: Dict) -> Outcome:
     from .perturb import validate_effective_model
     params = _params_from_config(cfg)
     t0 = time.perf_counter()
-    report = validate_effective_model(params, capacity=cfg["capacity"])
+    report = validate_effective_model(params, capacity=cfg["capacity"],
+                                      gap_factor=cfg["gap_factor"],
+                                      min_gap=cfg["min_gap"])
     timings = {"validate_s": time.perf_counter() - t0}
-    rows = []
-    for i, (f, e) in enumerate(zip(report.full_eigenvalues,
-                                   report.effective_eigenvalues)):
-        rows.append([i, f.real, f.imag, e.real, e.imag, abs(f - e)])
+    rows = [[i, f.real, f.imag, e.real, e.imag, abs(f - e)]
+            for i, (f, e) in enumerate(zip(report.full_eigenvalues,
+                                           report.effective_eigenvalues))]
     header = ["index", "re_full", "im_full", "re_eff", "im_eff", "abs_dev"]
-    results = {"max_dev": report.max_dev,
-               "max_dev_abs": report.max_dev_abs,
-               "doubled_max_dev": report.doubled_max_dev,
-               "ratio": report.ratio,
-               "rung_coupling": report.rung_coupling,
-               "full_eigenvalues": report.full_eigenvalues,
-               "effective_eigenvalues": report.effective_eigenvalues}
-    return Outcome(results, {"": (header, rows)}, timings, None,
+    return Outcome(_record(report, "params"), {"": (header, rows)},
+                   timings, None,
                    f"max_dev={report.max_dev:.6g} ratio={report.ratio:.6g} "
                    f"rung_coupling={report.rung_coupling:.6g}")
 
 
 def cmd_eonsite(cfg: Dict) -> Outcome:
     """Diagonal-energy classes and crossings."""
-    from .sweep import eonsite_table
+    from .sweep import CROSSING_COLUMNS, eonsite_table
     params = _params_from_config(cfg)
     t0 = time.perf_counter()
     table = eonsite_table(params, cfg["mu_range"], capacity=cfg["capacity"])
     timings = {"table_s": time.perf_counter() - t0}
-    quanta_name = "pairs" if params.statistics == "boson" else "adjacency"
-    tables = {"_classes": _table(["class_id", quanta_name, "delta_n",
-                                  "e_int", "population"], table.classes),
-              "_crossings": _table(["class_i", "class_j", "mu_star", "order",
-                                    "e_at_crossing"], table.crossings)}
-    results = {"classes": table.classes, "crossings": table.crossings}
-    return Outcome(results, tables, timings, None,
+    tables = {"_classes": _table(list(table.classes[0]), table.classes),
+              "_crossings": _table(CROSSING_COLUMNS, table.crossings)}
+    return Outcome(_record(table), tables, timings, None,
                    f"{len(table.classes)} classes, {len(table.crossings)} "
                    f"crossings in mu range {cfg['mu_range']}")
 

@@ -332,8 +332,7 @@ def _edge_weights(mean_density: np.ndarray, cells: int) -> Tuple[float, float]:
     return float(left / total), float(right / total)
 
 
-def _compose_label(ncor: float, left: float, right: float,
-                   dead_zone: float) -> str:
+def _compose_label(ncor: float, left: float, right: float) -> str:
     if left >= BI_THRESHOLD and right >= BI_THRESHOLD:
         prefix = "Bi"
     elif left >= SIDE_THRESHOLD:
@@ -344,29 +343,30 @@ def _compose_label(ncor: float, left: float, right: float,
         prefix = ""
     if math.isnan(ncor):
         return "unclassified"
-    if -dead_zone <= ncor <= 0.0 or abs(ncor - 2.0) <= dead_zone:
+    if -DEAD_ZONE <= ncor <= 0.0 or abs(ncor - 2.0) <= DEAD_ZONE:
         return "unclassified"
-    if ncor < -dead_zone:
+    if ncor < -DEAD_ZONE:
         label = prefix + "S"
-    elif ncor > 2.0 + dead_zone:
+    elif ncor > 2.0 + DEAD_ZONE:
         label = prefix + "B"
     else:
         label = "mixed"
     return label if label in ALLOWED_LABELS else "unclassified"
 
 
-def classify_cluster(cluster: Cluster, result: SpectrumResult, basis: Basis,
-                     dead_zone: float = DEAD_ZONE) -> str:
+def classify_cluster(cluster: Cluster, result: SpectrumResult,
+                     basis: Basis) -> str:
     """Label one cluster from its mean density profile and the pair
     participation of its representative.
 
     Prefix: Bi when both 25 percent edge windows hold at least 30 percent
     of the mean density, else L or R when one side holds at least 60
     percent. Suffix: S (scattering) for representative ncor below the dead
-    zone around 0, B (bound) above the dead zone around 2; values between
-    give mixed, values inside a dead zone or without a valid prefix and
-    suffix combination give unclassified. For particle numbers other than
-    two the ncor signal is undefined and the label is unclassified.
+    zone [-DEAD_ZONE, 0], B (bound) above the dead zone 2 +/- DEAD_ZONE;
+    values between give mixed, values inside a dead zone or without a valid
+    prefix and suffix combination give unclassified. For particle numbers
+    other than two the ncor signal is undefined and the label is
+    unclassified.
     """
     dens = _per_chunk(lambda w: w.T @ basis.occupations, result.eigenvectors,
                       basis, CHUNK, (basis.nsites,),
@@ -378,13 +378,13 @@ def classify_cluster(cluster: Cluster, result: SpectrumResult, basis: Basis,
                                 basis)
     else:
         ncor = math.nan
-    return _compose_label(ncor, left, right, dead_zone)
+    return _compose_label(ncor, left, right)
 
 
 def label_clusters(result: SpectrumResult, basis: Basis,
-                   gap_factor: float = 10.0, min_gap: float = 0.1,
-                   dead_zone: float = DEAD_ZONE) -> List[Cluster]:
+                   gap_factor: float = 10.0,
+                   min_gap: float = 0.1) -> List[Cluster]:
     """cluster_spectrum followed by classify_cluster on each cluster."""
     clusters = cluster_spectrum(result, gap_factor=gap_factor, min_gap=min_gap)
-    return [replace(c, label=classify_cluster(c, result, basis, dead_zone))
+    return [replace(c, label=classify_cluster(c, result, basis))
             for c in clusters]

@@ -19,7 +19,8 @@ import numpy as np
 
 from .eig import eigendecompose
 from .model import ModelParams, SparseOperator, build_hamiltonian, sector_basis
-from .observables import bound_clusters, cluster_spectrum, default_min_gap
+from .observables import (bound_clusters, check_gaps, cluster_spectrum,
+                          default_min_gap)
 
 RESONANCE_RTOL = 1e-6
 SQRT2 = math.sqrt(2.0)
@@ -111,13 +112,13 @@ class EffectiveModelReport:
     order in 1/u."""
 
     params: ModelParams
-    full_eigenvalues: np.ndarray
-    effective_eigenvalues: np.ndarray
     max_dev: float
     max_dev_abs: float
     doubled_max_dev: float
     ratio: float
-    rung_coupling: float = 0.0
+    rung_coupling: float
+    full_eigenvalues: np.ndarray
+    effective_eigenvalues: np.ndarray
 
 
 def _sorted_pairing(values: np.ndarray) -> np.ndarray:
@@ -125,13 +126,13 @@ def _sorted_pairing(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
-def _bound_band(params: ModelParams, capacity: Optional[int]) -> np.ndarray:
+def _bound_band(params: ModelParams, capacity: Optional[int],
+                gap_factor: float, min_gap: float) -> np.ndarray:
     """Eigenvalues of the full model in the bound clusters (see
     bound_clusters); there must be exactly one per pair site."""
     basis = sector_basis(params, capacity=capacity)
     result = eigendecompose(build_hamiltonian(params, basis), capacity=capacity)
-    min_gap = default_min_gap(params.jl_a, params.jr_a)
-    clusters = cluster_spectrum(result, min_gap=min_gap)
+    clusters = cluster_spectrum(result, gap_factor=gap_factor, min_gap=min_gap)
     flags = bound_clusters(result, clusters, params.pair_energy)
     members = [m for c, bound in zip(clusters, flags) if bound
                for m in c.members]
@@ -142,23 +143,32 @@ def _bound_band(params: ModelParams, capacity: Optional[int]) -> np.ndarray:
 
 
 def validate_effective_model(params: ModelParams,
-                             capacity: Optional[int] = None) -> EffectiveModelReport:
+                             capacity: Optional[int] = None,
+                             gap_factor: float = 10.0,
+                             min_gap: Optional[float] = None
+                             ) -> EffectiveModelReport:
     """Diagonalize the full two-boson model and the effective pair model at
     params.u and at 2 u, pair spectra by lexicographic (Re, Im) order, and
-    report the deviations and their ratio.
+    report the deviations and their ratio. The bound band of the full
+    spectrum is isolated with cluster_spectrum(gap_factor, min_gap), min_gap
+    None standing for default_min_gap, as in the spectrum command.
 
-    Requires exactly two bosons. Raises RuntimeError when the bound band
-    cannot be isolated (too few or too many eigenvalues near u), and
-    ResonanceError near the u = +/- 2 mu degeneracies.
+    Requires exactly two bosons, and rejects gap_factor and min_gap out of
+    range (observables.check_gaps) before any solve. Raises RuntimeError
+    when the bound band cannot be isolated (too few or too many eigenvalues
+    near u), and ResonanceError near the u = +/- 2 mu degeneracies.
     """
     if params.statistics != "boson" or params.particles != 2:
         raise ValueError("validate_effective_model requires two bosons")
+    check_gaps(gap_factor, min_gap)
+    if min_gap is None:
+        min_gap = default_min_gap(params.jl_a, params.jr_a)
     deviations = {}
     spectra = {}
     for scale in (1.0, 2.0):
         p = params.with_updates(u=scale * params.u)
         _check_denominators(p)
-        full = _sorted_pairing(_bound_band(p, capacity))
+        full = _sorted_pairing(_bound_band(p, capacity, gap_factor, min_gap))
         eff_result = eigendecompose(build_effective_pair_hamiltonian(p),
                                     capacity=capacity)
         eff = _sorted_pairing(eff_result.eigenvalues)
@@ -172,10 +182,10 @@ def validate_effective_model(params: ModelParams,
         raise RuntimeError("deviation at 2u vanished; ratio undefined")
     full, eff = spectra[1.0]
     return EffectiveModelReport(params=params,
-                                full_eigenvalues=full,
-                                effective_eigenvalues=eff,
                                 max_dev=max_dev,
                                 max_dev_abs=max_dev_abs,
                                 doubled_max_dev=doubled_max_dev,
                                 ratio=max_dev / doubled_max_dev,
-                                rung_coupling=_rung_coupling(params))
+                                rung_coupling=_rung_coupling(params),
+                                full_eigenvalues=full,
+                                effective_eigenvalues=eff)

@@ -137,13 +137,16 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
     row["error"] = ""
     try:
         params = _point_params(spec, values)
-        basis = sector_basis(params, capacity=capacity)
-        result = eigendecompose(build_hamiltonian(params, basis),
-                                capacity=capacity)
-        min_gap = (spec.min_gap if spec.min_gap is not None
-                   else default_min_gap(params.jl_a, params.jr_a))
-        top = int(np.argmax(np.abs(result.eigenvalues.imag)))
-        vec = result.eigenvectors[:, top]
+        # the threshold search solves its own jp values; the point's own
+        # spectrum is solved only for the other observables
+        if set(spec.observables) != {"threshold"}:
+            basis = sector_basis(params, capacity=capacity)
+            result = eigendecompose(build_hamiltonian(params, basis),
+                                    capacity=capacity)
+            min_gap = (spec.min_gap if spec.min_gap is not None
+                       else default_min_gap(params.jl_a, params.jr_a))
+            top = int(np.argmax(np.abs(result.eigenvalues.imag)))
+            vec = result.eigenvectors[:, top]
         for obs in spec.observables:
             if obs == "max_im_global":
                 row["max_im_global"] = float(np.max(np.abs(result.eigenvalues.imag)))
@@ -225,8 +228,10 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     back to a full scan at the resolution step and returns the first
     crossing. Raises ValueError when the bracket does not actually bracket
     a crossing, or, before any solve, when eps_im is negative or NaN,
-    gap_factor or min_gap is out of range (observables.check_gaps) or
-    cluster_selector is not one of observables.SELECTORS.
+    gap_factor or min_gap is out of range (observables.check_gaps),
+    cluster_selector is not one of observables.SELECTORS, or it is "bound"
+    with fewer than two particles or zero pair energy, where
+    observables.bound_clusters marks no cluster bound.
 
     Solves run on lapack.solve_lanes() threads at one BLAS thread each, as
     inside a sweep; the pool size is restored afterwards. With two lanes the
@@ -255,6 +260,11 @@ def _search(params: ModelParams, cluster_selector: str,
         check_eps_im(eps_im)
     check_gaps(gap_factor, min_gap)
     check_selector(cluster_selector)
+    if cluster_selector == "bound" and (params.particles < 2
+                                        or params.pair_energy == 0.0):
+        raise ValueError(f"selector 'bound' needs N >= 2 particles and a "
+                         f"nonzero pair energy, got N={params.particles}, "
+                         f"pair energy {params.pair_energy}")
     basis = sector_basis(params, capacity=capacity)
     if min_gap is None:
         min_gap = default_min_gap(params.jl_a, params.jr_a)
@@ -265,8 +275,7 @@ def _search(params: ModelParams, cluster_selector: str,
         return (_max_im_for_selector(result, p, cluster_selector, gap_factor,
                                      min_gap), result.matrix_norm)
 
-    cache: Dict[float, float] = {}
-    trace: List[Tuple[float, float]] = []
+    cache: Dict[float, float] = {}  # jp -> indicator, in solve order
     eps = eps_im
 
     with _lanes(lanes) as run:
@@ -283,13 +292,13 @@ def _search(params: ModelParams, cluster_selector: str,
                     if eps is None:
                         eps = default_eps_im(norm)
                     cache[jp] = value
-                    trace.append((jp, value))
                 yield cache[jp]
 
         def result(jp_star: float, below: float, fallback: bool = False):
             return ThresholdResult(jp_star=jp_star, bracket=(below, jp_star),
-                                   eps_im=eps, evaluations=len(trace),
-                                   used_fallback=fallback, trace=tuple(trace))
+                                   eps_im=eps, evaluations=len(cache),
+                                   used_fallback=fallback,
+                                   trace=tuple(cache.items()))
 
         ends = measure(lo, hi)
         f_lo = next(ends)
@@ -332,6 +341,10 @@ def _search(params: ModelParams, cluster_selector: str,
                     return result(jp, prev, fallback=True)
                 prev = jp
     raise ValueError("fallback scan found no crossing inside the bracket")
+
+
+# the columns of an EonsiteTable crossing row, in order
+CROSSING_COLUMNS = ("class_i", "class_j", "mu_star", "order", "e_at_crossing")
 
 
 @dataclass(frozen=True)
@@ -385,10 +398,8 @@ def eonsite_table(params: ModelParams, mu_range: Tuple[float, float],
                 continue
             mu_star = (classes[i]["e_int"] - classes[j]["e_int"]) / (d_j - d_i)
             if lo <= mu_star <= hi:
-                crossings.append({"class_i": i, "class_j": j,
-                                  "mu_star": mu_star,
-                                  "order": abs(d_i - d_j) // 2,
-                                  "e_at_crossing": classes[i]["e_int"]
-                                  + d_i * mu_star})
+                crossings.append(dict(zip(CROSSING_COLUMNS, (
+                    i, j, mu_star, abs(d_i - d_j) // 2,
+                    classes[i]["e_int"] + d_i * mu_star))))
     crossings.sort(key=lambda r: (r["mu_star"], r["class_i"], r["class_j"]))
     return EonsiteTable(classes=classes, crossings=crossings)

@@ -1,9 +1,11 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ import nhladder.cli as cli
 from nhladder import lapack
 from nhladder.eig import ConvergenceError
 from nhladder.cli import main
+from nhladder.perturb import EffectiveModelReport
+from nhladder.sweep import CROSSING_COLUMNS, EonsiteTable, ThresholdResult
 
 
 def read_csv(path):
@@ -461,6 +465,9 @@ def test_threshold_command(tmp_path, monkeypatch):
     assert 0.0 < results["jp_star"] < 0.2
     assert results["bracket"][1] - results["bracket"][0] <= 0.01 + 1e-12
     assert results["evaluations"] == len(results["trace"]) > 0
+    # the sidecar results are the ThresholdResult, field for field
+    assert list(results) == [f.name for f in dataclasses.fields(
+        ThresholdResult)]
     assert [jp for jp, _ in results["trace"][:2]] == [0.0, 0.2]
     # invalid bracket is a parameter error
     assert main(["threshold", "--cells", "8", "--particles", "1",
@@ -477,8 +484,26 @@ def test_effective_command(tmp_path):
                                                      rel=1e-12)
     assert results["max_dev"] < 0.1
     assert results["ratio"] > 1.0
+    # the sidecar results are the EffectiveModelReport less its params
+    assert list(results) == [f.name for f in dataclasses.fields(
+        EffectiveModelReport) if f.name != "params"]
     rows = read_csv(f"{out}.csv")
     assert len(rows) == 12
+
+
+def test_effective_honours_the_clustering_options(tmp_path, capsys):
+    # at u = 4 the default gaps split the bound band off with one stray
+    # eigenvalue; a larger min_gap isolates exactly the 2L pair states
+    model = ["--cells", "4", "--particles", "2", "--u", "4", "--jp", "0.01"]
+    assert main(["effective", *model, "--out", str(tmp_path / "d")]) == 4
+    assert "found 9 eigenvalues near u=4.0, expected 8" in \
+        capsys.readouterr().err
+    out = tmp_path / "e"
+    assert main(["effective", *model, "--min-gap", "1",
+                 "--out", str(out)]) == 0
+    assert read_json(f"{out}.json")["results"]["max_dev"] == \
+        pytest.approx(0.0269, abs=1e-4)
+    assert len(read_csv(f"{out}.csv")) == 8
 
 
 def test_eonsite_command(tmp_path):
@@ -492,6 +517,11 @@ def test_eonsite_command(tmp_path):
     assert any(abs(s - 16.0 / 3.0) < 1e-9 for s in stars)
     orders = {float(r["mu_star"]): int(r["order"]) for r in crossings}
     assert orders[min(stars, key=lambda s: abs(s - 16.0 / 3.0))] == 3
+    # the sidecar results are the EonsiteTable, and the CSVs its rows
+    results = read_json(f"{out}.json")["results"]
+    assert list(results) == [f.name for f in dataclasses.fields(EonsiteTable)]
+    assert list(classes[0]) == list(results["classes"][0])
+    assert list(crossings[0]) == list(CROSSING_COLUMNS)
 
 
 def test_eonsite_negative_mu_range_joined_with_equals(tmp_path):
@@ -608,6 +638,16 @@ def test_option_surface_is_pinned(tmp_path, capsys):
             sorted([*outputs, f"{out}.json"]), command
         assert len(stdout) == 2 and stdout[0].startswith(f"{command}: ")
         assert stdout[-1] == " ".join(["wrote", *outputs, f"{out}.json"])
+        # rerun from the sidecar: the same tables and the same results
+        rerun = tmp_path / f"{command}-rerun" / "run"
+        rerun.parent.mkdir()
+        assert main([command, "--config", f"{out}.json",
+                     "--out", str(rerun)]) == 0, command
+        for suffix in CSV_SUFFIXES[command]:
+            assert Path(f"{rerun}{suffix}.csv").read_bytes() == \
+                Path(f"{out}{suffix}.csv").read_bytes(), command
+        assert read_json(f"{rerun}.json")["results"] == sidecar["results"], \
+            command
 
 
 @pytest.mark.parametrize("command", list(SURFACE))

@@ -320,12 +320,25 @@ def test_cluster_inputs_are_rejected_before_any_solve(monkeypatch):
         with pytest.raises(ValueError, match=message):
             small_spec(**bad)
     p = ModelParams(cells=4, particles=2, u=4.0, mu=0.2)
-    for bad, message in [(dict(gap_factor=0.0), "gap_factor must be"),
-                         (dict(cluster_selector="bogus"), "selector must be"),
-                         (dict(cluster_selector="bound", gap_factor=math.nan),
-                          "gap_factor must be")]:
+    # with one particle or zero pair energy no cluster can be bound
+    single = ModelParams(cells=4, particles=1, u=4.0, mu=0.2)
+    unbound = ModelParams(cells=4, particles=2, mu=0.2)
+    for params, bad, message in [
+            (p, dict(gap_factor=0.0), "gap_factor must be"),
+            (p, dict(cluster_selector="bogus"), "selector must be"),
+            (p, dict(cluster_selector="bound", gap_factor=math.nan),
+             "gap_factor must be"),
+            (single, dict(cluster_selector="bound"),
+             "selector 'bound' needs N >= 2 particles .* got N=1"),
+            (unbound, dict(cluster_selector="bound"),
+             "selector 'bound' needs .* pair energy, got N=2, pair energy 0.0")]:
         with pytest.raises(ValueError, match=message):
-            find_threshold_jp(p, **bad)
+            find_threshold_jp(params, **bad)
+    # a sweep records the rejection in each point's error column
+    spec = small_spec(base=unbound, observables=("threshold",),
+                      threshold_selector="bound")
+    assert all(row["error"].startswith("ValueError: selector 'bound' needs")
+               for row in run_sweep(spec))
 
 
 def _recording_solves(monkeypatch):
@@ -417,6 +430,26 @@ def test_threshold_observable_in_sweep():
     rows = run_sweep(spec)
     assert rows[0]["error"] == ""
     assert 0.0 < rows[0]["jp_star"] < 0.2
+
+
+def test_threshold_only_point_makes_no_solve_of_its_own(monkeypatch):
+    # the search solves its own jp values; the point itself needs no spectrum
+    found = ThresholdResult(jp_star=0.125, bracket=(0.1, 0.125), eps_im=1e-9,
+                            evaluations=3)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the point solved its own spectrum")
+
+    monkeypatch.setattr(sweep_mod, "_search", lambda *args, **kw: found)
+    monkeypatch.setattr(sweep_mod, "eigendecompose", no_solve)
+    spec = small_spec(observables=("threshold",))
+    rows = run_sweep(spec)
+    assert [row["error"] for row in rows] == ["", "", ""]
+    assert [row["jp_star"] for row in rows] == [0.125] * 3
+    # any other observable still needs the point's spectrum
+    spec = small_spec(observables=("threshold", "max_im_global"))
+    assert all(row["error"] == "AssertionError: the point solved its own "
+               "spectrum" for row in run_sweep(spec))
 
 
 # ---------------------------------------------------------------------------
