@@ -26,7 +26,8 @@ _DRIVERS = {
                     "cluster_spectrum", "correlation_ncor", "default_min_gap",
                     "entanglement_entropy", "label_clusters",
                     "left_half_sites", "leg_sites", "pair_correlation",
-                    "pair_density", "polarization", "site_density"),
+                    "pair_density", "polarization", "select_clusters",
+                    "site_density"),
     "perturb": ("EffectiveModelReport", "ResonanceError",
                 "build_effective_pair_hamiltonian", "validate_effective_model"),
     "sweep": ("Axis", "EonsiteTable", "SweepSpec", "ThresholdResult",
@@ -47,7 +48,8 @@ __all__ = [
     "eonsite_table", "find_threshold_jp", "is_spectrum_real",
     "label_clusters", "left_half_sites", "leg_sites", "max_imag",
     "onsite_energy", "pair_correlation", "pair_density", "polarization",
-    "run_sweep", "sector_basis", "site_cell_leg", "site_density",
+    "run_sweep", "sector_basis", "select_clusters", "site_cell_leg",
+    "site_density",
     "validate_effective_model", "__version__",
 ]
 

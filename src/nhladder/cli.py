@@ -15,7 +15,8 @@ solver diagnostics and library versions, then two stdout lines:
 effective and eonsite are the fields of the result dataclass their library
 call returns, in declaration order (_record). Inputs that need no spectrum
 (--select spellings, an index past the sector dimension, the particle count
-of ncor and of pair densities) are rejected before any solve.
+of ncor and of pair densities, the cell count of entropy) are rejected
+before any solve.
 
 Exit codes: 0 success, 2 configuration or parameter errors, 3 capacity
 overruns, 4 solver or verification failures.
@@ -49,8 +50,8 @@ from .fock import CapacityError, basis_dimension, site_cell_leg
 from .model import ModelParams, build_hamiltonian, sector_basis
 from .observables import (OBSERVABLES, SELECTORS, check_gaps,
                           cluster_spectrum, correlation_ncor,
-                          correlation_ncor_all, cut_entropies,
-                          default_min_gap, label_clusters, pair_density,
+                          correlation_ncor_all, cut_entropies, label_clusters,
+                          left_half_sites, min_gap_for, pair_density,
                           polarization_all, site_density)
 
 # The sweep drivers the commands call. They are attributes of this module,
@@ -307,12 +308,6 @@ def _params_from_config(cfg: Dict) -> ModelParams:
                        jp=cfg["jp"], mu=cfg["mu"], u=cfg["u"], u_nn=cfg["unn"])
 
 
-def _min_gap_from(cfg: Dict, params: ModelParams) -> float:
-    if cfg["min_gap"] is not None:
-        return cfg["min_gap"]
-    return default_min_gap(params.jl_a, params.jr_a)
-
-
 def _environment(command: str, cfg: Dict) -> Dict:
     """Usable cores, the BLAS numpy was built against, the thread variables
     as set, and the budget the command ran with: BLAS threads (1, as main
@@ -412,9 +407,8 @@ def cmd_spectrum(cfg: Dict) -> Outcome:
     """Full spectrum with per-state observables."""
     params, basis, result, timings = _diagonalize(cfg)
     t0 = time.perf_counter()
-    min_gap = _min_gap_from(cfg, params)
     clusters = label_clusters(result, basis, gap_factor=cfg["gap_factor"],
-                              min_gap=min_gap)
+                              min_gap=min_gap_for(params, cfg["min_gap"]))
     membership = {}
     for cid, c in enumerate(clusters):
         for m in c.members:
@@ -475,7 +469,7 @@ def _selected_state(cfg: Dict):
         state = k
     else:
         clusters = cluster_spectrum(result, gap_factor=cfg["gap_factor"],
-                                    min_gap=_min_gap_from(cfg, params))
+                                    min_gap=min_gap_for(params, cfg["min_gap"]))
         if k >= len(clusters):
             raise ValueError(f"cluster id {k} out of range "
                              f"0..{len(clusters) - 1}")
@@ -525,6 +519,7 @@ def cmd_ncor(cfg: Dict) -> Outcome:
 
 def cmd_entropy(cfg: Dict) -> Outcome:
     """Cut entropies of one state."""
+    left_half_sites(cfg["cells"])  # one cell has no left half to cut
     params, basis, vec, results, timings, diagnostics = _selected_state(cfg)
     results.update(cut_entropies(vec, basis))
     return Outcome(results, {}, timings, diagnostics,

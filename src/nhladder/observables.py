@@ -17,6 +17,7 @@ import numpy as np
 
 from .eig import SpectrumResult
 from .fock import Basis
+from .model import ModelParams
 
 ENTROPY_CLAMP = 1e-14
 DEAD_ZONE = 0.05
@@ -35,7 +36,7 @@ OBSERVABLES = {"max_im_global": ("max_im_global",),
                "entropies": ("s_ab", "s_leftright", "rho_a_frac",
                              "rho_left_frac"),
                "threshold": ("jp_star",)}
-# the clusters whose reality a threshold search tests (bound_clusters)
+# the clusters whose reality a threshold search tests (select_clusters)
 SELECTORS = ("all", "scattering", "bound")
 
 
@@ -256,6 +257,13 @@ def default_min_gap(jl: float, jr: float) -> float:
     return 0.1 * max(abs(jl), abs(jr))
 
 
+def min_gap_for(params: ModelParams, min_gap: Optional[float]) -> float:
+    """The min_gap every command clusters with: the given value, or, for
+    None, default_min_gap of the leg A hops of params."""
+    return (default_min_gap(params.jl_a, params.jr_a) if min_gap is None
+            else min_gap)
+
+
 def check_gaps(gap_factor: float, min_gap: Optional[float] = None) -> None:
     """Raise ValueError unless gap_factor is positive and min_gap, where
     given, non-negative (neither NaN); None stands for default_min_gap."""
@@ -320,6 +328,22 @@ def bound_clusters(result: SpectrumResult, clusters: Sequence[Cluster],
     centroids = [result.eigenvalues[list(c.members)].real.mean()
                  for c in clusters]
     return [bool(abs(x - pair_energy) < abs(x)) for x in centroids]
+
+
+def select_clusters(result: SpectrumResult, params: ModelParams,
+                    gap_factor: float = 10.0,
+                    min_gap: Optional[float] = None) -> Dict[str, List[Cluster]]:
+    """The cluster_spectrum clusters of result, with min_gap_for(params,
+    min_gap), keyed by SELECTORS: "all" of them, then those bound_clusters
+    puts in the pair band of params ("bound") and the rest ("scattering"),
+    each ordered by Re(E). Sweeps, threshold searches and the effective
+    model all split the spectrum here."""
+    clusters = cluster_spectrum(result, gap_factor=gap_factor,
+                                min_gap=min_gap_for(params, min_gap))
+    bound = bound_clusters(result, clusters, params.pair_energy)
+    return {"all": clusters,
+            "scattering": [c for c, b in zip(clusters, bound) if not b],
+            "bound": [c for c, b in zip(clusters, bound) if b]}
 
 
 def _edge_weights(mean_density: np.ndarray, cells: int) -> Tuple[float, float]:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .eig import eigendecompose
 from .model import ModelParams, SparseOperator, build_hamiltonian, sector_basis
-from .observables import (bound_clusters, check_gaps, cluster_spectrum,
-                          default_min_gap)
+from .observables import check_gaps, select_clusters
 
 RESONANCE_RTOL = 1e-6
 SQRT2 = math.sqrt(2.0)
@@ -127,15 +126,13 @@ def _sorted_pairing(values: np.ndarray) -> np.ndarray:
 
 
 def _bound_band(params: ModelParams, capacity: Optional[int],
-                gap_factor: float, min_gap: float) -> np.ndarray:
+                gap_factor: float, min_gap: Optional[float]) -> np.ndarray:
     """Eigenvalues of the full model in the bound clusters (see
-    bound_clusters); there must be exactly one per pair site."""
+    select_clusters); there must be exactly one per pair site."""
     basis = sector_basis(params, capacity=capacity)
     result = eigendecompose(build_hamiltonian(params, basis), capacity=capacity)
-    clusters = cluster_spectrum(result, gap_factor=gap_factor, min_gap=min_gap)
-    flags = bound_clusters(result, clusters, params.pair_energy)
-    members = [m for c, bound in zip(clusters, flags) if bound
-               for m in c.members]
+    bound = select_clusters(result, params, gap_factor, min_gap)["bound"]
+    members = [m for c in bound for m in c.members]
     if len(members) != 2 * params.cells:
         raise RuntimeError(f"bound band is not isolable: found {len(members)} "
                            f"eigenvalues near u={params.u}, expected {2 * params.cells}")
@@ -150,8 +147,8 @@ def validate_effective_model(params: ModelParams,
     """Diagonalize the full two-boson model and the effective pair model at
     params.u and at 2 u, pair spectra by lexicographic (Re, Im) order, and
     report the deviations and their ratio. The bound band of the full
-    spectrum is isolated with cluster_spectrum(gap_factor, min_gap), min_gap
-    None standing for default_min_gap, as in the spectrum command.
+    spectrum is the "bound" group of select_clusters(gap_factor, min_gap),
+    min_gap None standing for default_min_gap, as in the spectrum command.
 
     Requires exactly two bosons, and rejects gap_factor and min_gap out of
     range (observables.check_gaps) before any solve. Raises RuntimeError
@@ -161,8 +158,6 @@ def validate_effective_model(params: ModelParams,
     if params.statistics != "boson" or params.particles != 2:
         raise ValueError("validate_effective_model requires two bosons")
     check_gaps(gap_factor, min_gap)
-    if min_gap is None:
-        min_gap = default_min_gap(params.jl_a, params.jr_a)
     deviations = {}
     spectra = {}
     for scale in (1.0, 2.0):

@@ -7,7 +7,7 @@ solve at one BLAS thread, so tables and thresholds do not depend on how
 many solves run at once; per-point failures are recorded in the row's
 error column instead of aborting the sweep. The max_im_per_cluster columns
 and the threshold selectors split clusters into scattering and bound with
-observables.bound_clusters.
+observables.select_clusters.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from .eig import check_eps_im, default_eps_im, eigendecompose
 from .fock import enumerate_basis
 from .model import (FLOAT_FIELDS, ModelParams, build_hamiltonian, diagonal_counts,
                     sector_basis)
-from .observables import (OBSERVABLES, bound_clusters, check_gaps,
-                          check_selector, cluster_spectrum, correlation_ncor,
-                          cut_entropies, default_min_gap, polarization)
+from .observables import (OBSERVABLES, check_gaps, check_selector,
+                          correlation_ncor, cut_entropies, left_half_sites,
+                          polarization, select_clusters)
 # bound here for perfbench/tracing.py, which wraps these names in this module
-from .observables import entanglement_entropy, site_density  # noqa: F401
+from .observables import (cluster_spectrum, entanglement_entropy,  # noqa: F401
+                          site_density)
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ class SweepSpec:
             check_eps_im(self.eps_im)
         check_gaps(self.gap_factor, self.min_gap)
         check_selector(self.threshold_selector)
+        if "entropies" in self.observables:
+            left_half_sites(self.base.cells)  # cells is never an axis
 
 
 @dataclass(frozen=True)
@@ -117,18 +120,6 @@ def _observable_columns(observables: Sequence[str]) -> List[str]:
     return [col for obs in observables for col in OBSERVABLES[obs]]
 
 
-def _peaks_by_group(result, params: ModelParams, gap_factor: float,
-                    min_gap: float) -> Dict[str, List[float]]:
-    """Max |Im E| of each cluster, split into scattering and bound."""
-    clusters = cluster_spectrum(result, gap_factor=gap_factor, min_gap=min_gap)
-    bound = bound_clusters(result, clusters, params.pair_energy)
-    peaks: Dict[str, List[float]] = {"scattering": [], "bound": []}
-    for c, is_bound in zip(clusters, bound):
-        peak = abs(float(result.eigenvalues[c.representative].imag))
-        peaks["bound" if is_bound else "scattering"].append(peak)
-    return peaks
-
-
 def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
                     capacity: Optional[int]) -> Dict:
     row: Dict = {axis.name: v for axis, v in zip(spec.axes, values)}
@@ -143,18 +134,17 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
             basis = sector_basis(params, capacity=capacity)
             result = eigendecompose(build_hamiltonian(params, basis),
                                     capacity=capacity)
-            min_gap = (spec.min_gap if spec.min_gap is not None
-                       else default_min_gap(params.jl_a, params.jr_a))
             top = int(np.argmax(np.abs(result.eigenvalues.imag)))
             vec = result.eigenvectors[:, top]
         for obs in spec.observables:
             if obs == "max_im_global":
                 row["max_im_global"] = float(np.max(np.abs(result.eigenvalues.imag)))
             elif obs == "max_im_per_cluster":
-                peaks = _peaks_by_group(result, params, spec.gap_factor,
-                                        min_gap)
-                for name, group in peaks.items():
-                    row[f"max_im_{name}"] = max(group, default=math.nan)
+                groups = select_clusters(result, params, spec.gap_factor,
+                                         spec.min_gap)
+                for name in ("scattering", "bound"):
+                    row[f"max_im_{name}"] = max(
+                        (c.max_im for c in groups[name]), default=math.nan)
             elif obs == "ncor_of_max_im_state":
                 if params.particles == 2:
                     row["ncor_of_max_im_state"] = correlation_ncor(vec, basis)
@@ -205,11 +195,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
 
 
 def _max_im_for_selector(result, params: ModelParams, selector: str,
-                         gap_factor: float, min_gap: float) -> float:
+                         gap_factor: float, min_gap: Optional[float]) -> float:
     if selector == "all":
         return float(np.max(np.abs(result.eigenvalues.imag)))
-    peaks = _peaks_by_group(result, params, gap_factor, min_gap)
-    return max(peaks[selector], default=0.0)
+    clusters = select_clusters(result, params, gap_factor, min_gap)[selector]
+    return max((c.max_im for c in clusters), default=0.0)
 
 
 def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
@@ -227,18 +217,20 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     resolution and jp_star is its upper end. A non-monotone pre-scan falls
     back to a full scan at the resolution step and returns the first
     crossing. Raises ValueError when the bracket does not actually bracket
-    a crossing, or, before any solve, when eps_im is negative or NaN,
-    gap_factor or min_gap is out of range (observables.check_gaps),
-    cluster_selector is not one of observables.SELECTORS, or it is "bound"
-    with fewer than two particles or zero pair energy, where
-    observables.bound_clusters marks no cluster bound.
+    a crossing, or, before any solve, when resolution is below the spacing
+    of doubles at the bracket ends (math.ulp), where bisection would never
+    end, eps_im is negative or NaN, gap_factor or min_gap is out of range
+    (observables.check_gaps), cluster_selector is not one of
+    observables.SELECTORS, or it is "bound" with fewer than two particles
+    or zero pair energy, where observables.select_clusters finds no cluster
+    bound.
 
     Solves run on lapack.solve_lanes() threads at one BLAS thread each, as
     inside a sweep; the pool size is restored afterwards. With two lanes the
     pre-scan solves lo and hi together and then its three inner points;
     each bisection round also solves the next round's midpoint on the side
     where linear interpolation of the indicator puts the crossing; the
-    fallback scan solves its grid two points at a time.
+    fallback scan makes and solves its grid two points at a time.
     The answer does not depend on the lanes; evaluations and trace count
     every solve, speculative ones included.
     """
@@ -254,8 +246,11 @@ def _search(params: ModelParams, cluster_selector: str,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    # below the spacing of doubles at the bracket ends bisection never ends
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    if not resolution >= spacing:
+        raise ValueError(f"resolution must be at least {spacing:.3g}, the "
+                         f"spacing of doubles at the bracket, got {resolution}")
     if eps_im is not None:
         check_eps_im(eps_im)
     check_gaps(gap_factor, min_gap)
@@ -266,8 +261,6 @@ def _search(params: ModelParams, cluster_selector: str,
                          f"nonzero pair energy, got N={params.particles}, "
                          f"pair energy {params.pair_energy}")
     basis = sector_basis(params, capacity=capacity)
-    if min_gap is None:
-        min_gap = default_min_gap(params.jl_a, params.jr_a)
 
     def solve(jp: float) -> Tuple[float, float]:
         p = params.with_updates(jp=jp)
@@ -332,10 +325,10 @@ def _search(params: ModelParams, cluster_selector: str,
             return result(b_hi, b_lo)
 
         steps = max(1, int(math.ceil((hi - lo) / resolution)))
-        grid = [lo + k * (hi - lo) / steps for k in range(steps + 1)]
         prev = lo
-        for start in range(1, len(grid), lanes):
-            chunk = grid[start:start + lanes]
+        for start in range(1, steps + 1, lanes):
+            chunk = [lo + k * (hi - lo) / steps
+                     for k in range(start, min(start + lanes, steps + 1))]
             for jp, value in zip(chunk, list(measure(*chunk))):
                 if value > eps:
                     return result(jp, prev, fallback=True)

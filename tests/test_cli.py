@@ -239,7 +239,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
     def solve(*args, **kwargs):
         pytest.fail("solved before rejecting the input")
 
+    import nhladder.sweep as sweep_mod
     monkeypatch.setattr(cli, "eigendecompose", solve)
+    monkeypatch.setattr(sweep_mod, "eigendecompose", solve)
     d820 = ["--cells", "20", "--particles", "2", "--u", "4", "--jp", "0.01"]
     for argv, start in [
             (["density", *d820, "--select", "index:abc"], "select"),
@@ -251,7 +253,12 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
             (["ncor", "--cells", "8", "--particles", "3", "--u", "4",
               "--jp", "0.01"], "ncor needs exactly two particles, got 3"),
             (["density", "--cells", "3", "--particles", "1", "--kind", "pair"],
-             "pair density needs at least two particles, got 1")]:
+             "pair density needs at least two particles, got 1"),
+            (["entropy", "--cells", "1", "--particles", "1"],
+             "left half is empty for cells=1"),
+            (["sweep", "--cells", "1", "--particles", "1", "--axis",
+              "jp:0:0.1:2", "--observables", "max_im_global,entropies"],
+             "left half is empty for cells=1")]:
         capsys.readouterr()
         assert main([*argv, "--out", str(tmp_path / "early")]) == 2, argv
         err = capsys.readouterr().err

@@ -13,9 +13,10 @@ from nhladder.observables import (CHUNK, bound_clusters, classify_cluster,
                                   correlation_ncor, correlation_ncor_all,
                                   default_min_gap, entanglement_entropy,
                                   label_clusters, left_half_sites, leg_sites,
-                                  pair_correlation, pair_density,
+                                  min_gap_for, pair_correlation, pair_density,
                                   polarization, polarization_all,
-                                  site_density, site_density_all)
+                                  select_clusters, site_density,
+                                  site_density_all)
 
 from oracles import brute_fermion_entropy, einsum_ncor
 
@@ -368,12 +369,9 @@ def test_cluster_validation():
 def _bound_members(params):
     basis = sector_basis(params)
     result = eigendecompose(build_hamiltonian(params, basis))
-    clusters = cluster_spectrum(result,
-                                min_gap=default_min_gap(params.jl_a, params.jr_a))
-    flags = bound_clusters(result, clusters, params.pair_energy)
-    members = [m for c, bound in zip(clusters, flags) if bound
-               for m in c.members]
-    return result, clusters, np.asarray(members, dtype=int)
+    groups = select_clusters(result, params)
+    members = [m for c in groups["bound"] for m in c.members]
+    return result, groups, np.asarray(members, dtype=int)
 
 
 @pytest.mark.parametrize("interaction, stats, size", [
@@ -386,7 +384,15 @@ def test_bound_clusters_pick_the_pair_band(interaction, stats, size):
                          mu=0.2, **interaction)
     (energy,) = interaction.values()
     assert params.pair_energy == energy
-    result, clusters, members = _bound_members(params)
+    result, groups, members = _bound_members(params)
+    clusters = groups["all"]
+    assert clusters == cluster_spectrum(
+        result, min_gap=default_min_gap(params.jl_a, params.jr_a))
+    # scattering and bound partition the clusters in order, as
+    # bound_clusters splits them
+    flags = bound_clusters(result, clusters, params.pair_energy)
+    assert groups["scattering"] == [c for c, b in zip(clusters, flags) if not b]
+    assert groups["bound"] == [c for c, b in zip(clusters, flags) if b]
     assert len(clusters) == 2
     assert len(members) == size
     assert np.all(np.abs(result.eigenvalues[members].real - energy) < 1.0)
@@ -485,3 +491,8 @@ def test_five_cluster_bands_with_detuned_interaction():
 def test_default_min_gap():
     assert default_min_gap(1.0, 0.5) == pytest.approx(0.1)
     assert default_min_gap(-2.0, 0.5) == pytest.approx(0.2)
+    # min_gap_for: None stands for default_min_gap of the leg A hops
+    params = ModelParams(cells=2, particles=1, jl_a=-2.0, jr_a=0.5)
+    assert min_gap_for(params, None) == default_min_gap(-2.0, 0.5)
+    assert min_gap_for(params, 0.0) == 0.0
+    assert min_gap_for(params, 0.3) == 0.3

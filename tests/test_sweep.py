@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,7 +197,7 @@ def test_threshold_decreases_with_system_size():
     assert t12.jp_star < t8.jp_star
 
 
-def test_threshold_invalid_bracket():
+def test_threshold_invalid_bracket(monkeypatch):
     p = ModelParams(cells=8, particles=1)
     with pytest.raises(ValueError):
         find_threshold_jp(p, bracket=(0.15, 0.2))  # complex at both ends
@@ -204,7 +205,13 @@ def test_threshold_invalid_bracket():
         find_threshold_jp(p, bracket=(0.0, 1e-6))  # real at both ends
     with pytest.raises(ValueError):
         find_threshold_jp(p, bracket=(0.2, 0.1))
-    for resolution in (0.0, float("nan")):
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the resolution was checked")
+
+    # 1e-20 is below the spacing of doubles at 0.2, where bisection stalls
+    monkeypatch.setattr(sweep_mod, "eigendecompose", no_solve)
+    for resolution in (0.0, float("nan"), 1e-20):
         with pytest.raises(ValueError):
             find_threshold_jp(p, bracket=(0.0, 0.2), resolution=resolution)
     with pytest.raises(ValueError):
@@ -225,6 +232,30 @@ def test_threshold_fallback_on_nonmonotone_indicator(monkeypatch):
     assert result.used_fallback
     assert result.jp_star == pytest.approx(0.05, abs=1e-9)
     assert result.bracket[0] == pytest.approx(0.04, abs=1e-9)
+
+
+def test_fallback_scan_memory_does_not_grow_with_resolution(monkeypatch):
+    # the fallback grid is made one chunk of lanes at a time: at resolution
+    # 1e-6 a whole grid of 200001 jp values would hold about 6.5 MB
+    def crossing_at_once(result, params, selector, gap_factor, min_gap):
+        jp = params.jp
+        return 1.0 if 0.0 < jp < 0.03 or 0.04 < jp < 0.06 or jp > 0.17 else 0.0
+
+    monkeypatch.setattr(sweep_mod, "_max_im_for_selector", crossing_at_once)
+    monkeypatch.setattr(lapack, "solve_lanes", lambda: 2)
+    p = ModelParams(cells=2, particles=1)
+    tracemalloc.start()
+    try:
+        result = find_threshold_jp(p, eps_im=0.5, bracket=(0.0, 0.2),
+                                   resolution=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.used_fallback
+    assert result.bracket == (0.0, result.jp_star)  # the first grid point
+    assert 0.0 < result.jp_star <= 1e-6
+    assert result.evaluations == 7
+    assert peak < 1e6
 
 
 def _search_outcome(lanes, monkeypatch, *args, **kwargs):
@@ -316,7 +347,10 @@ def test_cluster_inputs_are_rejected_before_any_solve(monkeypatch):
     monkeypatch.setattr(sweep_mod, "eigendecompose", no_solve)
     for bad, message in [(dict(gap_factor=math.nan), "gap_factor must be"),
                          (dict(min_gap=-1.0), "min_gap must be"),
-                         (dict(threshold_selector="bogus"), "selector must be")]:
+                         (dict(threshold_selector="bogus"), "selector must be"),
+                         (dict(base=ModelParams(cells=1, particles=1),
+                               observables=("entropies",)),
+                          "left half is empty for cells=1")]:
         with pytest.raises(ValueError, match=message):
             small_spec(**bad)
     p = ModelParams(cells=4, particles=2, u=4.0, mu=0.2)
