@@ -3,13 +3,11 @@
 Every Hamiltonian of the model is real, so a solve takes real input only: a
 real SparseOperator or a real dense array, which both go the same way. A
 solve gathers the nonzeros of the operator, balances them (a diagonal
-similarity scaling) into the first half of a buffer of 2n^2 floats, and runs
-LAPACK dgeev in place there through lapack.geev, which writes the
-eigenvectors into the second half and unpacks complex ones over the whole
-buffer. geev calls numpy's own OpenBLAS and falls back to np.linalg.eig
-where that library cannot be bound; both give the same bits. No operator is
-made dense: apart from the buffer, a solve holds O(nnz) entries and
-O(n * BLOCK) temporaries.
+similarity scaling) and hands the balanced nonzeros to lapack.geev, which
+runs LAPACK dgeev in place in a buffer of its own through numpy's OpenBLAS,
+or np.linalg.eig where that library cannot be bound; both give the same
+bits. No operator is made dense here: apart from geev's buffer, a solve
+holds O(nnz) entries and O(n * BLOCK) temporaries.
 
 Every decomposition is checked before it is returned: per-eigenpair
 residuals against a norm-scaled tolerance, computed from the nonzeros of the
@@ -113,16 +111,16 @@ def _norm(dim: int, rows: np.ndarray, cols: np.ndarray,
     return norm
 
 
-def _balance(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-             out: np.ndarray,
-             diagnostics: Optional[Dict[str, float]] = None) -> np.ndarray:
+def _balance(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+             diagnostics: Optional[Dict[str, float]] = None
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal similarity scaling that equalizes row and column weight.
 
     Skin-effect matrices are strongly non-normal, which makes their
     eigenvalues ill-conditioned for QR iteration. Scaling D^-1 H D toward
     balanced row/column sums restores near-normality without changing the
-    spectrum. Takes the nonzeros of H (rows, cols, values), writes D^-1 H D
-    into the zeroed n x n array out and returns the diagonal of D.
+    spectrum. Takes the nonzeros of the n x n matrix H (rows, cols, values)
+    and returns the diagonal d of D and the nonzeros of D^-1 H D.
 
     The sweeps and the rescale work on the off-diagonal nonzeros alone, so
     each costs O(nnz) rather than O(n^2). The sweep cap, which shrinks with
@@ -132,7 +130,6 @@ def _balance(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     up to rounding in the row sums. If given, diagnostics receives the
     sweeps applied and the cap.
     """
-    n = out.shape[0]
     cap = min(1000, 12 + int(4e7) // (n * n)) if n > 1 else 0
     off = rows != cols
     off_rows, off_cols = rows[off], cols[off]
@@ -155,8 +152,7 @@ def _balance(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
         diagnostics.update(balance_sweeps=applied, balance_sweep_cap=cap)
     # one rescale of the original entries keeps rounding to a single step;
     # on the diagonal d / d is exactly 1, so those entries stay exact
-    out[rows, cols] = values * (d[cols] / d[rows])
-    return d
+    return d, values * (d[cols] / d[rows])
 
 
 def _check_conjugate_closure(eigenvalues: np.ndarray) -> None:
@@ -178,11 +174,9 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     the size budget, ConvergenceError when any eigenpair residual exceeds
     tol * norm(H, inf) or the trace or conjugation checks fail.
 
-    The solve holds one buffer of two real n x n arrays: the balanced
-    matrix, which LAPACK overwrites, and the eigenvectors, which end up
-    spread over both halves when complex. Dense or sparse, the norm, the
-    trace, the balancing and the residuals all come from the nonzeros, so
-    both give the same bits. The eigenpairs are sorted by (re, im).
+    Dense or sparse, the norm, the trace, the balancing and the residuals
+    all come from the nonzeros, so both give the same bits. The eigenpairs
+    are sorted by (re, im).
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -206,11 +200,9 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     gathered = time.perf_counter()
 
     sweeps: Dict[str, float] = {}
-    balanced = lapack.matrix(dim)
-    diag = _balance(rows, cols, values, balanced, sweeps)
+    diag, balanced = _balance(dim, rows, cols, values, sweeps)
     balanced_at = time.perf_counter()
-    eigenvalues, eigenvectors = lapack.geev(balanced)
-    del balanced
+    eigenvalues, eigenvectors = lapack.geev(dim, rows, cols, balanced)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
     _permute_columns(eigenvectors, order)

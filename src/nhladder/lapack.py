@@ -4,13 +4,10 @@ through numpy's own OpenBLAS.
 numpy's Linux and Windows wheels bundle an ILP64 OpenBLAS (64-bit
 integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
 its `dgeev` on a private copy of the input and keeps about five n x n
-buffers of its own. `geev` takes only a real matrix from `matrix(n)`, the
-first half of one buffer of 2n^2 floats (its base), and calls the same
-routine in place there: dgeev writes the eigenvectors into the second half,
-and complex eigenvectors are unpacked over the whole buffer, so a solve
-holds two real n x n arrays. `threads` sets the size of the OpenBLAS thread
-pool for a block of code, and `solve_lanes` is how many such solves a
-threshold search runs at once.
+buffers of its own. `geev` takes the nonzeros of a real matrix and calls
+the same routine in place, in the one buffer it allocates and describes.
+`threads` sets the size of the OpenBLAS thread pool for a block of code,
+and `solve_lanes` is how many such solves a threshold search runs at once.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
@@ -123,37 +120,27 @@ def threads(n: int) -> Iterator[None]:
             set_threads(previous)
 
 
-def matrix(n: int) -> np.ndarray:
-    """A zeroed, Fortran-ordered n x n float64 array for `geev` to overwrite:
-    the first half of a buffer of 2n^2 floats, its `.base`, which `geev`
-    fills with the eigenvectors."""
-    return np.zeros(2 * n * n)[:n * n].reshape((n, n), order="F")
+def geev(n: int, rows: np.ndarray, cols: np.ndarray,
+         values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and right eigenvectors (columns) of the real n x n matrix
+    with the given distinct nonzeros, as `np.linalg.eig` returns them: real
+    arrays when every eigenvalue is real, complex ones otherwise, the
+    eigenvectors Fortran-ordered. Raises ValueError unless the values are
+    real and finite.
 
-
-def geev(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and right eigenvectors (columns) of a real square matrix
-    from `matrix(n)`, as `np.linalg.eig` returns them: real arrays when
-    every eigenvalue is real, complex ones otherwise, the eigenvectors
-    Fortran-ordered.
-
-    `a` is overwritten, and the eigenvectors are views of `a.base`: the
-    solve allocates nothing of order n^2. Raises ValueError unless `a` is
-    square, Fortran-ordered and finite, and its base is the writable,
-    C-contiguous 2n^2 floats that start at `a`. Where the library is not
-    bound, `np.linalg.eig` solves a copy instead.
+    The nonzeros are scattered into the first half of a zeroed buffer of
+    2n^2 floats, and dgeev runs in place there: it overwrites the matrix and
+    writes the eigenvectors into the second half. A real result is then
+    copied over the spent matrix and the buffer shrunk to n^2 floats, so it
+    keeps one n x n array; complex eigenvectors are unpacked over the whole
+    buffer. The solve thus holds two real n x n arrays at most. Where the
+    library is not bound, `np.linalg.eig` solves a copy of the first half.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    buffer = a.base
-    if not (a.dtype == np.float64 and a.flags.f_contiguous
-            and a.flags.writeable and isinstance(buffer, np.ndarray)
-            and buffer.shape == (2 * n * n,) and buffer.dtype == np.float64
-            and buffer.flags.c_contiguous and buffer.flags.writeable
-            and buffer.ctypes.data == a.ctypes.data):
-        raise ValueError("expected a matrix from lapack.matrix(n)")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix must not contain infs or NaNs")
+    if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
+        raise ValueError("expected finite real nonzeros")
+    buffer = np.zeros(2 * n * n)
+    a = buffer[:n * n].reshape((n, n), order="F")
+    a[rows, cols] = values
     binding = _bind()
     if binding is None:
         values, vectors = np.linalg.eig(a)
@@ -172,7 +159,11 @@ def geev(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if status < 0:
         raise RuntimeError(f"dgeev rejected argument {-status}")
     if not wi.any():
-        return wr, vr
+        a[:] = vr
+        del a, vr
+        # numpy's reference check raises if a view of the buffer is left
+        buffer.resize(n * n)
+        return wr, buffer.reshape((n, n), order="F")
     values = np.empty(n, dtype=np.complex128)
     values.real, values.imag = wr, wi
     return values, _unpack(buffer, vr, wi > 0.0)

@@ -85,6 +85,8 @@ class SweepSpec:
             check_eps_im(self.eps_im)
         check_gaps(self.gap_factor, self.min_gap)
         check_selector(self.threshold_selector)
+        if "threshold" in self.observables:
+            _check_bracket(self.threshold_bracket, self.threshold_resolution)
         if "entropies" in self.observables:
             left_half_sites(self.base.cells)  # cells is never an axis
 
@@ -238,19 +240,28 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
                    gap_factor, min_gap, capacity, lapack.solve_lanes())
 
 
+def _check_bracket(bracket: Tuple[float, float],
+                   resolution: float) -> Tuple[float, float]:
+    """The bracket ends as floats; raises ValueError unless lo < hi and the
+    resolution is at least the spacing of doubles at the ends (math.ulp),
+    below which bisection never ends."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError(f"bracket must be (lo, hi) with lo < hi, "
+                         f"got ({lo}, {hi})")
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    if not resolution >= spacing:
+        raise ValueError(f"resolution must be at least {spacing:.3g}, the "
+                         f"spacing of doubles at the bracket, got {resolution}")
+    return lo, hi
+
+
 def _search(params: ModelParams, cluster_selector: str,
             eps_im: Optional[float], bracket: Tuple[float, float],
             resolution: float, gap_factor: float, min_gap: Optional[float],
             capacity: Optional[int], lanes: int) -> ThresholdResult:
     """find_threshold_jp with `lanes` solves at once."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    # below the spacing of doubles at the bracket ends bisection never ends
-    spacing = math.ulp(max(abs(lo), abs(hi)))
-    if not resolution >= spacing:
-        raise ValueError(f"resolution must be at least {spacing:.3g}, the "
-                         f"spacing of doubles at the bracket, got {resolution}")
+    lo, hi = _check_bracket(bracket, resolution)
     if eps_im is not None:
         check_eps_im(eps_im)
     check_gaps(gap_factor, min_gap)

@@ -320,6 +320,8 @@ def test_negative_eps_im_is_rejected(tmp_path, capsys):
 def test_nan_options_are_rejected(tmp_path, capsys):
     # every comparison with NaN is False, so a NaN bound would pass a
     # "reject if <= 0" test and silently change the result
+    threshold_sweep = ["sweep", "--cells", "3", "--particles", "2", "--u", "4",
+                       "--axis", "jp:0:0.05:3", "--observables", "threshold"]
     cases = [("resolution", ["threshold", "--cells", "8", "--particles", "1",
                              "--mu", "0.2", "--bracket", "0:0.2",
                              "--resolution", "nan"]),
@@ -331,7 +333,10 @@ def test_nan_options_are_rejected(tmp_path, capsys):
              ("gap_factor", ["sweep", "--cells", "4", "--particles", "2",
                              "--axis", "jp:0:0.1:3",
                              "--observables", "max_im_per_cluster",
-                             "--gap-factor", "nan"])]
+                             "--gap-factor", "nan"]),
+             # as it does the bracket and resolution of its threshold column
+             ("bracket", [*threshold_sweep, "--bracket", "0.1:0"]),
+             ("resolution", [*threshold_sweep, "--resolution", "0"])]
     for case, (key, argv) in enumerate(cases):
         out = tmp_path / f"case{case}"
         capsys.readouterr()

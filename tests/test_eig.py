@@ -67,8 +67,10 @@ def _balance_entries(operator):
 
     rows, cols, values = _entries(operator)
     dim = len(_dense(operator))
-    out = np.zeros((dim, dim), order="F")
-    return out, _balance(rows, cols, values, out)
+    d, balanced = _balance(dim, rows, cols, values)
+    out = np.zeros((dim, dim))
+    out[rows, cols] = balanced
+    return out, d
 
 
 def test_balancing_is_a_similarity_transform():
@@ -133,8 +135,8 @@ def test_every_check_fires_on_dense_and_sparse_input(sparse, monkeypatch):
     geev = lapack.geev
 
     def shifted(shift):
-        def solve(a):
-            values, vectors = geev(a)
+        def solve(*nonzeros):
+            values, vectors = geev(*nonzeros)
             return values + shift, vectors
         return solve
 
@@ -291,20 +293,26 @@ def test_column_norms_match_numpy_norm():
 
 def test_solve_peaks_below_three_real_arrays():
     # numpy reports its buffers to tracemalloc, so the peak is deterministic:
-    # the buffer of two real n x n arrays plus O(n * BLOCK) temporaries
+    # the buffer of two real n x n arrays plus O(n * BLOCK) temporaries; a
+    # real spectrum then keeps one real n x n array, a complex one two
     from nhladder import lapack
 
     if lapack.symbol() is None:
         pytest.skip("np.linalg.eig keeps its own buffers")
     eigendecompose(_sector(4, 2, jp=0.01, mu=0.2, u=4.0))
-    op = _sector(20, 2, jp=0.01, mu=0.2, u=4.0)
-    tracemalloc.start()
-    try:
-        eigendecompose(op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 8 * op.dimension ** 2
+    reciprocal = dict(jl_a=1.0, jr_a=1.0, jl_b=1.0, jr_b=1.0, jp=0.1)
+    for op, dtype, kept in ((_sector(20, 2, jp=0.01, mu=0.2, u=4.0),
+                             np.complex128, 2.1),
+                            (_sector(300, 1, **reciprocal), np.float64, 1.1)):
+        tracemalloc.start()
+        try:
+            result = eigendecompose(op)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.eigenvectors.dtype == dtype
+        assert peak < 3 * 8 * op.dimension ** 2
+        assert held < kept * 8 * op.dimension ** 2
 
 
 def test_solve_never_densifies_a_sparse_operator(monkeypatch):
