@@ -49,10 +49,10 @@ from .eig import ConvergenceError, default_eps_im, eigendecompose
 from .fock import CapacityError, basis_dimension, site_cell_leg
 from .model import ModelParams, build_hamiltonian, sector_basis
 from .observables import (OBSERVABLES, SELECTORS, check_gaps,
-                          cluster_spectrum, correlation_ncor,
-                          correlation_ncor_all, cut_entropies, label_clusters,
-                          left_half_sites, min_gap_for, pair_density,
-                          polarization_all, site_density)
+                          correlation_ncor, correlation_ncor_all,
+                          cut_entropies, label_clusters, left_half_sites,
+                          pair_density, polarization_all, select_clusters,
+                          site_density)
 
 # The sweep drivers the commands call. They are attributes of this module,
 # imported from sweep on first use (PEP 562), and the commands call them as
@@ -407,8 +407,8 @@ def cmd_spectrum(cfg: Dict) -> Outcome:
     """Full spectrum with per-state observables."""
     params, basis, result, timings = _diagonalize(cfg)
     t0 = time.perf_counter()
-    clusters = label_clusters(result, basis, gap_factor=cfg["gap_factor"],
-                              min_gap=min_gap_for(params, cfg["min_gap"]))
+    clusters = label_clusters(result, basis, select_clusters(
+        result, params, cfg["gap_factor"], cfg["min_gap"])["all"])
     membership = {}
     for cid, c in enumerate(clusters):
         for m in c.members:
@@ -468,8 +468,8 @@ def _selected_state(cfg: Dict):
     elif kind == "index":
         state = k
     else:
-        clusters = cluster_spectrum(result, gap_factor=cfg["gap_factor"],
-                                    min_gap=min_gap_for(params, cfg["min_gap"]))
+        clusters = select_clusters(result, params, cfg["gap_factor"],
+                                   cfg["min_gap"])["all"]
         if k >= len(clusters):
             raise ValueError(f"cluster id {k} out of range "
                              f"0..{len(clusters) - 1}")

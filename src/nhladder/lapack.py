@@ -132,9 +132,11 @@ def geev(n: int, rows: np.ndarray, cols: np.ndarray,
     2n^2 floats, and dgeev runs in place there: it overwrites the matrix and
     writes the eigenvectors into the second half. A real result is then
     copied over the spent matrix and the buffer shrunk to n^2 floats, so it
-    keeps one n x n array; complex eigenvectors are unpacked over the whole
-    buffer. The solve thus holds two real n x n arrays at most. Where the
-    library is not bound, `np.linalg.eig` solves a copy of the first half.
+    keeps one n x n array (where a trace function holds a reference to the
+    buffer, numpy refuses the shrink and the result is a view of the whole
+    buffer); complex eigenvectors are unpacked over the whole buffer. The
+    solve thus holds two real n x n arrays at most. Where the library is
+    not bound, `np.linalg.eig` solves a copy of the first half.
     """
     if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
         raise ValueError("expected finite real nonzeros")
@@ -161,8 +163,12 @@ def geev(n: int, rows: np.ndarray, cols: np.ndarray,
     if not wi.any():
         a[:] = vr
         del a, vr
-        # numpy's reference check raises if a view of the buffer is left
-        buffer.resize(n * n)
+        # numpy's reference check raises if a view of the buffer is left,
+        # or if a trace function holds the frame's locals (Python < 3.13)
+        try:
+            buffer.resize(n * n)
+        except ValueError:
+            buffer = buffer[:n * n]
         return wr, buffer.reshape((n, n), order="F")
     values = np.empty(n, dtype=np.complex128)
     values.real, values.imag = wr, wi

@@ -406,9 +406,8 @@ def classify_cluster(cluster: Cluster, result: SpectrumResult,
 
 
 def label_clusters(result: SpectrumResult, basis: Basis,
-                   gap_factor: float = 10.0,
-                   min_gap: float = 0.1) -> List[Cluster]:
-    """cluster_spectrum followed by classify_cluster on each cluster."""
-    clusters = cluster_spectrum(result, gap_factor=gap_factor, min_gap=min_gap)
+                   clusters: Sequence[Cluster]) -> List[Cluster]:
+    """The given clusters of result (select_clusters) with the label
+    classify_cluster gives each."""
     return [replace(c, label=classify_cluster(c, result, basis))
             for c in clusters]

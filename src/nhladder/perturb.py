@@ -2,18 +2,23 @@
 
 At large on-site repulsion the two-boson spectrum splits off a band of
 tightly bound pairs. Virtual dissociation generates an effective single
-pair hopping model on the 2L pair sites (cell, leg): asymmetric intra-leg
-hops proportional to the squared bare amplitudes over u, on-site energy
-shifts from the rung and from left-right virtual exchange, and a
-reciprocal inter-leg coupling with leg-split denominators u +/- 2 mu. The
-first-order correction vanishes because a single hop breaks the pair.
+pair hopping model on the 2L pair sites (cell, leg), which is one particle
+on the ladder (model.build_hamiltonian) with renormalized amplitudes:
+asymmetric intra-leg hops proportional to the squared bare amplitudes over
+u and a reciprocal inter-leg coupling with leg-split denominators
+u +/- 2 mu, plus a per-leg on-site energy from the rung and from
+left-right virtual exchange. The first-order correction vanishes because
+a single hop breaks the pair.
+
+validate_effective_model compares the model's spectrum with the bound band
+of the full one, both in eigendecompose's (re, im) order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +54,9 @@ def _rung_coupling(params: ModelParams) -> float:
 
 
 def build_effective_pair_hamiltonian(params: ModelParams) -> SparseOperator:
-    """Assemble the 2L x 2L effective pair Hamiltonian.
+    """Assemble the 2L x 2L effective pair Hamiltonian: one particle on the
+    ladder (build_hamiltonian), with renormalized amplitudes, plus a per-leg
+    on-site energy.
 
     Pair sites follow the combined ordering (leg A cells first). Per leg
     with bare amplitudes (jl, jr) and leg sign p = +1 (A) or -1 (B):
@@ -64,39 +71,24 @@ def build_effective_pair_hamiltonian(params: ModelParams) -> SparseOperator:
     transition.
     """
     _check_denominators(params)
-    cells = params.cells
-    u = params.u
-    jp2 = params.jp ** 2
-    rung = _rung_coupling(params)
-
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-
-    def put(r: int, c: int, v: float):
-        if v != 0.0:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-    legs = ((0, params.jl_a, params.jr_a, +1.0),
-            (cells, params.jl_b, params.jr_b, -1.0))
-    for off, jl, jr, leg_sign in legs:
-        denom = u + 2.0 * leg_sign * params.mu
-        diag = denom + SQRT2 * jp2 / denom + 2.0 * SQRT2 * jl * jr / u
-        for x in range(cells):
-            put(off + x, off + x, diag)
-        for x in range(cells - 1):
-            put(off + x, off + x + 1, SQRT2 * jl * jl / u)
-            put(off + x + 1, off + x, SQRT2 * jr * jr / u)
-    for x in range(cells):
-        put(x, cells + x, rung)
-        put(cells + x, x, rung)
-
-    return SparseOperator(dimension=2 * cells,
-                          rows=np.asarray(rows, dtype=np.int64),
-                          cols=np.asarray(cols, dtype=np.int64),
-                          values=np.asarray(vals, dtype=np.float64))
+    u, jp2 = params.u, params.jp ** 2
+    # build_hamiltonian's intra-leg terms are -jl and -jr
+    hops = params.with_updates(
+        particles=1, u=0.0, mu=0.0, jp=_rung_coupling(params),
+        jl_a=-(SQRT2 * params.jl_a * params.jl_a / u),
+        jr_a=-(SQRT2 * params.jr_a * params.jr_a / u),
+        jl_b=-(SQRT2 * params.jl_b * params.jl_b / u),
+        jr_b=-(SQRT2 * params.jr_b * params.jr_b / u))
+    ladder = build_hamiltonian(hops, sector_basis(hops))
+    legs = ((params.jl_a, params.jr_a, u + 2.0 * params.mu),
+            (params.jl_b, params.jr_b, u - 2.0 * params.mu))
+    diag = np.repeat([denom + SQRT2 * jp2 / denom + 2.0 * SQRT2 * jl * jr / u
+                      for jl, jr, denom in legs], params.cells)
+    sites = np.arange(ladder.dimension)
+    return SparseOperator(dimension=ladder.dimension,
+                          rows=np.concatenate([sites, ladder.rows]),
+                          cols=np.concatenate([sites, ladder.cols]),
+                          values=np.concatenate([diag, ladder.values]))
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ class EffectiveModelReport:
     effective model, at the given u and at 2u.
 
     max_dev is the largest relative eigenvalue deviation |full - eff| /
-    |full| after sorting both sets by (Re, Im); max_dev_abs is the same
+    |full| with both sets in (Re, Im) order; max_dev_abs is the same
     without the normalization. ratio divides max_dev at u by max_dev at 2u
     and should sit near 4 when the residual error is dominated by the next
     order in 1/u."""
@@ -120,15 +112,11 @@ class EffectiveModelReport:
     effective_eigenvalues: np.ndarray
 
 
-def _sorted_pairing(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
-
-
 def _bound_band(params: ModelParams, capacity: Optional[int],
                 gap_factor: float, min_gap: Optional[float]) -> np.ndarray:
     """Eigenvalues of the full model in the bound clusters (see
-    select_clusters); there must be exactly one per pair site."""
+    select_clusters), in the (Re, Im) order select_clusters keeps; there
+    must be exactly one per pair site."""
     basis = sector_basis(params, capacity=capacity)
     result = eigendecompose(build_hamiltonian(params, basis), capacity=capacity)
     bound = select_clusters(result, params, gap_factor, min_gap)["bound"]
@@ -145,8 +133,8 @@ def validate_effective_model(params: ModelParams,
                              min_gap: Optional[float] = None
                              ) -> EffectiveModelReport:
     """Diagonalize the full two-boson model and the effective pair model at
-    params.u and at 2 u, pair spectra by lexicographic (Re, Im) order, and
-    report the deviations and their ratio. The bound band of the full
+    params.u and at 2 u, pair the spectra in the (Re, Im) order both come
+    in, and report the deviations and their ratio. The bound band of the full
     spectrum is the "bound" group of select_clusters(gap_factor, min_gap),
     min_gap None standing for default_min_gap, as in the spectrum command.
 
@@ -163,10 +151,9 @@ def validate_effective_model(params: ModelParams,
     for scale in (1.0, 2.0):
         p = params.with_updates(u=scale * params.u)
         _check_denominators(p)
-        full = _sorted_pairing(_bound_band(p, capacity, gap_factor, min_gap))
-        eff_result = eigendecompose(build_effective_pair_hamiltonian(p),
-                                    capacity=capacity)
-        eff = _sorted_pairing(eff_result.eigenvalues)
+        full = _bound_band(p, capacity, gap_factor, min_gap)
+        eff = eigendecompose(build_effective_pair_hamiltonian(p),
+                             capacity=capacity).eigenvalues
         diff = np.abs(full - eff)
         deviations[scale] = (float(np.max(diff / np.abs(full))),
                              float(np.max(diff)))

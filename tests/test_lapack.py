@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,33 @@ def test_unpack_in_place_matches_numpy_eig_across_blocks():
         straddled |= any(values.imag[j - 1] > 0.0
                          for j in range(lapack.BLOCK, n, lapack.BLOCK))
     assert straddled
+
+
+@bound
+def test_real_spectrum_solves_under_a_trace_function():
+    # a trace function that reads f_locals (as debuggers do) keeps a
+    # reference to geev's buffer on Python < 3.13, so numpy refuses to
+    # shrink it; the solve must still give the untraced bits
+    p = ModelParams(cells=30, particles=1, jl_a=1.0, jr_a=1.0,
+                    jl_b=1.0, jr_b=1.0, jp=0.3)
+    ham = build_hamiltonian(p, sector_basis(p))
+    plain = eigendecompose(ham)
+    assert plain.eigenvalues.dtype == np.float64
+
+    def trace(frame, event, arg):
+        frame.f_locals
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        traced = eigendecompose(ham)
+    finally:
+        sys.settrace(previous)
+    for attr in ("eigenvalues", "eigenvectors"):
+        a, b = getattr(plain, attr), getattr(traced, attr)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_complex_input_raises_value_error(monkeypatch):

@@ -199,7 +199,7 @@ def test_observables_add_only_chunks_of_eigenvectors():
     result = eigendecompose(build_hamiltonian(p, basis))
     tracemalloc.start()
     try:
-        label_clusters(result, basis)
+        label_clusters(result, basis, select_clusters(result, p)["all"])
         polarization_all(result.eigenvectors, basis)
         correlation_ncor_all(result.eigenvectors, basis)
         peak = tracemalloc.get_traced_memory()[1]
@@ -479,8 +479,7 @@ def test_five_cluster_bands_with_detuned_interaction():
     p = ModelParams(cells=20, particles=2, jp=0.01, mu=3.0, u=16.0)
     basis = sector_basis(p)
     result = eigendecompose(build_hamiltonian(p, basis))
-    clusters = label_clusters(result, basis,
-                              min_gap=default_min_gap(p.jl_a, p.jr_a))
+    clusters = label_clusters(result, basis, select_clusters(result, p)["all"])
     assert [c.size for c in clusters] == [190, 400, 190, 20, 20]
     assert [c.label for c in clusters] == ["RS", "BiS", "LS", "mixed", "mixed"]
     # the skin-localized bound bands sit near u -/+ 2 mu

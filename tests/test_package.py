@@ -65,3 +65,14 @@ def test_dir_lists_every_export_and_submodule():
     assert nhladder.sweep.run_sweep is nhladder.run_sweep
     with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
         nhladder.cli_main
+
+
+def test_readme_library_example_runs(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as handle:
+        text = handle.read()
+    section = text.split("\n## Library use\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out

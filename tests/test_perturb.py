@@ -48,6 +48,32 @@ def test_detuned_denominators():
     assert h[2, 2] == pytest.approx(diag_b, rel=1e-12)
 
 
+def test_asymmetric_legs_at_negative_u():
+    # leg B's own amplitudes (jl_b, jr_b not the mirror of leg A) and an
+    # attractive u, against the docstring formulas entry by entry
+    cells, u, jp, mu = 3, -6.0, 0.3, 0.4
+    jl_a, jr_a, jl_b, jr_b = 1.1, 0.35, 0.6, 0.9
+    p = ModelParams(cells=cells, particles=2, jl_a=jl_a, jr_a=jr_a,
+                    jl_b=jl_b, jr_b=jr_b, jp=jp, mu=mu, u=u)
+    h = build_effective_pair_hamiltonian(p).to_dense()
+    rung = SQRT2 * jp ** 2 * (1.0 / (u + 2.0 * mu) + 1.0 / (u - 2.0 * mu))
+    diag_a = (u + 2.0 * mu + SQRT2 * jp ** 2 / (u + 2.0 * mu)
+              + 2.0 * SQRT2 * jl_a * jr_a / u)
+    diag_b = (u - 2.0 * mu + SQRT2 * jp ** 2 / (u - 2.0 * mu)
+              + 2.0 * SQRT2 * jl_b * jr_b / u)
+    expected = np.zeros((2 * cells, 2 * cells))
+    for x in range(cells):
+        expected[x, x] = diag_a
+        expected[cells + x, cells + x] = diag_b
+        expected[x, cells + x] = expected[cells + x, x] = rung
+    for x in range(cells - 1):
+        expected[x, x + 1] = SQRT2 * jl_a ** 2 / u
+        expected[x + 1, x] = SQRT2 * jr_a ** 2 / u
+        expected[cells + x, cells + x + 1] = SQRT2 * jl_b ** 2 / u
+        expected[cells + x + 1, cells + x] = SQRT2 * jr_b ** 2 / u
+    np.testing.assert_allclose(h, expected, rtol=1e-14, atol=0.0)
+
+
 def test_first_order_term_vanishes():
     # scaling all hop amplitudes by c scales every off-diagonal (and every
     # diagonal shift) by exactly c^2: no linear piece exists
@@ -100,6 +126,10 @@ def test_validate_effective_model_converges_with_u():
         devs.append(report.max_dev)
         assert len(report.full_eigenvalues) == 8
         assert len(report.effective_eigenvalues) == 8
+        # both spectra come in eigendecompose's (re, im) order
+        for values in (report.full_eigenvalues, report.effective_eigenvalues):
+            assert np.array_equal(np.lexsort((values.imag, values.real)),
+                                  np.arange(len(values)))
         assert report.max_dev_abs >= 0.0
         assert report.ratio > 1.0
     assert devs[0] > devs[1] > devs[2]
