@@ -290,10 +290,12 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[half - 1] + ordered[half]) / 2)
 
 
-def cluster_spectrum(result: SpectrumResult, gap_factor: float = 10.0,
-                     min_gap: float = 0.1) -> List[Cluster]:
+def cluster_spectrum(result: SpectrumResult, gap_factor: float = 10.0, *,
+                     min_gap: float) -> List[Cluster]:
     """Partition the spectrum into clusters separated by real-axis gaps
-    larger than max(min_gap, gap_factor * median neighbor gap).
+    larger than max(min_gap, gap_factor * median neighbor gap). min_gap has
+    no default: select_clusters takes it from min_gap_for(params, ...), as
+    every command does.
 
     Every eigenvalue index lands in exactly one cluster; clusters are
     returned ordered by Re(E).

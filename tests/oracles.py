@@ -263,24 +263,23 @@ def einsum_ncor(vectors: np.ndarray,
 
 def dense_balance(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Balancing with every sweep over the dense array, the form the
-    package's sparse sweeps replace: same sweep rule, clips, cap and stop
-    test, with row and column sums taken over all n^2 entries."""
+    package's sparse sweeps replace: same half-step sweep rule, clips, cap
+    and stop test, with row and column sums taken over all n^2 entries."""
     n = matrix.shape[0]
     if n < 2:
         return matrix, np.ones(n)
     work = np.abs(matrix).astype(float)
     np.fill_diagonal(work, 0.0)
     d = np.ones(n)
-    sweeps = min(1000, 12 + int(4e7) // (n * n))
-    for _ in range(sweeps):
+    for _ in range(1000):
         col = work.sum(axis=0)
         row = work.sum(axis=1)
         active = (col > 0.0) & (row > 0.0)
         factor = np.ones(n)
-        factor[active] = np.sqrt(row[active] / col[active])
+        factor[active] = np.sqrt(np.sqrt(row[active] / col[active]))
         np.clip(factor, 0.25, 4.0, out=factor)
         np.clip(factor, 1e-12 / d, 1e12 / d, out=factor)
-        if np.max(np.abs(np.log(factor))) < 1e-10:
+        if np.max(np.abs(np.log(factor))) < 1e-3:
             break
         d *= factor
         work *= factor[np.newaxis, :]

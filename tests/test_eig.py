@@ -233,7 +233,7 @@ BALANCE_INPUTS = {
                                                jp=0.01, mu=0.2, u_nn=4.0),
     "fermion L=20 N=2 (D=780)": lambda: _sector(20, 2, statistics="fermion",
                                                 jp=0.01, mu=0.2, u_nn=4.0),
-    "L=50 N=1 (1000 sweeps)": lambda: _sector(50, 1, jp=0.01, mu=0.2),
+    "L=50 N=1 (D=100)": lambda: _sector(50, 1, jp=0.01, mu=0.2),
     "zero row and column": _zero_row_and_column,
     "n=0": lambda: np.zeros((0, 0)),
     "n=1": lambda: np.array([[2.5]]),
@@ -258,6 +258,31 @@ def test_sparse_balancing_matches_dense_sweeps(name):
     assert np.array_equal(np.diagonal(balanced), np.diagonal(matrix))
 
 
+def test_bipartite_2x2_balances_in_two_sweeps():
+    # a full step sqrt(row / col) swaps the two entries every sweep; the
+    # half step meets in the middle
+    from nhladder.eig import _balance
+
+    diagnostics = {}
+    _, balanced = _balance(2, np.array([0, 1]), np.array([1, 0]),
+                           np.array([1.0, 0.5]), diagnostics)
+    np.testing.assert_allclose(balanced, [np.sqrt(0.5)] * 2, rtol=1e-12)
+    assert diagnostics["balance_sweeps"] <= 2
+
+
+@pytest.mark.parametrize("cells, kwargs", [
+    (15, dict(jp=0.01, mu=0.2, u=4.0)),
+    (20, dict(jp=0.01, mu=4.0, u=16.0)),
+], ids=["L=15 N=2 (D=465)", "L=20 N=2 (D=820)"])
+def test_ladder_sectors_balance_before_the_cap(cells, kwargs):
+    from nhladder.eig import _balance, _entries
+
+    op = _sector(cells, 2, **kwargs)
+    diagnostics = {}
+    _balance(op.dimension, *_entries(op), diagnostics)
+    assert diagnostics["balance_sweeps"] < diagnostics["balance_sweep_cap"]
+
+
 def test_diagnostics_report_stages_and_balancing():
     op = _sector(6, 2, jp=0.01, mu=0.2, u=4.0)
     diagnostics = eigendecompose(op).diagnostics
@@ -266,9 +291,9 @@ def test_diagnostics_report_stages_and_balancing():
                                  "balance_sweep_cap", "balance_log10_spread"]
     assert all(diagnostics[k] >= 0.0
                for k in ("densify_s", "balance_s", "geev_s", "verify_s"))
-    dim = op.dimension
-    assert diagnostics["balance_sweep_cap"] == min(1000, 12 + int(4e7) // dim**2)
-    assert 0 <= diagnostics["balance_sweeps"] <= diagnostics["balance_sweep_cap"]
+    assert diagnostics["balance_sweep_cap"] == 1000
+    # converged, not stopped by the cap
+    assert 0 <= diagnostics["balance_sweeps"] < diagnostics["balance_sweep_cap"]
     _, d = _balance_entries(op.to_dense())
     assert diagnostics["balance_log10_spread"] == np.log10(d.max() / d.min())
     assert diagnostics["balance_log10_spread"] > 0.0

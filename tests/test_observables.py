@@ -357,10 +357,13 @@ def test_cluster_validation():
     result = synthetic_result([0.0, 1.0])
     for gap_factor in (0.0, float("nan")):
         with pytest.raises(ValueError):
-            cluster_spectrum(result, gap_factor=gap_factor)
+            cluster_spectrum(result, gap_factor=gap_factor, min_gap=0.1)
     for min_gap in (-0.1, float("nan")):
         with pytest.raises(ValueError):
             cluster_spectrum(result, min_gap=min_gap)
+    # min_gap has no default to fall back on
+    with pytest.raises(TypeError):
+        cluster_spectrum(result)
 
 
 # ---------------------------------------------------------------------------
