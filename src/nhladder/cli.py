@@ -19,7 +19,8 @@ of ncor and of pair densities, the cell count of entropy) are rejected
 before any solve.
 
 Exit codes: 0 success, 2 configuration or parameter errors, 3 capacity
-overruns, 4 solver or verification failures.
+overruns (the size budget, or a buffer that cannot be allocated), 4 solver
+or verification failures.
 
 Every command runs at one OpenBLAS thread, dgeev and the observables'
 matrix products alike, so no output depends on the thread count; main
@@ -634,7 +635,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _write_outputs(command, cfg, args.out or command,
                            COMMANDS[command](cfg))
         return 0
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
+        # a sector within the capacity can still be too large for memory
         print(f"error (capacity): {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:

@@ -7,7 +7,7 @@ similarity scaling) and hands the balanced nonzeros to lapack.geev, which
 runs LAPACK dgeev in place in a buffer of its own through numpy's OpenBLAS,
 or np.linalg.eig where that library cannot be bound; both give the same
 bits. No operator is made dense here: apart from geev's buffer, a solve
-holds O(nnz) entries and O(n * BLOCK) temporaries.
+holds O(nnz) entries and O(n * GATHER) temporaries.
 
 Every decomposition is checked before it is returned: per-eigenpair
 residuals against a norm-scaled tolerance, computed from the nonzeros of the
@@ -31,11 +31,8 @@ from .model import SparseOperator
 
 TRACE_RTOL = 1e-8
 CONJ_ATOL = 1e-10
-# matrix rows (norm), eigenvector rows (normalisation) or columns
-# (residuals) per block: bounds the temporaries of each pass to a few 64 x n
-# arrays
-BLOCK = 64
-# eigenvector columns per gather of the residuals from the nonzeros
+# eigenvector columns per block of the one pass that scales, normalises
+# and checks them: bounds its temporaries to a few GATHER x n arrays
 GATHER = 16
 
 
@@ -49,9 +46,12 @@ class SpectrumResult:
     eigenvectors (columns of a Fortran-ordered array) in the same order;
     residuals; the infinity norm of the matrix that produced them; and the
     solve's diagnostics: seconds per stage (densify_s, which times gathering
-    the nonzeros, balance_s, geev_s, verify_s), the balance sweeps applied
-    and the safety cap (fewer sweeps than the cap means balancing
-    converged), and log10(max d / min d) of the balancing scale d."""
+    the nonzeros, balance_s, geev_s for the solve and the sort, verify_s
+    for the one eigenvector pass that undoes the balancing, normalises and
+    computes the residuals, and the trace and conjugation checks), the
+    balance sweeps applied and the safety cap (fewer sweeps than the cap
+    means balancing converged), and log10(max d / min d) of the balancing
+    scale d."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -95,21 +95,6 @@ def _entries(operator: Union[SparseOperator, np.ndarray]
     kept = values != 0
     keys = keys[first][kept]
     return keys // dim, keys % dim, values[kept]
-
-
-def _norm(dim: int, rows: np.ndarray, cols: np.ndarray,
-          values: np.ndarray) -> float:
-    """max_i sum_j |H_ij| from the row-major nonzeros, with the bits of
-    np.sum(np.abs(H), axis=1) on the dense H: the same pairwise sums over
-    zero-filled rows, BLOCK rows at a time."""
-    norm = 0.0
-    bounds = np.searchsorted(rows, np.arange(0, dim + BLOCK, BLOCK))
-    for k, start in enumerate(range(0, dim, BLOCK)):
-        lo, hi = bounds[k], bounds[k + 1]
-        slab = np.zeros((min(BLOCK, dim - start), dim))
-        slab[rows[lo:hi] - start, cols[lo:hi]] = np.abs(values[lo:hi])
-        norm = max(norm, float(np.max(slab.sum(axis=1))))
-    return norm
 
 
 def _balance(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -199,7 +184,9 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
         raise CapacityError(f"matrix dimension {dim} exceeds capacity {cap}")
 
     rows, cols, values = _entries(operator)
-    norm = _norm(dim, rows, cols, values)
+    # max_i sum_j |H_ij|, each row summed in row-major order
+    norm = float(np.bincount(rows, weights=np.abs(values),
+                             minlength=dim).max(initial=0.0))
     trace = np.sum(values[rows == cols])
     gathered = time.perf_counter()
 
@@ -210,15 +197,10 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
     _permute_columns(eigenvectors, order)
-    eigenvectors *= diag[:, np.newaxis]
-
-    scales = _column_norms(eigenvectors)
-    if np.any(scales == 0.0):
-        raise ConvergenceError("eigensolver returned a zero eigenvector")
-    eigenvectors /= scales
     solved = time.perf_counter()
 
-    residuals = _entry_residuals(rows, cols, values, eigenvalues, eigenvectors)
+    residuals = _entry_residuals(rows, cols, values, diag, eigenvalues,
+                                 eigenvectors)
     bound = tol * max(norm, 1e-300)
     worst = int(np.argmax(residuals)) if dim else 0
     if dim and residuals[worst] > bound:
@@ -262,28 +244,22 @@ def _permute_columns(vectors: np.ndarray, order: np.ndarray) -> None:
         order[i] = i
 
 
-def _column_norms(vectors: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(vectors, axis=0) of a C-ordered array, for an array of
-    any order and without its two full-size temporaries: the same squares,
-    summed down the rows in the same order, a block of rows at a time."""
-    sums = np.zeros(vectors.shape[1])
-    for start in range(0, len(vectors), BLOCK):
-        rows = vectors[start:start + BLOCK]
-        for square in (rows.conj() * rows).real:
-            sums += square
-    return np.sqrt(sums)
-
-
 def _entry_residuals(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                     eigenvalues: np.ndarray,
+                     diag: np.ndarray, eigenvalues: np.ndarray,
                      eigenvectors: np.ndarray) -> np.ndarray:
-    """Column norms of H X - X diag(w) from the row-major nonzeros of H.
+    """Turn the eigenvectors Y of the balanced matrix into unit eigenvectors
+    X of H in place, and return the column norms of H X - X diag(w), from
+    the row-major nonzeros of H. Raises ConvergenceError on a zero vector.
 
-    Each row's entries are padded to the longest row, so slot k of every
-    row is one gather. GATHER columns of X at a time, held as the rows of a
-    C-ordered block of X^T (a view for a Fortran-ordered X), that gather is
-    one flat fancy index: O(n * longest row) work per column, and
-    temporaries of a few GATHER x n arrays."""
+    One pass, GATHER columns at a time, each block a view of Y^T (C-ordered
+    for the Fortran-ordered Y of geev) whose rows are scaled by the
+    balancing diagonal d and divided by their norms in place. The squares
+    are summed down each column in row order, as np.linalg.norm(X, axis=0)
+    sums them on a C-ordered X, so the unit vectors keep its bits. Each
+    row's entries are padded to the longest row, so slot k of every row is
+    one gather, and within a block that gather is one flat fancy index:
+    O(n * longest row) work per column, and temporaries of a few GATHER x n
+    arrays."""
     dim = len(eigenvalues)
     counts = np.bincount(rows, minlength=dim)
     width = int(counts.max()) if len(rows) else 0
@@ -296,7 +272,12 @@ def _entry_residuals(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     index = index + dim * np.arange(GATHER)[:, np.newaxis]
     residuals = np.empty(dim)
     for j in range(0, dim, GATHER):
-        block = np.ascontiguousarray(eigenvectors[:, j:j + GATHER].T)
+        block = eigenvectors[:, j:j + GATHER].T
+        block *= diag
+        norms = np.sqrt(np.cumsum((block.conj() * block).real, axis=1)[:, -1])
+        if np.any(norms == 0.0):
+            raise ConvergenceError("eigensolver returned a zero eigenvector")
+        block /= norms[:, np.newaxis]
         flat = block.reshape(-1)
         image = block * -eigenvalues[j:j + GATHER, np.newaxis]
         for k in range(width):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lapack
 from .eig import check_eps_im, default_eps_im, eigendecompose
-from .fock import enumerate_basis
+from .fock import Basis, enumerate_basis
 from .model import (FLOAT_FIELDS, ModelParams, build_hamiltonian, diagonal_counts,
                     sector_basis)
 from .observables import (OBSERVABLES, check_gaps, check_selector,
@@ -123,7 +123,7 @@ def _observable_columns(observables: Sequence[str]) -> List[str]:
 
 
 def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
-                    capacity: Optional[int]) -> Dict:
+                    basis: Basis, capacity: Optional[int]) -> Dict:
     row: Dict = {axis.name: v for axis, v in zip(spec.axes, values)}
     for col in _observable_columns(spec.observables):
         row[col] = math.nan
@@ -133,7 +133,6 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
         # the threshold search solves its own jp values; the point's own
         # spectrum is solved only for the other observables
         if set(spec.observables) != {"threshold"}:
-            basis = sector_basis(params, capacity=capacity)
             result = eigendecompose(build_hamiltonian(params, basis),
                                     capacity=capacity)
             top = int(np.argmax(np.abs(result.eigenvalues.imag)))
@@ -157,7 +156,8 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
             elif obs == "threshold":
                 t = _search(params, spec.threshold_selector, spec.eps_im,
                             spec.threshold_bracket, spec.threshold_resolution,
-                            spec.gap_factor, spec.min_gap, capacity, lanes=1)
+                            spec.gap_factor, spec.min_gap, basis, capacity,
+                            lanes=1)
                 row["jp_star"] = t.jp_star
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -184,15 +184,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
 
     Rows carry the axis values, the requested observable columns, and an
     error column that holds the exception tag for failed points (empty on
-    success). The points are solved sweep_lanes(workers) at a time on
+    success). Axes vary float fields only, so every point shares the
+    sector of spec.base: it is enumerated once, before any solve, and a
+    sector over the capacity raises CapacityError instead of failing every
+    point. The points are solved sweep_lanes(workers) at a time on
     threads, two on two cores with workers == 1. Every solve runs at one
     BLAS thread, and a threshold search inside a point solves one jp at a
     time, so the table does not depend on the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    basis = sector_basis(spec.base, capacity=capacity)
     with _lanes(sweep_lanes(workers)) as run:
-        return list(run(lambda values: _evaluate_point(spec, values, capacity),
+        return list(run(lambda values: _evaluate_point(spec, values, basis,
+                                                       capacity),
                         _grid_values(spec)))
 
 
@@ -237,7 +242,8 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     every solve, speculative ones included.
     """
     return _search(params, cluster_selector, eps_im, bracket, resolution,
-                   gap_factor, min_gap, capacity, lapack.solve_lanes())
+                   gap_factor, min_gap, sector_basis(params, capacity=capacity),
+                   capacity, lapack.solve_lanes())
 
 
 def _check_bracket(bracket: Tuple[float, float],
@@ -259,8 +265,10 @@ def _check_bracket(bracket: Tuple[float, float],
 def _search(params: ModelParams, cluster_selector: str,
             eps_im: Optional[float], bracket: Tuple[float, float],
             resolution: float, gap_factor: float, min_gap: Optional[float],
-            capacity: Optional[int], lanes: int) -> ThresholdResult:
-    """find_threshold_jp with `lanes` solves at once."""
+            basis: Basis, capacity: Optional[int],
+            lanes: int) -> ThresholdResult:
+    """find_threshold_jp in the enumerated sector `basis`, with `lanes`
+    solves at once."""
     lo, hi = _check_bracket(bracket, resolution)
     if eps_im is not None:
         check_eps_im(eps_im)
@@ -271,7 +279,6 @@ def _search(params: ModelParams, cluster_selector: str,
         raise ValueError(f"selector 'bound' needs N >= 2 particles and a "
                          f"nonzero pair energy, got N={params.particles}, "
                          f"pair energy {params.pair_energy}")
-    basis = sector_basis(params, capacity=capacity)
 
     def solve(jp: float) -> Tuple[float, float]:
         p = params.with_updates(jp=jp)

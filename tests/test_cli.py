@@ -351,6 +351,25 @@ def test_exit_code_3_on_capacity(tmp_path, monkeypatch):
     monkeypatch.setenv("NHSE_CAPACITY", "50")
     assert main(["spectrum", "--cells", "20", "--particles", "2",
                  "--out", str(tmp_path / "y")]) == 3
+    # every point of a sweep shares the sector: it fails before any point
+    monkeypatch.delenv("NHSE_CAPACITY")
+    assert main(["sweep", "--cells", "15", "--particles", "2",
+                 "--axis", "jp:0:0.1:3", "--capacity", "10",
+                 "--out", str(tmp_path / "z")]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_code_3_when_the_solve_cannot_allocate(tmp_path, monkeypatch,
+                                                    capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.59 GiB")
+
+    monkeypatch.setattr(cli, "eigendecompose", exhausted)
+    assert main(["spectrum", "--cells", "2", "--particles", "1",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == ("error (capacity): Unable to "
+                                       "allocate 4.59 GiB\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch):

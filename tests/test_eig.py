@@ -1,3 +1,5 @@
+import functools
+import operator as operator_module
 import tracemalloc
 
 import numpy as np
@@ -304,21 +306,42 @@ def test_diagnostics_report_stages_and_balancing():
     assert eigendecompose(np.zeros((0, 0))).diagnostics["balance_sweep_cap"] == 0
 
 
-def test_column_norms_match_numpy_norm():
-    # the blocked sum keeps np.linalg.norm's arithmetic, so the unit
-    # eigenvectors keep their bits
-    from nhladder.eig import _column_norms
+@pytest.mark.parametrize("make, dtype", [
+    (lambda: _sector(30, 1, jl_a=1.0, jr_a=1.0, jl_b=1.0, jr_b=1.0, jp=0.1),
+     np.float64),
+    (lambda: _sector(8, 2, jp=0.01, mu=0.2, u=4.0), np.complex128)],
+    ids=["real", "complex"])
+def test_unit_eigenvectors_have_the_bits_of_numpy_norm(make, dtype,
+                                                       monkeypatch):
+    # the one eigenvector pass scales by d and normalises a block of
+    # columns at a time, with the bits of np.linalg.norm on a C-ordered array
+    from nhladder import eig, lapack
 
-    rng = np.random.default_rng(12)
-    for shape in ((1, 1), (3, 5), (64, 64), (130, 130), (200, 70)):
-        real = rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
-        for m in (real, real + 1j * rng.normal(size=shape)):
-            assert np.array_equal(_column_norms(m), np.linalg.norm(m, axis=0))
+    seen = {}
+    balance, geev = eig._balance, lapack.geev
+
+    def capture_balance(*args, **kwargs):
+        seen["d"], balanced = balance(*args, **kwargs)
+        return seen["d"], balanced
+
+    def capture_geev(*args):
+        w, v = geev(*args)
+        seen["w"], seen["v"] = w.copy(), v.copy()
+        return w, v
+
+    monkeypatch.setattr(eig, "_balance", capture_balance)
+    monkeypatch.setattr(lapack, "geev", capture_geev)
+    result = eigendecompose(make())
+    order = np.lexsort((seen["w"].imag, seen["w"].real))
+    v = np.ascontiguousarray(seen["v"][:, order] * seen["d"][:, np.newaxis])
+    assert result.dimension > eig.GATHER
+    assert result.eigenvectors.dtype == v.dtype == dtype
+    assert np.array_equal(result.eigenvectors, v / np.linalg.norm(v, axis=0))
 
 
 def test_solve_peaks_below_three_real_arrays():
     # numpy reports its buffers to tracemalloc, so the peak is deterministic:
-    # the buffer of two real n x n arrays plus O(n * BLOCK) temporaries; a
+    # the buffer of two real n x n arrays plus O(n * GATHER) temporaries; a
     # real spectrum then keeps one real n x n array, a complex one two
     from nhladder import lapack
 
@@ -384,7 +407,7 @@ def test_dense_and_sparse_input_give_the_same_bits(name):
 
 @pytest.mark.parametrize("name", list(RESIDUAL_INPUTS))
 def test_norm_and_entries_keep_the_dense_bits(name):
-    from nhladder.eig import _entries, _norm
+    from nhladder.eig import _entries
 
     operator = RESIDUAL_INPUTS[name]()
     dense = _dense(operator)
@@ -393,8 +416,11 @@ def test_norm_and_entries_keep_the_dense_bits(name):
     assert np.array_equal(rows, expected_rows)
     assert np.array_equal(cols, expected_cols)
     assert np.array_equal(values, dense[rows, cols])
-    expected = float(np.max(np.sum(np.abs(dense), axis=1))) if len(dense) else 0.0
-    assert _norm(len(dense), rows, cols, values) == expected
+    # each row summed left to right; not with sum(), which compensates its
+    # rounding from Python 3.12 on
+    expected = max((functools.reduce(operator_module.add, map(abs, row), 0.0)
+                    for row in dense.tolist()), default=0.0)
+    assert eigendecompose(operator).matrix_norm == expected
 
 
 def test_permute_columns_matches_fancy_indexing():

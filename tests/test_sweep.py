@@ -486,6 +486,34 @@ def test_threshold_only_point_makes_no_solve_of_its_own(monkeypatch):
                "spectrum" for row in run_sweep(spec))
 
 
+def test_oversized_sector_fails_the_sweep_before_any_solve(monkeypatch):
+    from nhladder.fock import CapacityError
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a point of an oversized sector")
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", no_solve)
+    for observables in (("max_im_global",), ("threshold",)):
+        with pytest.raises(CapacityError, match="exceeds capacity 10"):
+            run_sweep(small_spec(observables=observables), capacity=10)
+
+
+def test_sweep_enumerates_its_sector_once(monkeypatch):
+    calls = []
+
+    def counting(params, capacity=None):
+        calls.append(params)
+        return sector_basis(params, capacity=capacity)
+
+    monkeypatch.setattr(sweep_mod, "sector_basis", counting)
+    spec = small_spec(observables=("max_im_global", "threshold"),
+                      threshold_bracket=(0.0, 1.0),
+                      threshold_resolution=0.1)
+    rows = run_sweep(spec, workers=2)
+    assert len(rows) == 3
+    assert calls == [spec.base]
+
+
 # ---------------------------------------------------------------------------
 # diagonal-energy tables
 
