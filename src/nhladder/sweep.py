@@ -5,9 +5,9 @@ an independent job whose row depends on that point alone. Sweeps and
 threshold searches run their solves on threads of this process, every
 solve at one BLAS thread, so tables and thresholds do not depend on how
 many solves run at once; per-point failures are recorded in the row's
-error column instead of aborting the sweep. The max_im_per_cluster columns
-and the threshold selectors split clusters into scattering and bound with
-observables.select_clusters.
+error column instead of aborting the sweep, except MemoryError, which
+stops it. The max_im_per_cluster columns and the threshold selectors split
+clusters into scattering and bound with observables.select_clusters.
 """
 
 from __future__ import annotations
@@ -87,6 +87,11 @@ class SweepSpec:
         check_selector(self.threshold_selector)
         if "threshold" in self.observables:
             _check_bracket(self.threshold_bracket, self.threshold_resolution)
+            # particles is never an axis; a zero pair energy, which an axis
+            # over u or unn can reach, stays a per-point error
+            if self.threshold_selector == "bound" and self.base.particles < 2:
+                raise ValueError(f"selector 'bound' needs N >= 2 particles, "
+                                 f"got N={self.base.particles}")
         if "entropies" in self.observables:
             left_half_sites(self.base.cells)  # cells is never an axis
 
@@ -101,7 +106,6 @@ class ThresholdResult:
     bracket: Tuple[float, float]
     eps_im: float
     evaluations: int
-    used_fallback: bool = False
     trace: Tuple[Tuple[float, float], ...] = ()
 
 
@@ -159,6 +163,8 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
                             spec.gap_factor, spec.min_gap, basis, capacity,
                             lanes=1)
                 row["jp_star"] = t.jp_star
+    except MemoryError:
+        raise  # no later point would fit either
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -187,10 +193,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     success). Axes vary float fields only, so every point shares the
     sector of spec.base: it is enumerated once, before any solve, and a
     sector over the capacity raises CapacityError instead of failing every
-    point. The points are solved sweep_lanes(workers) at a time on
-    threads, two on two cores with workers == 1. Every solve runs at one
-    BLAS thread, and a threshold search inside a point solves one jp at a
-    time, so the table does not depend on the worker count.
+    point; a point that raises MemoryError stops the sweep. The points are
+    solved sweep_lanes(workers) at a time on threads, two on two cores with
+    workers == 1. Every solve runs at one BLAS thread, and a threshold
+    search inside a point solves one jp at a time, so the table does not
+    depend on the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -219,25 +226,25 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     """Locate the rung coupling where the selected part of the spectrum
     turns complex (max |Im| exceeds eps_im).
 
-    A five-point pre-scan checks that the indicator crosses eps_im once and
-    stays above; if so, bisection narrows the bracket to the requested
-    resolution and jp_star is its upper end. A non-monotone pre-scan falls
-    back to a full scan at the resolution step and returns the first
-    crossing. Raises ValueError when the bracket does not actually bracket
-    a crossing, or, before any solve, when resolution is below the spacing
-    of doubles at the bracket ends (math.ulp), where bisection would never
-    end, eps_im is negative or NaN, gap_factor or min_gap is out of range
-    (observables.check_gaps), cluster_selector is not one of
+    The bracket is a search window whose spectrum must be real at lo. Five
+    points spread over it find the first sampled crossing; each later round
+    solves the midpoint of the last narrowing and again keeps the first
+    crossing, until the bracket is at most resolution wide; jp_star is its
+    upper end. A complex window that falls between two solved points is
+    missed. Raises ValueError when the spectrum is complex at lo or real at
+    all five points, or, before any solve, when resolution is below the
+    spacing of doubles at the bracket ends (math.ulp), where bisection
+    would never end, eps_im is negative or NaN, gap_factor or min_gap is out
+    of range (observables.check_gaps), cluster_selector is not one of
     observables.SELECTORS, or it is "bound" with fewer than two particles
     or zero pair energy, where observables.select_clusters finds no cluster
     bound.
 
     Solves run on lapack.solve_lanes() threads at one BLAS thread each, as
     inside a sweep; the pool size is restored afterwards. With two lanes the
-    pre-scan solves lo and hi together and then its three inner points;
-    each bisection round also solves the next round's midpoint on the side
-    where linear interpolation of the indicator puts the crossing; the
-    fallback scan makes and solves its grid two points at a time.
+    first round solves lo and hi together and then its three inner points;
+    each later round also solves the next round's midpoint on the side
+    where linear interpolation of the indicator puts the crossing.
     The answer does not depend on the lanes; evaluations and trace count
     every solve, speculative ones included.
     """
@@ -291,67 +298,45 @@ def _search(params: ModelParams, cluster_selector: str,
 
     with _lanes(lanes) as run:
 
-        def measure(*points: float) -> Iterator[float]:
-            """The indicator at each point, in order; the points not yet
-            solved are solved together, and eps is set by the first solve."""
+        def measure(*points: float) -> List[float]:
+            """The indicator at each point; the points not yet solved are
+            solved together, and eps is set by the first solve."""
             nonlocal eps
-            solved = run(solve, [jp for jp in dict.fromkeys(points)
-                                 if jp not in cache])
-            for jp in points:
-                if jp not in cache:
-                    value, norm = next(solved)
-                    if eps is None:
-                        eps = default_eps_im(norm)
-                    cache[jp] = value
-                yield cache[jp]
+            new = [jp for jp in dict.fromkeys(points) if jp not in cache]
+            for jp, (value, norm) in zip(new, run(solve, new)):
+                if eps is None:
+                    eps = default_eps_im(norm)
+                cache[jp] = value
+            return [cache[jp] for jp in points]
 
-        def result(jp_star: float, below: float, fallback: bool = False):
-            return ThresholdResult(jp_star=jp_star, bracket=(below, jp_star),
-                                   eps_im=eps, evaluations=len(cache),
-                                   used_fallback=fallback,
-                                   trace=tuple(cache.items()))
-
-        ends = measure(lo, hi)
-        f_lo = next(ends)
+        f_lo = measure(lo, hi)[0]
         if f_lo > eps:
             raise ValueError(f"invalid bracket: spectrum already complex at "
                              f"jp={lo} (max |Im| = {f_lo:.3e} > {eps:.3e})")
-        f_hi = next(ends)
-        if f_hi <= eps:
-            raise ValueError(f"invalid bracket: spectrum still real at "
-                             f"jp={hi} (max |Im| = {f_hi:.3e} <= {eps:.3e})")
 
-        scan = [float(jp) for jp in np.linspace(lo, hi, 5)]
-        above = [value > eps for value in measure(*scan)]
-        first_above = above.index(True)
-
-        if all(above[first_above:]):
-            b_lo, b_hi = scan[first_above - 1], scan[first_above]
-            while b_hi - b_lo > resolution:
-                mid = 0.5 * (b_lo + b_hi)
-                points = [mid]
-                if lanes > 1 and mid not in cache:
-                    at_lo, at_hi = cache[b_lo], cache[b_hi]
-                    guess = b_lo + (eps - at_lo) * (b_hi - b_lo) / (at_hi - at_lo)
-                    q_lo, q_hi = (b_lo, mid) if guess < mid else (mid, b_hi)
-                    if q_hi - q_lo > resolution:
-                        points.append(0.5 * (q_lo + q_hi))
-                if list(measure(*points))[0] > eps:
-                    b_hi = mid
-                else:
-                    b_lo = mid
-            return result(b_hi, b_lo)
-
-        steps = max(1, int(math.ceil((hi - lo) / resolution)))
-        prev = lo
-        for start in range(1, steps + 1, lanes):
-            chunk = [lo + k * (hi - lo) / steps
-                     for k in range(start, min(start + lanes, steps + 1))]
-            for jp, value in zip(chunk, list(measure(*chunk))):
-                if value > eps:
-                    return result(jp, prev, fallback=True)
-                prev = jp
-    raise ValueError("fallback scan found no crossing inside the bracket")
+        # each round narrows to its first sampled crossing: five points over
+        # the window, then the midpoint of the last narrowing
+        samples, ahead = [float(jp) for jp in np.linspace(lo, hi, 5)], []
+        while True:
+            above = [v > eps for v in measure(*samples, *ahead)[:len(samples)]]
+            if True not in above:
+                raise ValueError(f"invalid bracket: spectrum still real at "
+                                 f"{len(samples)} points from jp={lo} to "
+                                 f"jp={hi} (max |Im| <= {eps:.3e})")
+            first = above.index(True)  # >= 1: samples[0] is real
+            b_lo, b_hi = samples[first - 1], samples[first]
+            if b_hi - b_lo <= resolution:
+                return ThresholdResult(jp_star=b_hi, bracket=(b_lo, b_hi),
+                                       eps_im=eps, evaluations=len(cache),
+                                       trace=tuple(cache.items()))
+            mid = 0.5 * (b_lo + b_hi)
+            samples, ahead = [b_lo, mid, b_hi], []
+            if lanes > 1 and mid not in cache:
+                at_lo, at_hi = cache[b_lo], cache[b_hi]
+                guess = b_lo + (eps - at_lo) * (b_hi - b_lo) / (at_hi - at_lo)
+                q_lo, q_hi = (b_lo, mid) if guess < mid else (mid, b_hi)
+                if q_hi - q_lo > resolution:
+                    ahead = [0.5 * (q_lo + q_hi)]
 
 
 # the columns of an EonsiteTable crossing row, in order

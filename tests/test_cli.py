@@ -217,6 +217,17 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
     # bad selector
     assert main(["ncor", "--cells", "2", "--particles", "2", "--u", "1",
                  "--select", "best"]) == 2
+    # no cluster of one particle is bound: a sweep fails before any point,
+    # as the threshold command does
+    for command, extra in [("threshold", []),
+                           ("sweep", ["--axis", "jp:0:0.05:3",
+                                      "--observables", "threshold"])]:
+        capsys.readouterr()
+        assert main([command, "--cells", "4", "--particles", "1", *extra,
+                     "--selector", "bound",
+                     "--out", str(tmp_path / "bound")]) == 2, command
+        assert "selector 'bound' needs N >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bound*"))
     # wrong-typed file values exit 2 naming the key, as a bad flag would
     model = {"cells": 3, "particles": 2, "u": 4.0}
     axis = {"axes": ["jp:0:0.05:2"]}
@@ -367,6 +378,14 @@ def test_exit_code_3_when_the_solve_cannot_allocate(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "eigendecompose", exhausted)
     assert main(["spectrum", "--cells", "2", "--particles", "1",
                  "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == ("error (capacity): Unable to "
+                                       "allocate 4.59 GiB\n")
+    # a sweep stops at its first such point instead of writing error rows
+    import nhladder.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", exhausted)
+    assert main(["sweep", "--cells", "3", "--particles", "2",
+                 "--axis", "jp:0:0.05:3", "--out", str(tmp_path / "s")]) == 3
     assert capsys.readouterr().err == ("error (capacity): Unable to "
                                        "allocate 4.59 GiB\n")
     assert list(tmp_path.iterdir()) == []

@@ -169,6 +169,12 @@ def test_run_sweep_validation():
 # ---------------------------------------------------------------------------
 # threshold search
 
+def _max_im_at(params, jp):
+    basis = sector_basis(params)
+    r = eigendecompose(build_hamiltonian(params.with_updates(jp=jp), basis))
+    return float(np.max(np.abs(r.eigenvalues.imag)))
+
+
 def test_threshold_single_particle_bisection():
     p = ModelParams(cells=8, particles=1)
     result = find_threshold_jp(p, bracket=(0.0, 0.2), resolution=1e-3)
@@ -178,14 +184,8 @@ def test_threshold_single_particle_bisection():
     assert result.jp_star == hi
     assert 0.0 < result.jp_star < 0.2
     # verify the bracket property against direct diagonalization
-    basis = sector_basis(p)
-
-    def max_im_at(jp):
-        r = eigendecompose(build_hamiltonian(p.with_updates(jp=jp), basis))
-        return float(np.max(np.abs(r.eigenvalues.imag)))
-
-    assert max_im_at(lo) <= result.eps_im
-    assert max_im_at(hi) > result.eps_im
+    assert _max_im_at(p, lo) <= result.eps_im
+    assert _max_im_at(p, hi) > result.eps_im
 
 
 def test_threshold_decreases_with_system_size():
@@ -218,25 +218,30 @@ def test_threshold_invalid_bracket(monkeypatch):
         find_threshold_jp(p, cluster_selector="everything")
 
 
-def test_threshold_fallback_on_nonmonotone_indicator(monkeypatch):
-    # a reentrant complex bubble inside the bracket defeats bisection; the
-    # search must fall back to a full scan and return the first crossing
-    def fake_indicator(result, params, selector, gap_factor, min_gap):
-        jp = params.jp
-        return 1.0 if (0.04 < jp < 0.06) or jp > 0.17 else 0.0
+def _reentrant_indicator(result, params, selector, gap_factor, min_gap):
+    jp = params.jp
+    return 1.0 if (0.04 < jp < 0.06) or jp > 0.17 else 0.0
 
-    monkeypatch.setattr(sweep_mod, "_max_im_for_selector", fake_indicator)
+
+def test_threshold_fallback_on_nonmonotone_indicator(monkeypatch):
+    # a reentrant complex bubble inside the bracket: every round narrows to
+    # its first sampled crossing, so the search returns the bubble's lower
+    # edge, not the later monotone rise
+    monkeypatch.setattr(sweep_mod, "_max_im_for_selector",
+                        _reentrant_indicator)
+    monkeypatch.setattr(lapack, "solve_lanes", lambda: 1)
     p = ModelParams(cells=2, particles=1)
     result = find_threshold_jp(p, eps_im=0.5, bracket=(0.0, 0.2),
                                resolution=0.01)
-    assert result.used_fallback
-    assert result.jp_star == pytest.approx(0.05, abs=1e-9)
-    assert result.bracket[0] == pytest.approx(0.04, abs=1e-9)
+    lo, hi = result.bracket
+    assert lo <= 0.04 < hi == result.jp_star
+    assert hi - lo <= 0.01
+    assert result.evaluations == len(result.trace) == 8
 
 
 def test_fallback_scan_memory_does_not_grow_with_resolution(monkeypatch):
-    # the fallback grid is made one chunk of lanes at a time: at resolution
-    # 1e-6 a whole grid of 200001 jp values would hold about 6.5 MB
+    # a crossing right after lo at resolution 1e-6 is found in a logarithmic
+    # number of solves, holding no grid of the 200001 jp values at that step
     def crossing_at_once(result, params, selector, gap_factor, min_gap):
         jp = params.jp
         return 1.0 if 0.0 < jp < 0.03 or 0.04 < jp < 0.06 or jp > 0.17 else 0.0
@@ -251,10 +256,9 @@ def test_fallback_scan_memory_does_not_grow_with_resolution(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.used_fallback
-    assert result.bracket == (0.0, result.jp_star)  # the first grid point
+    assert result.bracket == (0.0, result.jp_star)
     assert 0.0 < result.jp_star <= 1e-6
-    assert result.evaluations == 7
+    assert result.evaluations == len(result.trace) == 36
     assert peak < 1e6
 
 
@@ -266,37 +270,51 @@ def _search_outcome(lanes, monkeypatch, *args, **kwargs):
         return str(exc)
     assert r.evaluations == len(r.trace)
     assert len({jp for jp, _ in r.trace}) == len(r.trace)  # no repeated solve
-    return r.jp_star, r.bracket, r.eps_im, r.used_fallback
+    return r.jp_star, r.bracket, r.eps_im
 
 
-def _reentrant_indicator(result, params, selector, gap_factor, min_gap):
-    jp = params.jp
-    return 1.0 if (0.04 < jp < 0.06) or jp > 0.17 else 0.0
+# one particle at mu=0.2 is complex on [0.131, 0.749) at L=4 and on
+# [0.0051, 0.903) at L=8: real again at the window's upper end
+_WINDOWS = {"one particle L=4": (4, 5e-3), "one particle L=8": (8, 1e-3)}
 
 
-@pytest.mark.parametrize("case", ["bisection", "resolution 1e-4", "fallback",
-                                  "complex at lo", "real at hi"])
+@pytest.mark.parametrize("case", ["bisection", "resolution 1e-4", "reentrant",
+                                  "complex at lo", "real at hi", *_WINDOWS])
 def test_threshold_does_not_depend_on_lanes(case, monkeypatch):
     p = ModelParams(cells=8, particles=1)
     kwargs = {"bisection": dict(bracket=(0.0, 0.2)),
               "resolution 1e-4": dict(bracket=(0.0, 0.2), resolution=1e-4),
-              "fallback": dict(eps_im=0.5, bracket=(0.0, 0.2), resolution=0.01),
+              "reentrant": dict(eps_im=0.5, bracket=(0.0, 0.2),
+                                resolution=0.01),
               "complex at lo": dict(bracket=(0.15, 0.2)),
-              "real at hi": dict(bracket=(0.0, 1e-6))}[case]
-    if case == "fallback":
+              "real at hi": dict(bracket=(0.0, 1e-6))}.get(case)
+    if case in _WINDOWS:
+        cells, resolution = _WINDOWS[case]
+        p = ModelParams(cells=cells, particles=1, mu=0.2)
+        kwargs = dict(bracket=(0.0, 1.0), resolution=resolution)
+    if case == "reentrant":
         monkeypatch.setattr(sweep_mod, "_max_im_for_selector",
                             _reentrant_indicator)
     one = _search_outcome(1, monkeypatch, p, **kwargs)
     two = _search_outcome(2, monkeypatch, p, **kwargs)
     assert one == two
-    if case == "fallback":
-        assert one[3] and one[0] == pytest.approx(0.05, abs=1e-9)
-    elif case.startswith("bisection") or case.startswith("resolution"):
-        assert not one[3]
-    else:
+    if case in ("complex at lo", "real at hi"):
         assert one.startswith("invalid bracket: spectrum "
                               + ("already complex" if case == "complex at lo"
                                  else "still real"))
+        return
+    assert isinstance(one, tuple), one
+    jp_star, (lo, hi), eps = one
+    assert hi == jp_star
+    if case == "reentrant":
+        assert lo <= 0.04 < hi
+    elif case in _WINDOWS:
+        assert hi - lo <= resolution
+        assert _max_im_at(p, lo) <= eps < _max_im_at(p, jp_star)
+        # steps a tenth of the resolution below the bracket: nothing complex
+        step = resolution / 10.0
+        assert not any(_max_im_at(p, k * step) > eps
+                       for k in range(1, int(math.floor(lo / step)) + 1))
 
 
 def test_threshold_trace_records_every_solve(monkeypatch):
@@ -368,11 +386,33 @@ def test_cluster_inputs_are_rejected_before_any_solve(monkeypatch):
              "selector 'bound' needs .* pair energy, got N=2, pair energy 0.0")]:
         with pytest.raises(ValueError, match=message):
             find_threshold_jp(params, **bad)
-    # a sweep records the rejection in each point's error column
+    # particles is never an axis: a sweep rejects one particle before any
+    # point, but records a zero pair energy in each point's error column,
+    # since an axis over u could leave it
+    with pytest.raises(ValueError, match="selector 'bound' needs N >= 2 "
+                                         "particles, got N=1"):
+        small_spec(base=single, observables=("threshold",),
+                   threshold_selector="bound")
     spec = small_spec(base=unbound, observables=("threshold",),
                       threshold_selector="bound")
     assert all(row["error"].startswith("ValueError: selector 'bound' needs")
                for row in run_sweep(spec))
+
+
+def test_a_point_that_cannot_allocate_stops_the_sweep(monkeypatch):
+    solves = []
+
+    def exhausted(*args, **kwargs):
+        solves.append(1)
+        raise MemoryError("Unable to allocate 4.59 GiB")
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", exhausted)
+    monkeypatch.setattr(lapack, "solve_lanes", lambda: 1)
+    for observables in (("max_im_global",), ("threshold",)):
+        solves.clear()
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            run_sweep(small_spec(observables=observables))
+        assert len(solves) == 1  # no later point is tried
 
 
 def _recording_solves(monkeypatch):
