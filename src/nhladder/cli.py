@@ -173,7 +173,7 @@ OPTIONS: Dict[str, Option] = {
     "eps_im": Option("--eps-im", _nonnegative,
                      help="reality threshold on |Im E|"),
     "workers": Option("--workers", _int, 1,
-                      help="sweep points solved at once, on threads"),
+                      help="minimum number of sweep points solved at once"),
     "gap_factor": Option("--gap-factor", _float, 10.0),
     "min_gap": Option("--min-gap", _float),
     "capacity": Option("--capacity", _int, help="basis size budget"),

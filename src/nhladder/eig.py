@@ -1,8 +1,9 @@
 """Verified dense non-symmetric eigendecomposition of real matrices.
 
 Every Hamiltonian of the model is real, so a solve takes real input only: a
-real SparseOperator or a real dense array, which both go the same way. A
-solve gathers the nonzeros of the operator, balances them (a diagonal
+real SparseOperator or a real dense array, which is turned into a
+SparseOperator of its nonzeros at entry, so both go the same way. A solve
+gathers the nonzeros of the operator, balances them (a diagonal
 similarity scaling) and hands the balanced nonzeros to lapack.geev, which
 runs LAPACK dgeev in place in a buffer of its own through numpy's OpenBLAS,
 or np.linalg.eig where that library cannot be bound; both give the same
@@ -10,11 +11,11 @@ bits. No operator is made dense here: apart from geev's buffer, a solve
 holds O(nnz) entries and O(n * GATHER) temporaries.
 
 Every decomposition is checked before it is returned: per-eigenpair
-residuals against a norm-scaled tolerance, computed from the nonzeros of the
-original matrix, the trace identity, and closure of the spectrum under
-complex conjugation. A failed check raises ConvergenceError rather than
-returning silently wrong data. The eigenpairs come out sorted by real part,
-then imaginary part.
+residuals against RESIDUAL_RTOL times the norm, computed from the nonzeros
+of the original matrix, the trace identity (TRACE_RTOL), and closure of the
+spectrum under complex conjugation (CONJ_ATOL). A failed check raises
+ConvergenceError rather than returning silently wrong data. The eigenpairs
+come out sorted by real part, then imaginary part.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import lapack
 from .fock import CapacityError, resolve_capacity
 from .model import SparseOperator
 
+RESIDUAL_RTOL = 1e-9
 TRACE_RTOL = 1e-8
 CONJ_ATOL = 1e-10
 # eigenvector columns per block of the one pass that scales, normalises
@@ -75,15 +77,13 @@ def check_eps_im(eps_im: float) -> None:
         raise ValueError(f"eps_im must be non-negative, got {eps_im}")
 
 
-def _entries(operator: Union[SparseOperator, np.ndarray]
+def _entries(operator: SparseOperator
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the nonzeros of a dense array or of a
-    SparseOperator, in row-major order. COO duplicates are summed in input
-    order, as np.add.at sums them into a dense matrix, so each value has
-    the bits of the dense entry."""
-    if not isinstance(operator, SparseOperator):
-        rows, cols = np.nonzero(operator)
-        return rows, cols, operator[rows, cols]
+    """Rows, columns and values of the nonzeros of a SparseOperator, in
+    row-major order. COO duplicates are summed in input order, as np.add.at
+    sums them into a dense matrix, so each value has the bits of the dense
+    entry; the duplicate-free row-major entries of a dense array (np.nonzero)
+    come back unchanged."""
     dim = operator.dimension
     keys = operator.rows.astype(np.int64) * dim + operator.cols
     order = np.argsort(keys, kind="stable")
@@ -154,29 +154,29 @@ def _check_conjugate_closure(eigenvalues: np.ndarray) -> None:
 
 
 def eigendecompose(operator: Union[SparseOperator, np.ndarray],
-                   tol: float = 1e-9,
                    capacity: Optional[int] = None) -> SpectrumResult:
     """Full eigendecomposition with mandatory verification.
 
-    Accepts a real SparseOperator or a real dense square array; complex
-    input raises ValueError. Raises CapacityError when the dimension exceeds
-    the size budget, ConvergenceError when any eigenpair residual exceeds
-    tol * norm(H, inf) or the trace or conjugation checks fail.
+    Accepts a real SparseOperator or a real dense square array, which
+    becomes a SparseOperator of its nonzeros (np.nonzero) before anything
+    else; complex input raises ValueError. Raises CapacityError when the
+    dimension exceeds the size budget, ConvergenceError when any eigenpair
+    residual exceeds RESIDUAL_RTOL * norm(H, inf), the eigenvalue sum
+    misses the trace by more than TRACE_RTOL * norm(H, inf) * dimension, or
+    the spectrum is not closed under conjugation within CONJ_ATOL.
 
     Dense or sparse, the norm, the trace, the balancing and the residuals
     all come from the nonzeros, so both give the same bits. The eigenpairs
     are sorted by (re, im).
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     start = time.perf_counter()
-    if isinstance(operator, SparseOperator):
-        dim, dtype = operator.dimension, operator.values.dtype
-    else:
-        operator = np.asarray(operator)
-        if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {operator.shape}")
-        dim, dtype = len(operator), operator.dtype
+    if not isinstance(operator, SparseOperator):
+        dense = np.asarray(operator)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {dense.shape}")
+        rows, cols = np.nonzero(dense)
+        operator = SparseOperator(len(dense), rows, cols, dense[rows, cols])
+    dim, dtype = operator.dimension, operator.values.dtype
     if dtype.kind not in "biuf":
         raise ValueError(f"expected a real matrix, got dtype {dtype}")
     cap = resolve_capacity(capacity)
@@ -201,7 +201,7 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
 
     residuals = _entry_residuals(rows, cols, values, diag, eigenvalues,
                                  eigenvectors)
-    bound = tol * max(norm, 1e-300)
+    bound = RESIDUAL_RTOL * max(norm, 1e-300)
     worst = int(np.argmax(residuals)) if dim else 0
     if dim and residuals[worst] > bound:
         raise ConvergenceError(f"eigenpair residual {residuals[worst]:.3e} at index "

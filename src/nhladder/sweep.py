@@ -12,6 +12,7 @@ clusters into scattering and bound with observables.select_clusters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -110,11 +111,8 @@ class ThresholdResult:
 
 
 def _grid_values(spec: SweepSpec) -> List[Tuple[float, ...]]:
-    if len(spec.axes) == 1:
-        return [(float(v),) for v in spec.axes[0].values()]
-    outer, inner = spec.axes
-    return [(float(a), float(b))
-            for a in outer.values() for b in inner.values()]
+    return list(itertools.product(*(map(float, a.values())
+                                    for a in spec.axes)))
 
 
 def _point_params(spec: SweepSpec, values: Tuple[float, ...]) -> ModelParams:
@@ -232,10 +230,11 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     crossing, until the bracket is at most resolution wide; jp_star is its
     upper end. A complex window that falls between two solved points is
     missed. Raises ValueError when the spectrum is complex at lo or real at
-    all five points, or, before any solve, when resolution is below the
-    spacing of doubles at the bracket ends (math.ulp), where bisection
-    would never end, eps_im is negative or NaN, gap_factor or min_gap is out
-    of range (observables.check_gaps), cluster_selector is not one of
+    all five points, or, before the sector is enumerated, when the bracket
+    does not have lo < hi, resolution is below the spacing of doubles at
+    the bracket ends (math.ulp), where bisection would never end, eps_im is
+    negative or NaN, gap_factor or min_gap is out of range
+    (observables.check_gaps), cluster_selector is not one of
     observables.SELECTORS, or it is "bound" with fewer than two particles
     or zero pair energy, where observables.select_clusters finds no cluster
     bound.
@@ -248,16 +247,31 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     The answer does not depend on the lanes; evaluations and trace count
     every solve, speculative ones included.
     """
+    _check_bracket(bracket, resolution)
+    if eps_im is not None:
+        check_eps_im(eps_im)
+    check_gaps(gap_factor, min_gap)
+    check_selector(cluster_selector)
+    _check_bound(params, cluster_selector)
     return _search(params, cluster_selector, eps_im, bracket, resolution,
                    gap_factor, min_gap, sector_basis(params, capacity=capacity),
                    capacity, lapack.solve_lanes())
 
 
-def _check_bracket(bracket: Tuple[float, float],
-                   resolution: float) -> Tuple[float, float]:
-    """The bracket ends as floats; raises ValueError unless lo < hi and the
-    resolution is at least the spacing of doubles at the ends (math.ulp),
-    below which bisection never ends."""
+def _check_bound(params: ModelParams, cluster_selector: str) -> None:
+    """Raises ValueError for selector 'bound' where no cluster can be bound:
+    fewer than two particles or a zero pair energy."""
+    if cluster_selector == "bound" and (params.particles < 2
+                                        or params.pair_energy == 0.0):
+        raise ValueError(f"selector 'bound' needs N >= 2 particles and a "
+                         f"nonzero pair energy, got N={params.particles}, "
+                         f"pair energy {params.pair_energy}")
+
+
+def _check_bracket(bracket: Tuple[float, float], resolution: float) -> None:
+    """Raises ValueError unless lo < hi and the resolution is at least the
+    spacing of doubles at the ends (math.ulp), below which bisection never
+    ends."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must be (lo, hi) with lo < hi, "
@@ -266,7 +280,6 @@ def _check_bracket(bracket: Tuple[float, float],
     if not resolution >= spacing:
         raise ValueError(f"resolution must be at least {spacing:.3g}, the "
                          f"spacing of doubles at the bracket, got {resolution}")
-    return lo, hi
 
 
 def _search(params: ModelParams, cluster_selector: str,
@@ -275,17 +288,10 @@ def _search(params: ModelParams, cluster_selector: str,
             basis: Basis, capacity: Optional[int],
             lanes: int) -> ThresholdResult:
     """find_threshold_jp in the enumerated sector `basis`, with `lanes`
-    solves at once."""
-    lo, hi = _check_bracket(bracket, resolution)
-    if eps_im is not None:
-        check_eps_im(eps_im)
-    check_gaps(gap_factor, min_gap)
-    check_selector(cluster_selector)
-    if cluster_selector == "bound" and (params.particles < 2
-                                        or params.pair_energy == 0.0):
-        raise ValueError(f"selector 'bound' needs N >= 2 particles and a "
-                         f"nonzero pair energy, got N={params.particles}, "
-                         f"pair energy {params.pair_energy}")
+    solves at once, for a request already checked: by find_threshold_jp,
+    or by SweepSpec but for the pair energy, which a sweep axis can move."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    _check_bound(params, cluster_selector)
 
     def solve(jp: float) -> Tuple[float, float]:
         p = params.with_updates(jp=jp)

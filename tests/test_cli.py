@@ -228,6 +228,18 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "bound")]) == 2, command
         assert "selector 'bound' needs N >= 2" in capsys.readouterr().err
     assert not list(tmp_path.glob("bound*"))
+    # a bad bracket exits 2 before the sector is enumerated, as a sweep
+    # rejects it before any point, even where the sector is over capacity
+    for command, extra in [("threshold", []),
+                           ("sweep", ["--axis", "jp:0:0.1:2",
+                                      "--observables", "threshold"])]:
+        capsys.readouterr()
+        assert main([command, "--cells", "15", "--particles", "2", *extra,
+                     "--bracket", "0.2:0.1", "--capacity", "10",
+                     "--out", str(tmp_path / "bracket")]) == 2, command
+        assert capsys.readouterr().err.startswith(
+            "error (config): bracket must be"), command
+    assert not list(tmp_path.glob("bracket*"))
     # wrong-typed file values exit 2 naming the key, as a bad flag would
     model = {"cells": 3, "particles": 2, "u": 4.0}
     axis = {"axes": ["jp:0:0.05:2"]}

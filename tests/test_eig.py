@@ -62,12 +62,21 @@ def _dense(operator):
         else operator
 
 
+def _sparse(operator):
+    """A SparseOperator of the nonzeros of a dense array, as
+    eigendecompose makes it at entry; a SparseOperator as it is."""
+    if isinstance(operator, SparseOperator):
+        return operator
+    rows, cols = np.nonzero(operator)
+    return SparseOperator(len(operator), rows, cols, operator[rows, cols])
+
+
 def _balance_entries(operator):
     """_balance on the nonzeros of a dense array or a SparseOperator: the
     balanced matrix and d."""
     from nhladder.eig import _balance, _entries
 
-    rows, cols, values = _entries(operator)
+    rows, cols, values = _entries(_sparse(operator))
     dim = len(_dense(operator))
     d, balanced = _balance(dim, rows, cols, values)
     out = np.zeros((dim, dim))
@@ -116,24 +125,28 @@ def test_complex_spectrum_passes_conjugate_closure():
     assert not is_spectrum_real(result)
 
 
-def test_residual_verification_can_fail():
+def test_residual_verification_can_fail(monkeypatch):
+    from nhladder import eig
+
     rng = np.random.default_rng(5)
     m = rng.normal(size=(40, 40))
+    monkeypatch.setattr(eig, "RESIDUAL_RTOL", 1e-18)
     with pytest.raises(ConvergenceError):
-        eigendecompose(m, tol=1e-18)
+        eigendecompose(m)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_every_check_fires_on_dense_and_sparse_input(sparse, monkeypatch):
-    from nhladder import lapack
+    from nhladder import eig, lapack
 
     m = np.random.default_rng(5).normal(size=(40, 40))
     rows, cols = np.nonzero(m)
     operator = SparseOperator(40, rows, cols, m[rows, cols]) if sparse else m
     with pytest.raises(CapacityError):
         eigendecompose(operator, capacity=39)
+    monkeypatch.setattr(eig, "RESIDUAL_RTOL", 1e-18)
     with pytest.raises(ConvergenceError, match="residual"):
-        eigendecompose(operator, tol=1e-18)
+        eigendecompose(operator)
     geev = lapack.geev
 
     def shifted(shift):
@@ -142,16 +155,17 @@ def test_every_check_fires_on_dense_and_sparse_input(sparse, monkeypatch):
             return values + shift, vectors
         return solve
 
-    # shifts of 1e-3 pass the residual check at tol=1
+    # shifts of 1e-3 pass the residual check at RESIDUAL_RTOL=1
+    monkeypatch.setattr(eig, "RESIDUAL_RTOL", 1.0)
     monkeypatch.setattr(lapack, "geev", shifted(1e-3))
     with pytest.raises(ConvergenceError, match="trace"):
-        eigendecompose(operator, tol=1.0)
+        eigendecompose(operator)
     # one eigenvalue up and another down: the sum holds, conjugation breaks
     tilt = np.zeros(40, complex)
     tilt[0], tilt[-1] = 1e-3j, -1e-3j
     monkeypatch.setattr(lapack, "geev", shifted(tilt))
     with pytest.raises(ConvergenceError, match="conjugation"):
-        eigendecompose(operator, tol=1.0)
+        eigendecompose(operator)
 
 
 def test_max_imag_and_is_spectrum_real():
@@ -182,9 +196,6 @@ def test_capacity_budget():
 def test_input_validation():
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))
-    for tol in (0.0, float("nan")):
-        with pytest.raises(ValueError):
-            eigendecompose(np.eye(2), tol=tol)
     with pytest.raises(ValueError):
         is_spectrum_real(eigendecompose(np.eye(2)), eps_im=-1.0)
 
@@ -411,7 +422,7 @@ def test_norm_and_entries_keep_the_dense_bits(name):
 
     operator = RESIDUAL_INPUTS[name]()
     dense = _dense(operator)
-    rows, cols, values = _entries(operator)
+    rows, cols, values = _entries(_sparse(operator))
     expected_rows, expected_cols = np.nonzero(dense)
     assert np.array_equal(rows, expected_rows)
     assert np.array_equal(cols, expected_cols)

@@ -1,0 +1,117 @@
+"""Maps of the parameters that leave the spectrum, and so the threshold
+jp*, unchanged, checked through the whole pipeline: sector_basis,
+build_hamiltonian and eigendecompose.
+
+- The common imaginary gauge jl_s -> jl_s * g, jr_s -> jr_s / g on both legs
+  is the similarity g^(sum_x x n_x); rung hops keep x, so it commutes.
+- The leg swap A <-> B with mu -> -mu relabels the sites.
+- jp -> -jp is the similarity (-1)^N_B.
+- Negating every hop along the legs is the similarity (-1)^(sum_x x n_x).
+- jl <-> jr on both legs transposes H.
+
+The gauge on leg A alone is no similarity once jp != 0, and is the control.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from nhladder.eig import eigendecompose
+from nhladder.model import ModelParams, build_hamiltonian, sector_basis
+from nhladder.sweep import find_threshold_jp
+
+# (statistics, cells, particles)
+SECTORS = [("boson", 4, 2), ("boson", 3, 3), ("fermion", 4, 3),
+           ("fermion", 5, 2)]
+DRAWS = 3
+# the maps agree within 1.2e-13 over these draws
+TOL = 1e-11
+
+
+def _gauge(p, g):
+    return p.with_updates(jl_a=p.jl_a * g, jr_a=p.jr_a / g,
+                          jl_b=p.jl_b * g, jr_b=p.jr_b / g)
+
+
+def _leg_swap(p, g):
+    return p.with_updates(jl_a=p.jl_b, jr_a=p.jr_b, jl_b=p.jl_a, jr_b=p.jr_a,
+                          mu=-p.mu)
+
+
+MAPS = {
+    "common gauge": _gauge,
+    "leg swap": _leg_swap,
+    "rung sign": lambda p, g: p.with_updates(jp=-p.jp),
+    "hop sign": lambda p, g: p.with_updates(jl_a=-p.jl_a, jr_a=-p.jr_a,
+                                            jl_b=-p.jl_b, jr_b=-p.jr_b),
+    "left-right": lambda p, g: p.with_updates(jl_a=p.jr_a, jr_a=p.jl_a,
+                                              jl_b=p.jr_b, jr_b=p.jl_b),
+}
+
+
+def _draws(statistics, cells, particles):
+    """Seeded (params, g) draws: amplitudes, jp and mu in [0.3, 1.2], the
+    pair energy 3, and a gauge factor g in [1.5, 2.5]."""
+    rng = np.random.default_rng([cells, particles, statistics == "fermion"])
+    pair = {"u": 3.0} if statistics == "boson" else {"u_nn": 3.0}
+    for _ in range(DRAWS):
+        jl_a, jr_a, jl_b, jr_b, jp, mu = rng.uniform(0.3, 1.2, size=6)
+        yield (ModelParams(cells=cells, particles=particles,
+                           statistics=statistics, jl_a=jl_a, jr_a=jr_a,
+                           jl_b=jl_b, jr_b=jr_b, jp=jp, mu=mu, **pair),
+               rng.uniform(1.5, 2.5))
+
+
+@functools.lru_cache(maxsize=None)
+def _spectrum(params):
+    return eigendecompose(build_hamiltonian(params, sector_basis(params))
+                          ).eigenvalues
+
+
+def _matched_gap(a, b):
+    """Largest gap of a greedy nearest matching of two spectra, smallest
+    gaps first: every eigenvalue of a lies within it of its own partner."""
+    assert a.shape == b.shape
+    gaps = np.abs(a[:, np.newaxis] - b[np.newaxis, :])
+    worst = 0.0
+    for _ in range(len(a)):
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+        worst = max(worst, gaps[i, j])
+        gaps[i, :] = np.inf
+        gaps[:, j] = np.inf
+    return worst
+
+
+def _sector_id(sector):
+    statistics, cells, particles = sector
+    return f"{statistics} L={cells} N={particles}"
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_map_leaves_the_spectrum_unchanged(sector, name):
+    for params, g in _draws(*sector):
+        mapped = MAPS[name](params, g)
+        assert mapped != params
+        assert _matched_gap(_spectrum(params), _spectrum(mapped)) <= TOL
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_gauge_on_one_leg_moves_the_spectrum(sector):
+    for params, g in _draws(*sector):
+        moved = _spectrum(params.with_updates(jl_a=params.jl_a * g,
+                                              jr_a=params.jr_a / g))
+        spectrum = _spectrum(params)
+        # the Hausdorff distance, a lower bound on the largest gap of any
+        # matching, is at least 0.017 over these draws
+        gaps = np.abs(spectrum[:, np.newaxis] - moved[np.newaxis, :])
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) > 1e-3
+
+
+def test_threshold_is_invariant():
+    params = ModelParams(cells=4, particles=1, mu=0.2)
+    found = [find_threshold_jp(p, bracket=(0.0, 1.0), resolution=5e-3)
+             for p in (params, _gauge(params, 2.0), _leg_swap(params, 2.0))]
+    assert len({(t.jp_star, t.evaluations) for t in found}) == 1
+    assert found[0].bracket[1] - found[0].bracket[0] <= 5e-3

@@ -53,6 +53,30 @@ def test_spectrum_command_loads_no_sweep_driver(tmp_path):
                          "concurrent.futures", "numpy.ma"}
 
 
+def test_every_command_imports_numpy_only(tmp_path):
+    # the undeclared packages installed next to it stay unloaded
+    pair = ["--cells", "3", "--particles", "2", "--u", "4", "--jp", "0.01",
+            "--mu", "0.2"]
+    runs = [["spectrum", *pair], ["density", *pair], ["ncor", *pair],
+            ["entropy", *pair],
+            ["sweep", *pair, "--axis", "jp:0:0.05:2",
+             "--observables", "max_im_per_cluster,entropies,threshold",
+             "--bracket", "0:1", "--resolution", "0.05"],
+            ["threshold", "--cells", "4", "--particles", "1", "--mu", "0.2",
+             "--bracket", "0:1", "--resolution", "0.05"],
+            ["effective", "--cells", "4", "--particles", "2", "--u", "8",
+             "--jp", "0.01"],
+            ["eonsite", "--cells", "3", "--particles", "2", "--u", "4",
+             "--mu-range", "0:4"]]
+    runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+    loaded = _loaded_modules(
+        "-c", "import sys; from nhladder.cli import main; "
+        f"sys.exit(max(main(argv) for argv in {runs!r}))")
+    assert {"nhladder.sweep", "nhladder.perturb"} <= loaded
+    assert not {name.split(".")[0] for name in loaded} & {
+        "scipy", "sympy", "hypothesis", "pytest_benchmark"}
+
+
 def test_dir_lists_every_export_and_submodule():
     modules = {"eig", "fock", "lapack", "model", "observables", "perturb",
                "sweep"}

@@ -203,14 +203,18 @@ def test_threshold_invalid_bracket(monkeypatch):
         find_threshold_jp(p, bracket=(0.15, 0.2))  # complex at both ends
     with pytest.raises(ValueError):
         find_threshold_jp(p, bracket=(0.0, 1e-6))  # real at both ends
-    with pytest.raises(ValueError):
-        find_threshold_jp(p, bracket=(0.2, 0.1))
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the resolution was checked")
+        raise AssertionError("enumerated the sector or solved before the "
+                             "request was checked")
 
-    # 1e-20 is below the spacing of doubles at 0.2, where bisection stalls
+    # checked before the sector is enumerated; 1e-20 is below the spacing
+    # of doubles at 0.2, where bisection stalls
+    monkeypatch.setattr(sweep_mod, "sector_basis", no_solve)
     monkeypatch.setattr(sweep_mod, "eigendecompose", no_solve)
+    for bracket in ((0.2, 0.1), (0.1, 0.1)):
+        with pytest.raises(ValueError, match="bracket must be"):
+            find_threshold_jp(p, bracket=bracket)
     for resolution in (0.0, float("nan"), 1e-20):
         with pytest.raises(ValueError):
             find_threshold_jp(p, bracket=(0.0, 0.2), resolution=resolution)
@@ -384,7 +388,10 @@ def test_cluster_inputs_are_rejected_before_any_solve(monkeypatch):
              "selector 'bound' needs N >= 2 particles .* got N=1"),
             (unbound, dict(cluster_selector="bound"),
              "selector 'bound' needs .* pair energy, got N=2, pair energy 0.0")]:
-        with pytest.raises(ValueError, match=message):
+        # checked before the sector is enumerated
+        with monkeypatch.context() as patch, \
+                pytest.raises(ValueError, match=message):
+            patch.setattr(sweep_mod, "sector_basis", no_solve)
             find_threshold_jp(params, **bad)
     # particles is never an axis: a sweep rejects one particle before any
     # point, but records a zero pair energy in each point's error column,
