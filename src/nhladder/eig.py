@@ -8,12 +8,16 @@ similarity scaling) and hands the balanced nonzeros to lapack.geev, which
 runs LAPACK dgeev in place in a buffer of its own through numpy's OpenBLAS,
 or np.linalg.eig where that library cannot be bound; both give the same
 bits. No operator is made dense here: apart from geev's buffer, a solve
-holds O(nnz) entries and O(n * GATHER) temporaries.
+holds O(nnz) entries and O(n * GATHER) temporaries. An eigenvalue-only
+solve (vectors=False) has dgeev skip the eigenvectors and finds the one
+eigenvector it checks by inverse iteration, in a buffer allocated after
+geev's is freed.
 
 Every decomposition is checked before it is returned: per-eigenpair
-residuals against RESIDUAL_RTOL times the norm, computed from the nonzeros
-of the original matrix, the trace identity (TRACE_RTOL), and closure of the
-spectrum under complex conjugation (CONJ_ATOL). A failed check raises
+residuals (of the deciding eigenpair alone without eigenvectors) against
+RESIDUAL_RTOL times the norm, computed from the nonzeros of the original
+matrix, the trace identity (TRACE_RTOL), and closure of the spectrum under
+complex conjugation (CONJ_ATOL). A failed check raises
 ConvergenceError rather than returning silently wrong data. The eigenpairs
 come out sorted by real part, then imaginary part.
 """
@@ -45,18 +49,21 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SpectrumResult:
     """Eigenvalues sorted by real part, then imaginary part; right
-    eigenvectors (columns of a Fortran-ordered array) in the same order;
-    residuals; the infinity norm of the matrix that produced them; and the
-    solve's diagnostics: seconds per stage (densify_s, which times gathering
-    the nonzeros, balance_s, geev_s for the solve and the sort, verify_s
-    for the one eigenvector pass that undoes the balancing, normalises and
-    computes the residuals, and the trace and conjugation checks), the
+    eigenvectors (columns of a Fortran-ordered array) in the same order,
+    or None from an eigenvalue-only solve; residuals, NaN in an
+    eigenvalue-only solve except at the one eigenpair it verified; the
+    infinity norm of the matrix that produced them; and the solve's
+    diagnostics: seconds per stage (densify_s, which times gathering the
+    nonzeros, balance_s, geev_s for the solve and the sort, verify_s for
+    the one eigenvector pass that undoes the balancing, normalises and
+    computes the residuals, or for the inverse iteration of the deciding
+    eigenpair and its residual, and the trace and conjugation checks), the
     balance sweeps applied and the safety cap (fewer sweeps than the cap
     means balancing converged), and log10(max d / min d) of the balancing
     scale d."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: Optional[np.ndarray]
     residuals: np.ndarray
     matrix_norm: float
     diagnostics: Dict[str, float] = field(default_factory=dict)
@@ -154,8 +161,10 @@ def _check_conjugate_closure(eigenvalues: np.ndarray) -> None:
 
 
 def eigendecompose(operator: Union[SparseOperator, np.ndarray],
-                   capacity: Optional[int] = None) -> SpectrumResult:
-    """Full eigendecomposition with mandatory verification.
+                   capacity: Optional[int] = None, *,
+                   vectors: bool = True) -> SpectrumResult:
+    """Full eigendecomposition with mandatory verification, or with
+    vectors=False the eigenvalues and one verified eigenpair.
 
     Accepts a real SparseOperator or a real dense square array, which
     becomes a SparseOperator of its nonzeros (np.nonzero) before anything
@@ -168,6 +177,13 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     Dense or sparse, the norm, the trace, the balancing and the residuals
     all come from the nonzeros, so both give the same bits. The eigenpairs
     are sorted by (re, im).
+
+    With vectors=False, dgeev computes no eigenvectors and the result's
+    eigenvectors are None. The trace and conjugation checks still cover
+    every eigenvalue, but only the deciding eigenvalue (_deciding_index)
+    has its residual checked, against the same bound: its eigenvector comes
+    from lapack.inverse_iteration on the balanced matrix, and the other
+    residuals are NaN. This serves a caller that reads max |Im| alone.
     """
     start = time.perf_counter()
     if not isinstance(operator, SparseOperator):
@@ -193,17 +209,29 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     sweeps: Dict[str, float] = {}
     diag, balanced = _balance(dim, rows, cols, values, sweeps)
     balanced_at = time.perf_counter()
-    eigenvalues, eigenvectors = lapack.geev(dim, rows, cols, balanced)
+    eigenvalues, eigenvectors = lapack.geev(dim, rows, cols, balanced,
+                                            vectors)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
-    _permute_columns(eigenvectors, order)
+    if vectors:
+        _permute_columns(eigenvectors, order)
     solved = time.perf_counter()
 
-    residuals = _entry_residuals(rows, cols, values, diag, eigenvalues,
-                                 eigenvectors)
+    if vectors:
+        residuals = _entry_residuals(rows, cols, values, diag, eigenvalues,
+                                     eigenvectors)
+        worst = int(np.argmax(residuals)) if dim else 0
+    else:
+        residuals = np.full(dim, np.nan)
+        worst = _deciding_index(eigenvalues)
+        if dim:
+            x = lapack.inverse_iteration(dim, rows, cols, balanced,
+                                         eigenvalues[worst])
+            residuals[worst] = _entry_residuals(
+                rows, cols, values, diag, eigenvalues[worst:worst + 1],
+                x[:, np.newaxis])[0]
     bound = RESIDUAL_RTOL * max(norm, 1e-300)
-    worst = int(np.argmax(residuals)) if dim else 0
-    if dim and residuals[worst] > bound:
+    if dim and not residuals[worst] <= bound:
         raise ConvergenceError(f"eigenpair residual {residuals[worst]:.3e} at index "
                                f"{worst} exceeds bound {bound:.3e}")
 
@@ -224,6 +252,18 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
                           residuals=residuals,
                           matrix_norm=norm,
                           diagnostics=diagnostics)
+
+
+def _deciding_index(eigenvalues: np.ndarray) -> int:
+    """Index of the eigenvalue that decides max |Im| of a spectrum sorted by
+    (re, im): the first of largest |Im|, or, where every eigenvalue is real,
+    the lower member of the closest adjacent pair, the two that would meet
+    and turn complex first; 0 for fewer than two eigenvalues."""
+    if np.iscomplexobj(eigenvalues):
+        return int(np.argmax(np.abs(eigenvalues.imag)))
+    if len(eigenvalues) < 2:
+        return 0
+    return int(np.argmin(np.diff(eigenvalues)))
 
 
 def _permute_columns(vectors: np.ndarray, order: np.ndarray) -> None:
@@ -247,9 +287,10 @@ def _permute_columns(vectors: np.ndarray, order: np.ndarray) -> None:
 def _entry_residuals(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
                      diag: np.ndarray, eigenvalues: np.ndarray,
                      eigenvectors: np.ndarray) -> np.ndarray:
-    """Turn the eigenvectors Y of the balanced matrix into unit eigenvectors
-    X of H in place, and return the column norms of H X - X diag(w), from
-    the row-major nonzeros of H. Raises ConvergenceError on a zero vector.
+    """Turn the eigenvectors Y of the balanced matrix, for the eigenvalues
+    w (all n or fewer), into unit eigenvectors X of H in place, and return
+    the column norms of H X - X diag(w), from the row-major nonzeros of H.
+    Raises ConvergenceError on a zero vector.
 
     One pass, GATHER columns at a time, each block a view of Y^T (C-ordered
     for the Fortran-ordered Y of geev) whose rows are scaled by the
@@ -260,7 +301,7 @@ def _entry_residuals(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     one gather, and within a block that gather is one flat fancy index:
     O(n * longest row) work per column, and temporaries of a few GATHER x n
     arrays."""
-    dim = len(eigenvalues)
+    dim = len(diag)
     counts = np.bincount(rows, minlength=dim)
     width = int(counts.max()) if len(rows) else 0
     slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
@@ -270,8 +311,8 @@ def _entry_residuals(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     index = np.zeros((width, 1, dim), dtype=np.intp)
     index[slot, 0, rows] = cols
     index = index + dim * np.arange(GATHER)[:, np.newaxis]
-    residuals = np.empty(dim)
-    for j in range(0, dim, GATHER):
+    residuals = np.empty(len(eigenvalues))
+    for j in range(0, len(eigenvalues), GATHER):
         block = eigenvectors[:, j:j + GATHER].T
         block *= diag
         norms = np.sqrt(np.cumsum((block.conj() * block).real, axis=1)[:, -1])

@@ -5,14 +5,18 @@ numpy's Linux and Windows wheels bundle an ILP64 OpenBLAS (64-bit
 integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
 its `dgeev` on a private copy of the input and keeps about five n x n
 buffers of its own. `geev` takes the nonzeros of a real matrix and calls
-the same routine in place, in the one buffer it allocates and describes.
-`threads` sets the size of the OpenBLAS thread pool for a block of code,
-and `solve_lanes` is how many such solves a threshold search runs at once.
+the same routine in place, in the one buffer it allocates and describes,
+with or without eigenvectors. `inverse_iteration` factors a shifted matrix
+in place with `getrf` and solves with `getrs` from the same library, to
+check one eigenpair of an eigenvalue-only solve. `threads` sets the size
+of the OpenBLAS thread pool for a block of code, and `solve_lanes` is how
+many such solves a threshold search runs at once.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
-that renamed its symbols), `geev` runs `np.linalg.eig`, `threads` leaves
-the thread count alone and `symbol()` is None.
+that renamed its symbols), `geev` runs `np.linalg.eig` or
+`np.linalg.eigvals`, `inverse_iteration` runs `np.linalg.solve`, `threads`
+leaves the thread count alone and `symbol()` is None.
 """
 
 from __future__ import annotations
@@ -33,13 +37,18 @@ BLOCK = 64
 
 
 class _Binding:
-    """The three bound entry points and the name of the dgeev symbol."""
+    """The bound entry points and the name of the dgeev symbol. getrf and
+    getrs are keyed by numpy dtype character: 'd' real, 'D' complex."""
 
     def __init__(self, lib: ctypes.CDLL, prefix: str):
         self.symbol = f"{prefix}dgeev_64_"
         self.dgeev = getattr(lib, self.symbol)
         self.set_threads = getattr(lib, f"{prefix}openblas_set_num_threads64_")
         self.get_threads = getattr(lib, f"{prefix}openblas_get_num_threads64_")
+        self.getrf = {"d": getattr(lib, f"{prefix}dgetrf_64_"),
+                      "D": getattr(lib, f"{prefix}zgetrf_64_")}
+        self.getrs = {"d": getattr(lib, f"{prefix}dgetrs_64_"),
+                      "D": getattr(lib, f"{prefix}zgetrs_64_")}
         i64 = ctypes.POINTER(ctypes.c_int64)
         ptr = ctypes.c_void_p
         # JOBVL, JOBVR, N, A, LDA, WR, WI, VL, LDVL, VR, LDVR, WORK, LWORK,
@@ -48,6 +57,13 @@ class _Binding:
                                ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64,
                                ctypes.c_size_t, ctypes.c_size_t]
         self.dgeev.restype = None
+        for getrf, getrs in zip(self.getrf.values(), self.getrs.values()):
+            # M, N, A, LDA, IPIV, INFO
+            getrf.argtypes, getrf.restype = [i64, i64, ptr, i64, ptr, i64], None
+            # TRANS, N, NRHS, A, LDA, IPIV, B, LDB, INFO, length of TRANS
+            getrs.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, ptr, ptr,
+                              i64, i64, ctypes.c_size_t]
+            getrs.restype = None
         self.set_threads.argtypes, self.set_threads.restype = [ctypes.c_int], None
         self.get_threads.argtypes, self.get_threads.restype = [], ctypes.c_int
 
@@ -101,8 +117,10 @@ def usable_cores() -> int:
 def solve_lanes() -> int:
     """Solves a threshold search runs at once: min(2, usable cores), or 1
     where dgeev is not bound. Each in-place solve holds one buffer of two
-    real D x D arrays, so two lanes hold fewer than one np.linalg.eig
-    solve, which keeps about five; a third lane would hold six."""
+    real D x D arrays at most (an eigenvalue-only solve holds geev's D x D
+    floats, then inverse_iteration's D x D floats or complex, never both),
+    so two lanes hold fewer than one np.linalg.eig solve, which keeps
+    about five; a third lane would hold six."""
     if symbol() is None:
         return 1
     return min(2, usable_cores())
@@ -120,13 +138,14 @@ def threads(n: int) -> Iterator[None]:
             set_threads(previous)
 
 
-def geev(n: int, rows: np.ndarray, cols: np.ndarray,
-         values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def geev(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+         vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Eigenvalues and right eigenvectors (columns) of the real n x n matrix
     with the given distinct nonzeros, as `np.linalg.eig` returns them: real
     arrays when every eigenvalue is real, complex ones otherwise, the
-    eigenvectors Fortran-ordered. Raises ValueError unless the values are
-    real and finite.
+    eigenvectors Fortran-ordered. With vectors=False dgeev runs without
+    eigenvectors (JOBVR='N') and the second element is None. Raises
+    ValueError unless the values are real and finite.
 
     The nonzeros are scattered into the first half of a zeroed buffer of
     2n^2 floats, and dgeev runs in place there: it overwrites the matrix and
@@ -135,21 +154,25 @@ def geev(n: int, rows: np.ndarray, cols: np.ndarray,
     keeps one n x n array (where a trace function holds a reference to the
     buffer, numpy refuses the shrink and the result is a view of the whole
     buffer); complex eigenvectors are unpacked over the whole buffer. The
-    solve thus holds two real n x n arrays at most. Where the library is
-    not bound, `np.linalg.eig` solves a copy of the first half.
+    solve thus holds two real n x n arrays at most. Without eigenvectors
+    the buffer is n^2 floats, and it is freed on return. Where the library
+    is not bound, `np.linalg.eig` (`np.linalg.eigvals` without
+    eigenvectors) solves a copy of the first half.
     """
     if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
         raise ValueError("expected finite real nonzeros")
-    buffer = np.zeros(2 * n * n)
+    buffer = np.zeros((1 + vectors) * n * n)
     a = buffer[:n * n].reshape((n, n), order="F")
     a[rows, cols] = values
     binding = _bind()
     if binding is None:
-        values, vectors = np.linalg.eig(a)
-        return values, np.asfortranarray(vectors)
+        if not vectors:
+            return np.linalg.eigvals(a), None
+        values, vr = np.linalg.eig(a)
+        return values, np.asfortranarray(vr)
     if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    vr = buffer[n * n:].reshape((n, n), order="F")
+        return np.zeros(0), np.zeros((0, 0)) if vectors else None
+    vr = buffer[n * n:].reshape((n, n), order="F") if vectors else None
     wr, wi = np.empty(n), np.empty(n)
     query = np.empty(1)
     if _dgeev(binding, a, wr, wi, vr, query, -1) != 0:
@@ -161,6 +184,8 @@ def geev(n: int, rows: np.ndarray, cols: np.ndarray,
     if status < 0:
         raise RuntimeError(f"dgeev rejected argument {-status}")
     if not wi.any():
+        if not vectors:
+            return wr, None
         a[:] = vr
         del a, vr
         # numpy's reference check raises if a view of the buffer is left,
@@ -172,7 +197,52 @@ def geev(n: int, rows: np.ndarray, cols: np.ndarray,
         return wr, buffer.reshape((n, n), order="F")
     values = np.empty(n, dtype=np.complex128)
     values.real, values.imag = wr, wi
-    return values, _unpack(buffer, vr, wi > 0.0)
+    return values, _unpack(buffer, vr, wi > 0.0) if vectors else None
+
+
+def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
+                      values: np.ndarray, shift: complex) -> np.ndarray:
+    """An eigenvector estimate of the real n x n matrix B with the given
+    distinct nonzeros, for its eigenvalue estimate `shift`: two steps of
+    inverse iteration, x <- (B - shift I)^-1 x scaled to a largest modulus
+    of 1, from the vector of ones. The vector is real for a real shift,
+    complex otherwise.
+
+    B - shift I is factored (getrf) in place in one buffer of its own, n^2
+    floats for a real shift and n^2 complex for a complex one, and both
+    steps solve (getrs) with that one factorisation. Where a pivot is
+    exactly zero, the shift moves by eps * norm(B, inf) (tiny / eps for
+    B = 0), as LAPACK dhsein perturbs a shift, and B is factored again;
+    LinAlgError after four tries. Where the library is not bound,
+    `np.linalg.solve` does each step.
+    """
+    kind = "D" if np.iscomplexobj(shift) else "d"
+    norm = np.bincount(rows, weights=np.abs(values),
+                       minlength=n).max(initial=0.0)
+    eps = np.finfo(float).eps
+    nudge = eps * norm or np.finfo(float).tiny / eps
+    a = np.zeros((n, n), kind, order="F")
+    pivots = np.empty(n, np.int64)
+    diagonal = np.arange(n)
+    binding = _bind()
+    for _ in range(4):
+        a[:] = 0.0
+        a[rows, cols] = values
+        a[diagonal, diagonal] -= shift
+        x = np.ones(n, kind)
+        try:
+            if binding is not None:
+                _getrf(binding, a, pivots)
+            for _ in range(2):
+                if binding is None:
+                    x = np.linalg.solve(a, x)
+                else:
+                    _getrs(binding, a, pivots, x)
+                x /= np.abs(x).max()
+            return x
+        except np.linalg.LinAlgError:
+            shift += nudge
+    raise np.linalg.LinAlgError("shifted matrix stays singular")
 
 
 def _unpack(buffer: np.ndarray, vr: np.ndarray,
@@ -203,12 +273,42 @@ def _unpack(buffer: np.ndarray, vr: np.ndarray,
 
 
 def _dgeev(binding: _Binding, a: np.ndarray, wr: np.ndarray, wi: np.ndarray,
-           vr: np.ndarray, work: np.ndarray, lwork: int) -> int:
-    """One dgeev call, JOBVL='N' and JOBVR='V'; returns INFO."""
+           vr: Optional[np.ndarray], work: np.ndarray, lwork: int) -> int:
+    """One dgeev call, JOBVL='N', and JOBVR='V' into vr or 'N' where vr is
+    None; returns INFO."""
     n = ctypes.c_int64(a.shape[0])
-    one = ctypes.c_int64(1)
     info = ctypes.c_int64(0)
-    binding.dgeev(b"N", b"V", n, a.ctypes.data, n, wr.ctypes.data,
-                  wi.ctypes.data, None, one, vr.ctypes.data, n,
+    if vr is None:
+        jobvr, vr_data, ldvr = b"N", None, ctypes.c_int64(1)
+    else:
+        jobvr, vr_data, ldvr = b"V", vr.ctypes.data, n
+    binding.dgeev(b"N", jobvr, n, a.ctypes.data, n, wr.ctypes.data,
+                  wi.ctypes.data, None, ctypes.c_int64(1), vr_data, ldvr,
                   work.ctypes.data, ctypes.c_int64(lwork), info, 1, 1)
     return info.value
+
+
+def _getrf(binding: _Binding, a: np.ndarray, pivots: np.ndarray) -> None:
+    """LU factorisation of the Fortran-ordered square a in place, real or
+    complex. Raises LinAlgError, as np.linalg.solve does, where a pivot is
+    exactly zero."""
+    n = ctypes.c_int64(a.shape[0])
+    info = ctypes.c_int64(0)
+    binding.getrf[a.dtype.char](n, n, a.ctypes.data, n, pivots.ctypes.data,
+                                info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    if info.value < 0:
+        raise RuntimeError(f"getrf rejected argument {-info.value}")
+
+
+def _getrs(binding: _Binding, lu: np.ndarray, pivots: np.ndarray,
+           x: np.ndarray) -> None:
+    """x <- A^-1 x in place, with the factorisation of A from _getrf."""
+    n = ctypes.c_int64(lu.shape[0])
+    info = ctypes.c_int64(0)
+    binding.getrs[lu.dtype.char](b"N", n, ctypes.c_int64(1), lu.ctypes.data,
+                                 n, pivots.ctypes.data, x.ctypes.data, n,
+                                 info, 1)
+    if info.value != 0:
+        raise RuntimeError(f"getrs rejected argument {-info.value}")

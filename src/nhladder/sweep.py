@@ -245,7 +245,9 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     each later round also solves the next round's midpoint on the side
     where linear interpolation of the indicator puts the crossing.
     The answer does not depend on the lanes; evaluations and trace count
-    every solve, speculative ones included.
+    every solve, speculative ones included. With the "all" selector each
+    solve computes eigenvalues only and verifies the eigenpair that decides
+    max |Im| (eig.eigendecompose with vectors=False).
     """
     _check_bracket(bracket, resolution)
     if eps_im is not None:
@@ -295,7 +297,10 @@ def _search(params: ModelParams, cluster_selector: str,
 
     def solve(jp: float) -> Tuple[float, float]:
         p = params.with_updates(jp=jp)
-        result = eigendecompose(build_hamiltonian(p, basis), capacity=capacity)
+        # "all" reads max |Im| alone, which the eigenvalue-only solve
+        # verifies; the cluster selectors read other eigenvalues
+        result = eigendecompose(build_hamiltonian(p, basis), capacity=capacity,
+                                vectors=cluster_selector != "all")
         return (_max_im_for_selector(result, p, cluster_selector, gap_factor,
                                      min_gap), result.matrix_norm)
 

@@ -150,22 +150,57 @@ def test_every_check_fires_on_dense_and_sparse_input(sparse, monkeypatch):
     geev = lapack.geev
 
     def shifted(shift):
-        def solve(*nonzeros):
-            values, vectors = geev(*nonzeros)
+        def solve(*nonzeros, **kwargs):
+            values, vectors = geev(*nonzeros, **kwargs)
             return values + shift, vectors
         return solve
 
-    # shifts of 1e-3 pass the residual check at RESIDUAL_RTOL=1
+    # shifts of 1e-3 pass the residual check at RESIDUAL_RTOL=1, with or
+    # without eigenvectors
     monkeypatch.setattr(eig, "RESIDUAL_RTOL", 1.0)
-    monkeypatch.setattr(lapack, "geev", shifted(1e-3))
-    with pytest.raises(ConvergenceError, match="trace"):
-        eigendecompose(operator)
-    # one eigenvalue up and another down: the sum holds, conjugation breaks
-    tilt = np.zeros(40, complex)
-    tilt[0], tilt[-1] = 1e-3j, -1e-3j
-    monkeypatch.setattr(lapack, "geev", shifted(tilt))
-    with pytest.raises(ConvergenceError, match="conjugation"):
-        eigendecompose(operator)
+    for vectors in (True, False):
+        monkeypatch.setattr(lapack, "geev", shifted(1e-3))
+        with pytest.raises(ConvergenceError, match="trace"):
+            eigendecompose(operator, vectors=vectors)
+        # one eigenvalue up and another down: the sum holds, conjugation
+        # breaks
+        tilt = np.zeros(40, complex)
+        tilt[0], tilt[-1] = 1e-3j, -1e-3j
+        monkeypatch.setattr(lapack, "geev", shifted(tilt))
+        with pytest.raises(ConvergenceError, match="conjugation"):
+            eigendecompose(operator, vectors=vectors)
+
+
+@pytest.mark.parametrize("vectors", [True, False],
+                         ids=["full", "eigenvalue-only"])
+def test_wrong_deciding_eigenvalue_is_caught(vectors, monkeypatch):
+    # the conjugate pair of largest |Im| moved to 1.01 times its |Im|: the
+    # sum and the conjugation hold, so only the residual can catch it
+    from nhladder import eig, lapack
+
+    geev = lapack.geev
+
+    def stretched(*nonzeros, **kwargs):
+        values, vecs = geev(*nonzeros, **kwargs)
+        top = np.abs(values.imag) == np.abs(values.imag).max()
+        assert np.count_nonzero(top) == 2
+        values = values.copy()
+        values[top] += 0.01j * values[top].imag
+        return values, vecs
+
+    operator = _sector(8, 2, jp=0.01, mu=0.2, u=4.0)
+    monkeypatch.setattr(lapack, "geev", stretched)
+    with pytest.raises(ConvergenceError, match="residual"):
+        eigendecompose(operator, vectors=vectors)
+    with monkeypatch.context() as loose:
+        loose.setattr(eig, "RESIDUAL_RTOL", 1.0)
+        eigendecompose(operator, vectors=vectors)
+
+
+def test_eigenvalue_only_solve_keeps_the_diagnostic_keys():
+    op = _sector(6, 2, jp=0.01, mu=0.2, u=4.0)
+    assert list(eigendecompose(op, vectors=False).diagnostics) \
+        == list(eigendecompose(op).diagnostics)
 
 
 def test_max_imag_and_is_spectrum_real():
@@ -446,3 +481,33 @@ def test_permute_columns_matches_fancy_indexing():
             expected = a[:, order]
             _permute_columns(a, order)
             assert np.array_equal(a, expected)
+
+
+# the D=364 sector covers the larger dimensions; the L=20 ones add seconds
+EIGENVALUE_ONLY_INPUTS = {name: make for name, make in RESIDUAL_INPUTS.items()
+                          if "L=20" not in name}
+
+
+@pytest.mark.parametrize("name", list(EIGENVALUE_ONLY_INPUTS))
+def test_eigenvalue_only_solve_verifies_the_deciding_eigenpair(name):
+    operator = EIGENVALUE_ONLY_INPUTS[name]()
+    full = eigendecompose(operator)
+    fast = eigendecompose(operator, vectors=False)
+    w = fast.eigenvalues
+    assert fast.eigenvectors is None
+    assert w.dtype == full.eigenvalues.dtype and w.shape == (full.dimension,)
+    assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(len(w)))
+    assert fast.matrix_norm == full.matrix_norm
+    np.testing.assert_allclose(w, full.eigenvalues, rtol=0.0,
+                               atol=1e-11 * max(full.matrix_norm, 1.0))
+    checked = np.flatnonzero(~np.isnan(fast.residuals))
+    if not len(w):
+        assert len(checked) == 0
+        return
+    # the largest |Im|, or in a real spectrum the lower of the closest pair
+    if np.iscomplexobj(w):
+        expected = np.argmax(np.abs(w.imag))
+    else:
+        expected = np.argmin(np.diff(w)) if len(w) > 1 else 0
+    assert checked.tolist() == [expected]
+    assert fast.residuals[expected] <= 1e-9 * max(fast.matrix_norm, 1e-300)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,3 +162,100 @@ def test_unbound_library_changes_nothing(monkeypatch):
     assert sorted(values) == [2.0, 3.0]
     with pytest.raises(ValueError):
         lapack.geev(*_nonzeros(np.array([[2.0, np.inf], [0.0, 3.0]])))
+
+
+def _balanced(operator):
+    """geev's arguments for a sector as eigendecompose builds them: n and
+    the balanced nonzeros."""
+    from nhladder.eig import _balance, _entries
+
+    rows, cols, values = _entries(operator)
+    _, balanced = _balance(operator.dimension, rows, cols, values)
+    return operator.dimension, rows, cols, balanced
+
+
+EIGENVALUE_INPUTS = {
+    "random n=40": lambda: _nonzeros(np.random.default_rng(8)
+                                     .normal(size=(40, 40))),
+    "boson L=8 N=2": lambda: _balanced(SOLVE_INPUTS["boson L=8 N=2"]()),
+    "boson L=6 N=3": lambda: _balanced(SOLVE_INPUTS["boson L=6 N=3"]()),
+    "real spectrum L=6 N=1": lambda: _balanced(
+        SOLVE_INPUTS["real spectrum L=6 N=1"]()),
+    "n=0": lambda: _nonzeros(np.zeros((0, 0))),
+    "n=2 complex pair": lambda: _nonzeros(np.array([[0.0, 1.0],
+                                                    [-1.0, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("unbound", [False, True], ids=["bound", "unbound"])
+@pytest.mark.parametrize("name", list(EIGENVALUE_INPUTS))
+def test_eigenvalue_only_geev_matches_numpy_eigvals(name, unbound,
+                                                    monkeypatch):
+    if unbound:
+        monkeypatch.setattr(lapack, "_bind", lambda: None)
+    elif lapack.symbol() is None:
+        pytest.skip("numpy's OpenBLAS dgeev is not bound here")
+    n, rows, cols, values = EIGENVALUE_INPUTS[name]()
+    a = np.zeros((n, n))
+    a[rows, cols] = values
+    eigenvalues, vectors = lapack.geev(n, rows, cols, values, vectors=False)
+    expected = np.linalg.eigvals(a)
+    assert vectors is None
+    assert eigenvalues.dtype == expected.dtype
+    assert np.array_equal(eigenvalues, expected)  # bit-identical
+
+
+@pytest.mark.parametrize("unbound", [False, True], ids=["bound", "unbound"])
+def test_inverse_iteration_finds_the_eigenvector(unbound, monkeypatch):
+    if unbound:
+        monkeypatch.setattr(lapack, "_bind", lambda: None)
+    for name in ("boson L=8 N=2", "real spectrum L=6 N=1"):
+        n, rows, cols, values = _balanced(SOLVE_INPUTS[name]())
+        a = np.zeros((n, n))
+        a[rows, cols] = values
+        w = np.linalg.eigvals(a)
+        shift = w[np.argmax(np.abs(w.imag))] if np.iscomplexobj(w) else w[0]
+        x = lapack.inverse_iteration(n, rows, cols, values, shift)
+        assert x.dtype == (np.complex128 if np.iscomplexobj(w) else np.float64)
+        assert np.abs(x).max() == pytest.approx(1.0, rel=1e-15)
+        norm = np.abs(a).sum(axis=1).max()
+        assert np.linalg.norm(a @ x - shift * x) <= 1e-12 * norm
+        if not unbound and lapack.symbol() is not None:
+            # np.linalg.solve factors with the same getrf: the same bits
+            with monkeypatch.context() as patch:
+                patch.setattr(lapack, "_bind", lambda: None)
+                assert np.array_equal(x, lapack.inverse_iteration(
+                    n, rows, cols, values, shift))
+    # exact eigenvalues of exact matrices leave an exactly zero pivot: the
+    # shift moves by eps * norm, or by tiny / eps for the zero matrix
+    for a, shift in ((np.array([[0.0, 1.0], [-1.0, 0.0]]), 1j),
+                     (np.eye(3), 1.0), (np.zeros((3, 3)), 0.0)):
+        x = lapack.inverse_iteration(*_nonzeros(a), shift)
+        assert np.all(np.isfinite(x))
+        assert np.abs(x).max() == pytest.approx(1.0, rel=1e-15)
+        assert np.linalg.norm(a @ x - shift * x) <= 1e-15
+
+
+@bound
+@pytest.mark.parametrize("make", [
+    lambda: SOLVE_INPUTS["boson L=6 N=3"](),
+    lambda: _sector(200, 1, jl_a=1.0, jr_a=1.0, jl_b=1.0, jr_b=1.0, jp=0.1)],
+    ids=["complex D=364", "real D=400"])
+def test_eigenvalue_only_solve_peaks_no_higher_than_a_full_solve(make):
+    # geev's buffer of n^2 floats is freed before inverse iteration factors
+    # in one of its own: n^2 complex for a complex deciding eigenvalue,
+    # n^2 floats for a real one; a full solve holds 2n^2 floats
+    operator = make()
+    eigendecompose(operator, vectors=False)
+    peaks = {}
+    for vectors in (True, False):
+        tracemalloc.start()
+        try:
+            result = eigendecompose(operator, vectors=vectors)
+            peaks[vectors] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert operator.dimension >= 364
+    assert peaks[False] <= peaks[True]
+    if not np.iscomplexobj(result.eigenvalues):
+        assert peaks[False] < 1.5 * 8 * operator.dimension ** 2

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -632,3 +633,58 @@ def test_eonsite_validation():
         eonsite_table(p, (1.0, 0.0))
     with pytest.raises(ValueError):
         eonsite_table(ModelParams(cells=3, particles=5, u=1.0), (0.0, 1.0))
+
+
+# dgeev without eigenvectors reduces by a different QR path, so max |Im|
+# may differ in its last digits; the largest gap over these searches was
+# 5.0e-13 (L=6, N=3)
+_EIGENVALUE_ONLY_ATOL = 1e-11
+_SEARCHES = {
+    "L=8 N=2": (ModelParams(cells=8, particles=2, u=4.0, mu=0.2),
+                dict(bracket=(0.0, 0.1))),
+    "L=6 N=3": (ModelParams(cells=6, particles=3, u=16.0, mu=16.0 / 3.0),
+                dict(bracket=(0.1, 1.2), resolution=0.02, eps_im=1e-2)),
+}
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("case", list(_SEARCHES))
+def test_eigenvalue_only_search_matches_the_full_path(case, lanes,
+                                                      monkeypatch):
+    params, kwargs = _SEARCHES[case]
+    monkeypatch.setattr(lapack, "solve_lanes", lambda: lanes)
+    asked = []
+
+    def solve(*args, **kw):
+        asked.append(kw["vectors"])
+        return eigendecompose(*args, **kw)
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", solve)
+    fast = find_threshold_jp(params, **kwargs)
+    assert set(asked) == {False}
+    monkeypatch.setattr(sweep_mod, "eigendecompose",
+                        lambda *args, **kw: eigendecompose(*args))
+    full = find_threshold_jp(params, **kwargs)
+    assert (fast.jp_star, fast.bracket, fast.eps_im, fast.evaluations) \
+        == (full.jp_star, full.bracket, full.eps_im, full.evaluations)
+    assert [jp for jp, _ in fast.trace] == [jp for jp, _ in full.trace]
+    np.testing.assert_allclose([v for _, v in fast.trace],
+                               [v for _, v in full.trace],
+                               rtol=0.0, atol=_EIGENVALUE_ONLY_ATOL)
+
+
+@pytest.mark.parametrize("selector", ["scattering", "bound"])
+def test_cluster_selectors_keep_the_full_path(selector, monkeypatch):
+    asked = []
+
+    def solve(*args, **kw):
+        asked.append(kw["vectors"])
+        return eigendecompose(*args, **kw)
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", solve)
+    # whether the window holds a crossing does not matter here
+    with contextlib.suppress(ValueError):
+        find_threshold_jp(ModelParams(cells=4, particles=2, u=4.0, mu=0.2),
+                          cluster_selector=selector, bracket=(0.0, 1.0),
+                          resolution=0.05)
+    assert len(asked) >= 5 and set(asked) == {True}
