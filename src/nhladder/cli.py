@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, lapack
-from .eig import ConvergenceError, default_eps_im, eigendecompose
+from .eig import default_eps_im, eigendecompose
 from .fock import CapacityError, basis_dimension, site_cell_leg
 from .model import ModelParams, build_hamiltonian, sector_basis
 from .observables import (OBSERVABLES, SELECTORS, check_gaps,
@@ -639,15 +639,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a sector within the capacity can still be too large for memory
         print(f"error (capacity): {exc}", file=sys.stderr)
         return 3
-    except ConvergenceError as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # ConvergenceError is a RuntimeError; LinAlgError, which LAPACK
+        # raises on non-convergence, is a ValueError
         print(f"error (solver): {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, OSError) as exc:
         print(f"error (config): {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error (solver): {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ observables use the combined site ordering (leg A sites 0..L-1, leg B sites
 L..2L-1). Cluster analysis groups eigenvalues by gaps along the real axis
 and labels each group by where its density lives (left edge, right edge,
 both) and by the pair-participation measure of its most complex member.
+label_clusters takes every cluster's density from one site-density pass
+over all states and each representative's ncor from its own column;
+classify_cluster is label_clusters of one cluster.
 """
 
 from __future__ import annotations
@@ -57,18 +60,16 @@ def _weights(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
 
 
 def _per_chunk(fn: Callable[[np.ndarray], np.ndarray],
-               eigenvectors: np.ndarray, basis: Basis, chunk: int,
-               shape: Tuple[int, ...] = (),
-               columns: Optional[np.ndarray] = None) -> np.ndarray:
-    """fn of the _weights of `chunk` columns at a time (of the given column
-    indices, or of all columns), one result row of the given shape per
-    column; no temporary exceeds a few dimension x chunk arrays."""
-    n = eigenvectors.shape[1] if columns is None else len(columns)
+               eigenvectors: np.ndarray, basis: Basis,
+               shape: Tuple[int, ...] = ()) -> np.ndarray:
+    """fn of the _weights of CHUNK columns at a time, one result row of the
+    given shape per column; no temporary exceeds a few dimension x CHUNK
+    arrays."""
+    n = eigenvectors.shape[1]
     out = np.empty((n,) + shape)
-    for start in range(0, n, chunk):
-        part = slice(start, start + chunk)
-        block = eigenvectors[:, part if columns is None else columns[part]]
-        out[part] = fn(_weights(block, basis))
+    for start in range(0, n, CHUNK):
+        part = slice(start, start + CHUNK)
+        out[part] = fn(_weights(eigenvectors[:, part], basis))
     return out
 
 
@@ -77,7 +78,7 @@ def site_density_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
     shape (n_states, 2L), each row sums to the particle number. Weights are
     formed CHUNK columns at a time."""
     return _per_chunk(lambda w: w.T @ basis.occupations,
-                      np.asarray(eigenvectors), basis, CHUNK, (basis.nsites,))
+                      np.asarray(eigenvectors), basis, (basis.nsites,))
 
 
 def site_density(vector: np.ndarray, basis: Basis) -> np.ndarray:
@@ -137,7 +138,7 @@ def correlation_ncor_all(eigenvectors: np.ndarray, basis: Basis) -> np.ndarray:
     frobenius_coef = 2.0 + trace_coef  # 4 [doublon] + 2 [pair]
     return _per_chunk(
         lambda w: (trace_coef @ w) ** 2 - frobenius_coef @ (w * w),
-        eigenvectors, basis, CHUNK)
+        eigenvectors, basis)
 
 
 def correlation_ncor(vector: np.ndarray, basis: Basis) -> float:
@@ -383,7 +384,7 @@ def _compose_label(ncor: float, left: float, right: float) -> str:
 def classify_cluster(cluster: Cluster, result: SpectrumResult,
                      basis: Basis) -> str:
     """Label one cluster from its mean density profile and the pair
-    participation of its representative.
+    participation of its representative: label_clusters of this cluster.
 
     Prefix: Bi when both 25 percent edge windows hold at least 30 percent
     of the mean density, else L or R when one side holds at least 60
@@ -394,22 +395,22 @@ def classify_cluster(cluster: Cluster, result: SpectrumResult,
     other than two the ncor signal is undefined and the label is
     unclassified.
     """
-    dens = _per_chunk(lambda w: w.T @ basis.occupations, result.eigenvectors,
-                      basis, CHUNK, (basis.nsites,),
-                      np.asarray(cluster.members))
-    mean_density = dens.mean(axis=0)
-    left, right = _edge_weights(mean_density, basis.cells)
-    if basis.particles == 2:
-        ncor = correlation_ncor(result.eigenvectors[:, cluster.representative],
-                                basis)
-    else:
-        ncor = math.nan
-    return _compose_label(ncor, left, right)
+    return label_clusters(result, basis, [cluster])[0].label
 
 
 def label_clusters(result: SpectrumResult, basis: Basis,
                    clusters: Sequence[Cluster]) -> List[Cluster]:
-    """The given clusters of result (select_clusters) with the label
-    classify_cluster gives each."""
-    return [replace(c, label=classify_cluster(c, result, basis))
-            for c in clusters]
+    """The given clusters of result (select_clusters), each labelled by the
+    rule of classify_cluster. The mean density profiles come from one
+    site_density_all pass over every eigenvector; the ncor of each
+    representative is read from its own column."""
+    dens = site_density_all(result.eigenvectors, basis)
+    labelled = []
+    for c in clusters:
+        left, right = _edge_weights(dens[list(c.members)].mean(axis=0),
+                                    basis.cells)
+        ncor = (correlation_ncor(result.eigenvectors[:, c.representative],
+                                 basis)
+                if basis.particles == 2 else math.nan)
+        labelled.append(replace(c, label=_compose_label(ncor, left, right)))
+    return labelled

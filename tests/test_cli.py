@@ -403,13 +403,39 @@ def test_exit_code_3_when_the_solve_cannot_allocate(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch):
+def test_exit_code_4_on_solver_failure(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("synthetic failure")
 
     monkeypatch.setattr(cli, "eigendecompose", explode)
     assert main(["spectrum", "--cells", "2", "--particles", "1",
                  "--out", str(tmp_path / "x")]) == 4
+    monkeypatch.undo()
+
+    # LAPACK's LinAlgError is a ValueError, yet a solver failure: dgeev
+    # that does not converge, and inverse iteration whose shifted matrix
+    # stays singular
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(lapack, "geev", diverge)
+    capsys.readouterr()
+    assert main(["spectrum", "--cells", "2", "--particles", "1",
+                 "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err == ("error (solver): Eigenvalues did not "
+                                       "converge\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(lapack, "inverse_iteration", diverge)
+    assert main(["threshold", "--cells", "4", "--particles", "1",
+                 "--mu", "0.2", "--bracket", "0:1", "--resolution", "0.01",
+                 "--out", str(tmp_path / "t")]) == 4
+    assert capsys.readouterr().err.startswith("error (solver): ")
+    # a resonant effective model is still a configuration error
+    assert main(["effective", "--cells", "4", "--particles", "2",
+                 "--u", "4", "--mu", "2", "--jp", "0.01",
+                 "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err.startswith("error (config): denominator")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_density_site_kind_sums_to_particles(tmp_path):

@@ -10,6 +10,9 @@ build_hamiltonian and eigendecompose.
 - jl <-> jr on both legs transposes H.
 
 The gauge on leg A alone is no similarity once jp != 0, and is the control.
+Observables follow the leg swap too: site densities exchange legs,
+polarization changes sign and ncor stays; the select_clusters groups keep
+their sizes.
 """
 
 import functools
@@ -19,14 +22,21 @@ import pytest
 
 from nhladder.eig import eigendecompose
 from nhladder.model import ModelParams, build_hamiltonian, sector_basis
+from nhladder.observables import (SELECTORS, correlation_ncor_all,
+                                  polarization_all, select_clusters,
+                                  site_density_all)
 from nhladder.sweep import find_threshold_jp
 
 # (statistics, cells, particles)
 SECTORS = [("boson", 4, 2), ("boson", 3, 3), ("fermion", 4, 3),
            ("fermion", 5, 2)]
 DRAWS = 3
-# the maps agree within 1.2e-13 over these draws
+# the maps agree within 1.2e-13 over these draws, and the leg-swapped
+# observables within 4.2e-12
 TOL = 1e-11
+# eigenstates are matched by eigenvalue only where no other eigenvalue lies
+# this close; every eigenvalue of these draws is at least 4e-3 from the rest
+ISOLATED = 1e-6
 
 
 def _gauge(p, g):
@@ -64,9 +74,13 @@ def _draws(statistics, cells, particles):
 
 
 @functools.lru_cache(maxsize=None)
+def _solve(params):
+    basis = sector_basis(params)
+    return basis, eigendecompose(build_hamiltonian(params, basis))
+
+
 def _spectrum(params):
-    return eigendecompose(build_hamiltonian(params, sector_basis(params))
-                          ).eigenvalues
+    return _solve(params)[1].eigenvalues
 
 
 def _matched_gap(a, b):
@@ -109,9 +123,53 @@ def test_gauge_on_one_leg_moves_the_spectrum(sector):
         assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) > 1e-3
 
 
+def _observables(params):
+    """The eigenvalues of params, and the site densities, polarization and,
+    for two particles, ncor (else None) of each eigenvector."""
+    basis, result = _solve(params)
+    vectors = result.eigenvectors
+    ncor = (correlation_ncor_all(vectors, basis) if params.particles == 2
+            else None)
+    return (result.eigenvalues, site_density_all(vectors, basis),
+            polarization_all(vectors, basis), ncor)
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_leg_swap_maps_the_observables(sector):
+    for params, g in _draws(*sector):
+        values, dens, pol, ncor = _observables(params)
+        swapped, dens_s, pol_s, ncor_s = _observables(_leg_swap(params, g))
+        gaps = np.abs(values[:, np.newaxis] - values[np.newaxis, :])
+        np.fill_diagonal(gaps, np.inf)
+        isolated = np.flatnonzero(gaps.min(axis=1) > ISOLATED)
+        assert isolated.size
+        cells = params.cells
+        for i in isolated:
+            j = np.argmin(np.abs(swapped - values[i]))
+            assert abs(swapped[j] - values[i]) <= TOL
+            legs_exchanged = np.concatenate([dens[i, cells:], dens[i, :cells]])
+            assert np.max(np.abs(dens_s[j] - legs_exchanged)) <= TOL
+            assert abs(pol_s[j] + pol[i]) <= TOL
+            if ncor is not None:
+                assert abs(ncor_s[j] - ncor[i]) <= TOL
+
+
+@pytest.mark.parametrize("name", ["common gauge", "leg swap"])
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_map_keeps_the_cluster_groups(sector, name):
+    # each side clusters with its own default min_gap, as every command does
+    def sizes(params):
+        groups = select_clusters(_solve(params)[1], params)
+        return [[c.size for c in groups[selector]] for selector in SELECTORS]
+
+    for params, g in _draws(*sector):
+        assert sizes(MAPS[name](params, g)) == sizes(params)
+
+
 def test_threshold_is_invariant():
     params = ModelParams(cells=4, particles=1, mu=0.2)
     found = [find_threshold_jp(p, bracket=(0.0, 1.0), resolution=5e-3)
-             for p in (params, _gauge(params, 2.0), _leg_swap(params, 2.0))]
+             for p in (params, _gauge(params, 2.0), _leg_swap(params, 2.0),
+                       MAPS["hop sign"](params, 2.0))]
     assert len({(t.jp_star, t.evaluations) for t in found}) == 1
     assert found[0].bracket[1] - found[0].bracket[0] <= 5e-3

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -218,12 +219,6 @@ def test_site_density_chunks_agree(monkeypatch):
         monkeypatch.setattr(observables, "CHUNK", chunk)
         np.testing.assert_allclose(site_density_all(vectors, basis),
                                    whole, rtol=0.0, atol=1e-14)
-    members = np.array([5, 0, 2, 9])
-    picked = observables._per_chunk(lambda w: w.T @ basis.occupations, vectors,
-                                    basis, 3, (basis.nsites,), members)
-    np.testing.assert_allclose(picked, site_density_all(vectors[:, members],
-                                                        basis),
-                               rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +472,51 @@ def test_classify_needs_two_particles():
     assert classify_cluster(cluster, result, basis) == "unclassified"
 
 
-def test_five_cluster_bands_with_detuned_interaction():
+@functools.lru_cache(maxsize=None)
+def _five_cluster_sector():
     # two detuned bound bands on top of three scattering bands
     p = ModelParams(cells=20, particles=2, jp=0.01, mu=3.0, u=16.0)
     basis = sector_basis(p)
-    result = eigendecompose(build_hamiltonian(p, basis))
+    return p, basis, eigendecompose(build_hamiltonian(p, basis))
+
+
+def test_five_cluster_bands_with_detuned_interaction():
+    p, basis, result = _five_cluster_sector()
     clusters = label_clusters(result, basis, select_clusters(result, p)["all"])
     assert [c.size for c in clusters] == [190, 400, 190, 20, 20]
     assert [c.label for c in clusters] == ["RS", "BiS", "LS", "mixed", "mixed"]
     # the skin-localized bound bands sit near u -/+ 2 mu
     assert clusters[3].re_range[0] == pytest.approx(10.0, abs=0.3)
     assert clusters[4].re_range[0] == pytest.approx(22.0, abs=0.3)
+
+
+def test_labels_do_not_depend_on_the_clusters_labelled_with_them():
+    p, basis, result = _five_cluster_sector()
+    groups = select_clusters(result, p)
+    labelled = {c.members: c for c in label_clusters(result, basis,
+                                                     groups["all"])}
+    for name in ("bound", "scattering"):
+        assert groups[name]
+        assert label_clusters(result, basis, groups[name]) == \
+            [labelled[c.members] for c in groups[name]]
+    for c in groups["all"]:
+        assert classify_cluster(c, result, basis) == labelled[c.members].label
+
+
+def test_labelling_single_state_clusters_adds_only_chunks_of_eigenvectors():
+    # min_gap 0 and a small gap_factor split the spectrum into 605 clusters,
+    # 420 of them single states: more representatives than fit in the bound
+    # of test_observables_add_only_chunks_of_eigenvectors as one gather
+    p, basis, result = _five_cluster_sector()
+    clusters = select_clusters(result, p, gap_factor=0.1, min_gap=0.0)["all"]
+    assert len(clusters) > 3 * CHUNK
+    tracemalloc.start()
+    try:
+        label_clusters(result, basis, clusters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * CHUNK * basis.dimension
 
 
 def test_default_min_gap():
