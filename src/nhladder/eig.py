@@ -10,8 +10,9 @@ or np.linalg.eig where that library cannot be bound; both give the same
 bits. No operator is made dense here: apart from geev's buffer, a solve
 holds O(nnz) entries and O(n * GATHER) temporaries. An eigenvalue-only
 solve (vectors=False) has dgeev skip the eigenvectors and finds the one
-eigenvector it checks by inverse iteration, in a buffer allocated after
-geev's is freed.
+eigenvector it checks by inverse iteration on the matrix renumbered into a
+narrow band, in a band buffer of about 3 kl x n entries (kl diagonals on
+either side) allocated after geev's n x n floats are freed.
 
 Every decomposition is checked before it is returned: per-eigenpair
 residuals (of the deciding eigenpair alone without eigenvectors) against

@@ -6,9 +6,11 @@ integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
 its `dgeev` on a private copy of the input and keeps about five n x n
 buffers of its own. `geev` takes the nonzeros of a real matrix and calls
 the same routine in place, in the one buffer it allocates and describes,
-with or without eigenvectors. `inverse_iteration` factors a shifted matrix
-in place with `getrf` and solves with `getrs` from the same library, to
-check one eigenpair of an eigenvalue-only solve. `threads` sets the size
+with or without eigenvectors. `inverse_iteration` renumbers a shifted
+sparse matrix into a narrow band, factors it in place with `gbtrf` and
+solves with `gbtrs` from the same library, to check one eigenpair of an
+eigenvalue-only solve: O(D kl^2) time and about 3 kl D entries for a
+band of kl diagonals on either side. `threads` sets the size
 of the OpenBLAS thread pool for a block of code, and `solve_lanes` is how
 many such solves a threshold search runs at once.
 
@@ -37,18 +39,18 @@ BLOCK = 64
 
 
 class _Binding:
-    """The bound entry points and the name of the dgeev symbol. getrf and
-    getrs are keyed by numpy dtype character: 'd' real, 'D' complex."""
+    """The bound entry points and the name of the dgeev symbol. gbtrf and
+    gbtrs are keyed by numpy dtype character: 'd' real, 'D' complex."""
 
     def __init__(self, lib: ctypes.CDLL, prefix: str):
         self.symbol = f"{prefix}dgeev_64_"
         self.dgeev = getattr(lib, self.symbol)
         self.set_threads = getattr(lib, f"{prefix}openblas_set_num_threads64_")
         self.get_threads = getattr(lib, f"{prefix}openblas_get_num_threads64_")
-        self.getrf = {"d": getattr(lib, f"{prefix}dgetrf_64_"),
-                      "D": getattr(lib, f"{prefix}zgetrf_64_")}
-        self.getrs = {"d": getattr(lib, f"{prefix}dgetrs_64_"),
-                      "D": getattr(lib, f"{prefix}zgetrs_64_")}
+        self.gbtrf = {"d": getattr(lib, f"{prefix}dgbtrf_64_"),
+                      "D": getattr(lib, f"{prefix}zgbtrf_64_")}
+        self.gbtrs = {"d": getattr(lib, f"{prefix}dgbtrs_64_"),
+                      "D": getattr(lib, f"{prefix}zgbtrs_64_")}
         i64 = ctypes.POINTER(ctypes.c_int64)
         ptr = ctypes.c_void_p
         # JOBVL, JOBVR, N, A, LDA, WR, WI, VL, LDVL, VR, LDVR, WORK, LWORK,
@@ -57,13 +59,15 @@ class _Binding:
                                ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64,
                                ctypes.c_size_t, ctypes.c_size_t]
         self.dgeev.restype = None
-        for getrf, getrs in zip(self.getrf.values(), self.getrs.values()):
-            # M, N, A, LDA, IPIV, INFO
-            getrf.argtypes, getrf.restype = [i64, i64, ptr, i64, ptr, i64], None
-            # TRANS, N, NRHS, A, LDA, IPIV, B, LDB, INFO, length of TRANS
-            getrs.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, ptr, ptr,
-                              i64, i64, ctypes.c_size_t]
-            getrs.restype = None
+        for gbtrf, gbtrs in zip(self.gbtrf.values(), self.gbtrs.values()):
+            # M, N, KL, KU, AB, LDAB, IPIV, INFO
+            gbtrf.argtypes = [i64, i64, i64, i64, ptr, i64, ptr, i64]
+            gbtrf.restype = None
+            # TRANS, N, KL, KU, NRHS, AB, LDAB, IPIV, B, LDB, INFO, length
+            # of TRANS
+            gbtrs.argtypes = [ctypes.c_char_p, i64, i64, i64, i64, ptr, i64,
+                              ptr, ptr, i64, i64, ctypes.c_size_t]
+            gbtrs.restype = None
         self.set_threads.argtypes, self.set_threads.restype = [ctypes.c_int], None
         self.get_threads.argtypes, self.get_threads.restype = [], ctypes.c_int
 
@@ -118,9 +122,10 @@ def solve_lanes() -> int:
     """Solves a threshold search runs at once: min(2, usable cores), or 1
     where dgeev is not bound. Each in-place solve holds one buffer of two
     real D x D arrays at most (an eigenvalue-only solve holds geev's D x D
-    floats, then inverse_iteration's D x D floats or complex, never both),
-    so two lanes hold fewer than one np.linalg.eig solve, which keeps
-    about five; a third lane would hold six."""
+    floats, then inverse_iteration's band of (2 kl + ku + 1) x D floats or
+    complex, never both; in the ladder sectors of a search the band has
+    fewer than D / 2 rows), so two lanes hold fewer than one np.linalg.eig
+    solve, which keeps about five; a third lane would hold six."""
     if symbol() is None:
         return 1
     return min(2, usable_cores())
@@ -208,41 +213,127 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
     of 1, from the vector of ones. The vector is real for a real shift,
     complex otherwise.
 
-    B - shift I is factored (getrf) in place in one buffer of its own, n^2
-    floats for a real shift and n^2 complex for a complex one, and both
-    steps solve (getrs) with that one factorisation. Where a pivot is
-    exactly zero, the shift moves by eps * norm(B, inf) (tiny / eps for
-    B = 0), as LAPACK dhsein perturbs a shift, and B is factored again;
-    LinAlgError after four tries. Where the library is not bound,
-    `np.linalg.solve` does each step.
+    B - shift I is factored as a band matrix: its rows and columns are
+    renumbered by _band_order, which leaves kl nonzero diagonals below the
+    main one and ku above, and it is scattered into LAPACK band storage,
+    one buffer of (2 kl + ku + 1) x n floats for a real shift or complex
+    for a complex one. gbtrf factors it in place, in O(n kl (kl + ku))
+    time, and both steps solve (gbtrs) with that one factorisation; x
+    comes back in the original numbering. A ladder sector is sparse and
+    its band narrow (kl = ku = 75 at n = 816). A dense B has kl = ku =
+    n - 1, and its band holds (3n - 2) x n entries, three times a dense
+    copy. Where a pivot is exactly zero, the shift moves by
+    eps * norm(B, inf) (tiny / eps for B = 0), as LAPACK dhsein perturbs a
+    shift, and B is factored again; LinAlgError after four tries. Where
+    the library is not bound, `np.linalg.solve` does each step on a dense
+    n x n copy.
     """
     kind = "D" if np.iscomplexobj(shift) else "d"
     norm = np.bincount(rows, weights=np.abs(values),
                        minlength=n).max(initial=0.0)
     eps = np.finfo(float).eps
     nudge = eps * norm or np.finfo(float).tiny / eps
-    a = np.zeros((n, n), kind, order="F")
-    pivots = np.empty(n, np.int64)
-    diagonal = np.arange(n)
     binding = _bind()
+    if binding is None:
+        position = np.arange(n)
+        shape, at, diagonal = (n, n), (rows, cols), (position, position)
+    else:
+        order, _ = _band_order(n, rows, cols)
+        position = np.empty(n, np.int64)
+        position[order] = np.arange(n)
+        i, j = position[rows], position[cols]
+        kl = int(np.max(i - j, initial=0))
+        ku = int(np.max(j - i, initial=0))
+        shape = (2 * kl + ku + 1, n)
+        at, diagonal = (kl + ku + i - j, j), (kl + ku, slice(None))
+        pivots = np.empty(n, np.int64)
+    a = np.zeros(shape, kind, order="F")
     for _ in range(4):
         a[:] = 0.0
-        a[rows, cols] = values
-        a[diagonal, diagonal] -= shift
+        a[at] = values
+        a[diagonal] -= shift
         x = np.ones(n, kind)
         try:
             if binding is not None:
-                _getrf(binding, a, pivots)
+                _gbtrf(binding, a, kl, ku, pivots)
             for _ in range(2):
                 if binding is None:
                     x = np.linalg.solve(a, x)
                 else:
-                    _getrs(binding, a, pivots, x)
+                    _gbtrs(binding, a, kl, ku, pivots, x)
                 x /= np.abs(x).max()
-            return x
+            return x[position]
         except np.linalg.LinAlgError:
             shift += nudge
     raise np.linalg.LinAlgError("shifted matrix stays singular")
+
+
+def _band_order(n: int, rows: np.ndarray, cols: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """A numbering of the n x n sparsity pattern (rows, cols), symmetrised,
+    that keeps its nonzeros near the diagonal: the breadth-first levels of
+    Cuthill and McKee (1969). Returns `order`, the old index of each new
+    position, and `level`, the level of each position, which never
+    decreases along `order`.
+
+    Each connected part is searched from a pseudo-peripheral node, found as
+    George and Liu do (1979): from a node of least degree, search again
+    from a node of least degree in the last level as long as that adds
+    levels. A level is the unplaced neighbours of the one before, in the
+    order of the first node that reaches them and then by degree, found in
+    one vectorised step. Levels are numbered on across the parts, and
+    nodes with no neighbour come first, one level each. A nonzero then
+    joins levels at most one apart, so no nonzero lies further from the
+    diagonal than the two largest levels are wide.
+    """
+    off = rows != cols
+    keys = np.sort(np.concatenate([rows[off] * n + cols[off],
+                                   cols[off] * n + rows[off]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    neighbours = keys % n
+    degree = np.bincount(keys // n, minlength=n)
+    first = np.cumsum(degree) - degree
+    seen = degree == 0
+    parts = [np.flatnonzero(seen)]
+    levels = [np.arange(len(parts[0]))]
+
+    def search(root: int) -> list:
+        """The levels of a breadth-first search from root over unseen
+        nodes, which it marks seen."""
+        found = [np.array([root])]
+        seen[root] = True
+        while True:
+            frontier = found[-1]
+            counts = degree[frontier]
+            start = np.cumsum(counts) - counts
+            reached = neighbours[np.arange(start[-1] + counts[-1])
+                                 + np.repeat(first[frontier] - start, counts)]
+            parent = np.repeat(np.arange(len(frontier)), counts)
+            new = ~seen[reached]
+            reached, parent = reached[new], parent[new]
+            if not len(reached):
+                return found
+            # the first occurrence of each node, by its first parent
+            sort = np.argsort(reached, kind="stable")
+            once = sort[np.diff(reached[sort], prepend=-1) != 0]
+            level = reached[once]
+            found.append(level[np.lexsort((degree[level], parent[once]))])
+            seen[level] = True
+
+    while not seen.all():
+        found = search(int(np.argmin(np.where(seen, n, degree))))
+        while True:
+            # both searches mark the same part seen
+            seen[np.concatenate(found)] = False
+            last = found[-1]
+            again = search(int(last[np.argmin(degree[last])]))
+            if len(again) <= len(found):
+                break
+            found = again
+        parts.append(np.concatenate(found))
+        levels.append(levels[-1].max(initial=-1) + 1 + np.repeat(
+            np.arange(len(found)), [len(level) for level in found]))
+    return np.concatenate(parts), np.concatenate(levels)
 
 
 def _unpack(buffer: np.ndarray, vr: np.ndarray,
@@ -288,27 +379,32 @@ def _dgeev(binding: _Binding, a: np.ndarray, wr: np.ndarray, wi: np.ndarray,
     return info.value
 
 
-def _getrf(binding: _Binding, a: np.ndarray, pivots: np.ndarray) -> None:
-    """LU factorisation of the Fortran-ordered square a in place, real or
-    complex. Raises LinAlgError, as np.linalg.solve does, where a pivot is
-    exactly zero."""
-    n = ctypes.c_int64(a.shape[0])
+def _gbtrf(binding: _Binding, ab: np.ndarray, kl: int, ku: int,
+           pivots: np.ndarray) -> None:
+    """LU factorisation in place of the band matrix with kl subdiagonals
+    and ku superdiagonals in LAPACK band storage ab, a Fortran-ordered
+    (2 kl + ku + 1) x n array, real or complex. Raises LinAlgError, as
+    np.linalg.solve does, where a pivot is exactly zero."""
+    n = ctypes.c_int64(ab.shape[1])
     info = ctypes.c_int64(0)
-    binding.getrf[a.dtype.char](n, n, a.ctypes.data, n, pivots.ctypes.data,
-                                info)
+    binding.gbtrf[ab.dtype.char](n, n, ctypes.c_int64(kl), ctypes.c_int64(ku),
+                                 ab.ctypes.data, ctypes.c_int64(ab.shape[0]),
+                                 pivots.ctypes.data, info)
     if info.value > 0:
         raise np.linalg.LinAlgError("Singular matrix")
     if info.value < 0:
-        raise RuntimeError(f"getrf rejected argument {-info.value}")
+        raise RuntimeError(f"gbtrf rejected argument {-info.value}")
 
 
-def _getrs(binding: _Binding, lu: np.ndarray, pivots: np.ndarray,
-           x: np.ndarray) -> None:
-    """x <- A^-1 x in place, with the factorisation of A from _getrf."""
-    n = ctypes.c_int64(lu.shape[0])
+def _gbtrs(binding: _Binding, lu: np.ndarray, kl: int, ku: int,
+           pivots: np.ndarray, x: np.ndarray) -> None:
+    """x <- A^-1 x in place, with the band factorisation of A from
+    _gbtrf."""
+    n = ctypes.c_int64(lu.shape[1])
     info = ctypes.c_int64(0)
-    binding.getrs[lu.dtype.char](b"N", n, ctypes.c_int64(1), lu.ctypes.data,
-                                 n, pivots.ctypes.data, x.ctypes.data, n,
-                                 info, 1)
+    binding.gbtrs[lu.dtype.char](b"N", n, ctypes.c_int64(kl),
+                                 ctypes.c_int64(ku), ctypes.c_int64(1),
+                                 lu.ctypes.data, ctypes.c_int64(lu.shape[0]),
+                                 pivots.ctypes.data, x.ctypes.data, n, info, 1)
     if info.value != 0:
-        raise RuntimeError(f"getrs rejected argument {-info.value}")
+        raise RuntimeError(f"gbtrs rejected argument {-info.value}")

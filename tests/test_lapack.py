@@ -205,12 +205,31 @@ def test_eigenvalue_only_geev_matches_numpy_eigvals(name, unbound,
     assert np.array_equal(eigenvalues, expected)  # bit-identical
 
 
+INVERSE_ITERATION_INPUTS = {
+    "boson L=8 N=2": lambda: _balanced(SOLVE_INPUTS["boson L=8 N=2"]()),
+    "real spectrum L=6 N=1": lambda: _balanced(
+        SOLVE_INPUTS["real spectrum L=6 N=1"]()),
+    # every entry nonzero: the band is the whole matrix, kl = ku = n - 1
+    "random n=40": lambda: _nonzeros(np.random.default_rng(8)
+                                     .normal(size=(40, 40))),
+    # no rung nonzeros: the pattern falls apart into one part per split of
+    # the particles between the legs, and the ordering searches each
+    "boson L=8 N=2 jp=0": lambda: _balanced(_sector(8, 2, jp=0.0, mu=0.2,
+                                                    u=4.0)),
+    "n=1": lambda: _nonzeros(np.array([[2.5]])),
+}
+
+
 @pytest.mark.parametrize("unbound", [False, True], ids=["bound", "unbound"])
 def test_inverse_iteration_finds_the_eigenvector(unbound, monkeypatch):
     if unbound:
         monkeypatch.setattr(lapack, "_bind", lambda: None)
-    for name in ("boson L=8 N=2", "real spectrum L=6 N=1"):
-        n, rows, cols, values = _balanced(SOLVE_INPUTS[name]())
+    # the band path (bound) and np.linalg.solve (unbound) factor
+    # differently, so their vectors differ in the last bits and, for a
+    # shift this close to an eigenvalue, in their phase: both must meet
+    # the residual bound
+    for name, make in INVERSE_ITERATION_INPUTS.items():
+        n, rows, cols, values = make()
         a = np.zeros((n, n))
         a[rows, cols] = values
         w = np.linalg.eigvals(a)
@@ -219,13 +238,7 @@ def test_inverse_iteration_finds_the_eigenvector(unbound, monkeypatch):
         assert x.dtype == (np.complex128 if np.iscomplexobj(w) else np.float64)
         assert np.abs(x).max() == pytest.approx(1.0, rel=1e-15)
         norm = np.abs(a).sum(axis=1).max()
-        assert np.linalg.norm(a @ x - shift * x) <= 1e-12 * norm
-        if not unbound and lapack.symbol() is not None:
-            # np.linalg.solve factors with the same getrf: the same bits
-            with monkeypatch.context() as patch:
-                patch.setattr(lapack, "_bind", lambda: None)
-                assert np.array_equal(x, lapack.inverse_iteration(
-                    n, rows, cols, values, shift))
+        assert np.linalg.norm(a @ x - shift * x) <= 1e-12 * norm, name
     # exact eigenvalues of exact matrices leave an exactly zero pivot: the
     # shift moves by eps * norm, or by tiny / eps for the zero matrix
     for a, shift in ((np.array([[0.0, 1.0], [-1.0, 0.0]]), 1j),
@@ -236,6 +249,33 @@ def test_inverse_iteration_finds_the_eigenvector(unbound, monkeypatch):
         assert np.linalg.norm(a @ x - shift * x) <= 1e-15
 
 
+@pytest.mark.parametrize("make", [
+    lambda: _sector(8, 3, jp=0.5, mu=16 / 3, u=16.0),
+    lambda: _sector(20, 2, jp=0.01, mu=0.2, u=4.0),
+    lambda: _sector(20, 2, statistics="fermion", jp=0.01, mu=0.3, u_nn=4.0),
+    lambda: _sector(8, 2, jp=0.0, mu=0.2, u=4.0),
+    lambda: SparseOperator(40, *np.nonzero(np.ones((40, 40))),
+                           np.ones(1600)),
+    lambda: SparseOperator(5, np.arange(5), np.arange(5), np.ones(5))],
+    ids=["boson L=8 N=3", "boson L=20 N=2", "fermion L=20 N=2",
+         "boson L=8 N=2 jp=0", "dense n=40", "diagonal n=5"])
+def test_band_order_keeps_nonzeros_between_adjacent_levels(make):
+    from nhladder.eig import _entries
+
+    operator = make()
+    n = operator.dimension
+    rows, cols, _ = _entries(operator)
+    order, level = lapack._band_order(n, rows, cols)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    assert np.all(np.diff(level) >= 0)
+    position = np.empty(n, np.int64)
+    position[order] = np.arange(n)
+    i, j = position[rows], position[cols]
+    assert np.abs(level[i] - level[j]).max() <= 1
+    widest = np.bincount(level).max()
+    assert np.max(i - j) <= 2 * widest and np.max(j - i) <= 2 * widest
+
+
 @bound
 @pytest.mark.parametrize("make", [
     lambda: SOLVE_INPUTS["boson L=6 N=3"](),
@@ -243,9 +283,13 @@ def test_inverse_iteration_finds_the_eigenvector(unbound, monkeypatch):
     ids=["complex D=364", "real D=400"])
 def test_eigenvalue_only_solve_peaks_no_higher_than_a_full_solve(make):
     # geev's buffer of n^2 floats is freed before inverse iteration factors
-    # in one of its own: n^2 complex for a complex deciding eigenvalue,
-    # n^2 floats for a real one; a full solve holds 2n^2 floats
+    # in one of its own: the band of 2 kl + ku + 1 rows of n complex for a
+    # complex deciding eigenvalue, floats for a real one; a full solve
+    # holds 2n^2 floats
+    from nhladder.eig import _entries
+
     operator = make()
+    n = operator.dimension
     eigendecompose(operator, vectors=False)
     peaks = {}
     for vectors in (True, False):
@@ -255,7 +299,19 @@ def test_eigenvalue_only_solve_peaks_no_higher_than_a_full_solve(make):
             peaks[vectors] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert operator.dimension >= 364
+    assert n >= 364
     assert peaks[False] <= peaks[True]
     if not np.iscomplexobj(result.eigenvalues):
-        assert peaks[False] < 1.5 * 8 * operator.dimension ** 2
+        assert peaks[False] < 1.5 * 8 * n ** 2
+        return
+    rows, cols, _ = _entries(operator)
+    order, _ = lapack._band_order(n, rows, cols)
+    position = np.empty(n, np.int64)
+    position[order] = np.arange(n)
+    kl = np.max(position[rows] - position[cols])
+    ku = np.max(position[cols] - position[rows])
+    # the nonzeros and their temporaries: O(n) in a sparse sector
+    per_state = 1024
+    assert peaks[False] <= 8 * n ** 2 + 16 * (2 * kl + ku + 1) * n + per_state * n
+    # a dense complex LU would hold 16 n^2 bytes
+    assert peaks[False] < 16 * n ** 2
