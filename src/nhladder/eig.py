@@ -12,7 +12,10 @@ holds O(nnz) entries and O(n * GATHER) temporaries. An eigenvalue-only
 solve (vectors=False) has dgeev skip the eigenvectors and finds the one
 eigenvector it checks by inverse iteration on the matrix renumbered into a
 narrow band, in a band buffer of about 3 kl x n entries (kl diagonals on
-either side) allocated after geev's n x n floats are freed.
+either side) allocated after geev's n x n floats are freed. The band order
+is the one the operator carries (SparseOperator.band_order, which a
+model.SectorPlan computes once per sparsity pattern) or, for dense input
+and hand-made operators, one computed for the solve.
 
 Every decomposition is checked before it is returned: per-eigenpair
 residuals (of the deciding eigenpair alone without eigenvectors) against
@@ -183,8 +186,9 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     eigenvectors are None. The trace and conjugation checks still cover
     every eigenvalue, but only the deciding eigenvalue (_deciding_index)
     has its residual checked, against the same bound: its eigenvector comes
-    from lapack.inverse_iteration on the balanced matrix, and the other
-    residuals are NaN. This serves a caller that reads max |Im| alone.
+    from lapack.inverse_iteration on the balanced matrix, in the operator's
+    band_order where it has one, and the other residuals are NaN. This
+    serves a caller that reads max |Im| alone.
     """
     start = time.perf_counter()
     if not isinstance(operator, SparseOperator):
@@ -227,7 +231,8 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
         worst = _deciding_index(eigenvalues)
         if dim:
             x = lapack.inverse_iteration(dim, rows, cols, balanced,
-                                         eigenvalues[worst])
+                                         eigenvalues[worst],
+                                         operator.band_order)
             residuals[worst] = _entry_residuals(
                 rows, cols, values, diag, eigenvalues[worst:worst + 1],
                 x[:, np.newaxis])[0]

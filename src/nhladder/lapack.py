@@ -10,7 +10,9 @@ with or without eigenvectors. `inverse_iteration` renumbers a shifted
 sparse matrix into a narrow band, factors it in place with `gbtrf` and
 solves with `gbtrs` from the same library, to check one eigenpair of an
 eigenvalue-only solve: O(D kl^2) time and about 3 kl D entries for a
-band of kl diagonals on either side. `threads` sets the size
+band of kl diagonals on either side. The band order comes with the
+operator where a model.SectorPlan made it, once per sparsity pattern, and
+is computed for the solve otherwise. `threads` sets the size
 of the OpenBLAS thread pool for a block of code, and `solve_lanes` is how
 many such solves a threshold search runs at once.
 
@@ -28,7 +30,7 @@ import functools
 import glob
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -206,7 +208,9 @@ def geev(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
 
 
 def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
-                      values: np.ndarray, shift: complex) -> np.ndarray:
+                      values: np.ndarray, shift: complex,
+                      band_order: Optional[Callable[[], np.ndarray]] = None
+                      ) -> np.ndarray:
     """An eigenvector estimate of the real n x n matrix B with the given
     distinct nonzeros, for its eigenvalue estimate `shift`: two steps of
     inverse iteration, x <- (B - shift I)^-1 x scaled to a largest modulus
@@ -215,7 +219,9 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
 
     B - shift I is factored as a band matrix: its rows and columns are
     renumbered by _band_order, which leaves kl nonzero diagonals below the
-    main one and ku above, and it is scattered into LAPACK band storage,
+    main one and ku above, or by band_order() where it is given (the same
+    order, which a model.SectorPlan computes once for all the operators of
+    one sparsity pattern), and it is scattered into LAPACK band storage,
     one buffer of (2 kl + ku + 1) x n floats for a real shift or complex
     for a complex one. gbtrf factors it in place, in O(n kl (kl + ku))
     time, and both steps solve (gbtrs) with that one factorisation; x
@@ -238,7 +244,8 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
         position = np.arange(n)
         shape, at, diagonal = (n, n), (rows, cols), (position, position)
     else:
-        order, _ = _band_order(n, rows, cols)
+        order = (band_order() if band_order is not None
+                 else _band_order(n, rows, cols)[0])
         position = np.empty(n, np.int64)
         position[order] = np.arange(n)
         i, j = position[rows], position[cols]

@@ -7,16 +7,27 @@ with amplitude +jp on every cell. Diagonal terms are on-site repulsion
 (u/2) n(n-1) for bosons or nearest-neighbor repulsion u_nn n_x n_{x+1}
 along each leg for fermions, plus a leg imbalance mu (N_A - N_B).
 Boundaries are always open.
+
+A SectorPlan holds what every Hamiltonian of one sector shares: the
+diagonal counts of its states and, for each hop term, the rows, columns
+and amplitudes of its nonzeros. plan.operator(params) only scales them,
+and build_hamiltonian is the plan at one point, so a search or a sweep
+that builds one plan per sector assembles each of its operators with the
+same bits. The plan also orders each sparsity pattern for the banded
+inverse iteration of eigenvalue-only solves once, on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+import threading
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import lapack
 from .fock import Basis, enumerate_basis, hop_all
 
 FLOAT_FIELDS = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "u_nn")
@@ -84,16 +95,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Coordinate-format operator on a fixed basis; duplicates add."""
+    """Coordinate-format operator on a fixed basis; duplicates add.
+
+    band_order, where set, returns lapack._band_order's order of the
+    off-diagonal pattern; a SectorPlan shares it between the operators with
+    the same nonzero hop terms. None has lapack.inverse_iteration order the
+    pattern itself."""
 
     dimension: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
+    band_order: Optional[Callable[[], np.ndarray]] = field(
+        default=None, repr=False, compare=False)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dimension, self.dimension), dtype=self.values.dtype)
@@ -117,8 +131,8 @@ def diagonal_counts(occupations, statistics: str):
     return quanta, legs[:, 0].sum(axis=1) - legs[:, 1].sum(axis=1)
 
 
-def _diagonal(occupations, params: ModelParams) -> np.ndarray:
-    quanta, imbalance = diagonal_counts(occupations, params.statistics)
+def _diagonal(counts, params: ModelParams) -> np.ndarray:
+    quanta, imbalance = counts
     return params.mu * imbalance + params.pair_energy * quanta
 
 
@@ -126,49 +140,106 @@ def onsite_energy(state: Sequence[int], params: ModelParams) -> float:
     """Diagonal energy of one occupation state: interaction plus mu imbalance."""
     if len(state) != 2 * params.cells:
         raise ValueError(f"state length {len(state)} does not match 2L={2 * params.cells}")
-    return float(_diagonal([state], params)[0])
+    return float(_diagonal(diagonal_counts([state], params.statistics),
+                           params)[0])
 
 
-def _hop_terms(params: ModelParams):
-    # (from_site, to_site, coefficient) of every one-particle move.
-    cells = params.cells
+def _hop_terms(cells: int) -> List[Tuple[int, int, str, float]]:
+    # (from_site, to_site, parameter, sign) of every one-particle move: its
+    # coefficient is sign * the parameter, -jl_s leftward and -jr_s
+    # rightward along leg s, +jp both ways across each rung
     terms = []
-    for off, jl, jr in ((0, params.jl_a, params.jr_a),
-                        (cells, params.jl_b, params.jr_b)):
+    for off, jl, jr in ((0, "jl_a", "jr_a"), (cells, "jl_b", "jr_b")):
         for a in range(off, off + cells - 1):
-            terms += [(a + 1, a, -jl), (a, a + 1, -jr)]
+            terms += [(a + 1, a, jl, -1.0), (a, a + 1, jr, -1.0)]
     for x in range(cells):
-        terms += [(x, cells + x, params.jp), (cells + x, x, params.jp)]
+        terms += [(x, cells + x, "jp", 1.0), (cells + x, x, "jp", 1.0)]
     return terms
 
 
+class SectorPlan:
+    """The parts of every Hamiltonian on one sector's basis: the diagonal
+    counts of its states (diagonal_counts) and, for each hop term in
+    _hop_terms order, the rows (ranks of the images), columns (the states
+    the move does not annihilate) and amplitudes of its nonzeros.
+
+    operator(params) scales them; its band_order is shared by the
+    operators with the same nonzero hop terms (_BandOrders).
+    """
+
+    def __init__(self, basis: Basis):
+        self.basis = basis
+        occ = basis.occupations
+        self._counts = diagonal_counts(occ, basis.statistics)
+        self._terms = []
+        for from_site, to_site, name, sign in _hop_terms(basis.cells):
+            kept, new, amplitudes = hop_all(occ, from_site, to_site,
+                                            basis.statistics)
+            self._terms.append((name, sign, basis.rank_all(new), kept,
+                                amplitudes))
+        self._band_orders = _BandOrders(basis.dimension)
+
+    def operator(self, params: ModelParams) -> SparseOperator:
+        """The Hamiltonian at params: the diagonal nonzeros, then each hop
+        term with a nonzero coefficient, its amplitudes times the
+        coefficient, in term order. Raises ValueError where params belong
+        to another sector."""
+        basis = self.basis
+        if (basis.cells, basis.particles, basis.statistics) != \
+                (params.cells, params.particles, params.statistics):
+            raise ValueError(f"basis {basis!r} does not match params "
+                             f"(cells={params.cells}, particles={params.particles}, "
+                             f"statistics={params.statistics})")
+        diag = _diagonal(self._counts, params)
+        on = np.flatnonzero(diag)
+        rows, cols, vals, live = [on], [on], [diag[on]], []
+        for name, sign, term_rows, term_cols, amplitudes in self._terms:
+            coeff = sign * getattr(params, name)
+            live.append(coeff != 0.0)
+            if coeff != 0.0:
+                rows.append(term_rows)
+                cols.append(term_cols)
+                vals.append(coeff * amplitudes)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        return SparseOperator(dimension=basis.dimension, rows=rows, cols=cols,
+                              values=np.concatenate(vals),
+                              band_order=partial(self._band_orders.get,
+                                                 tuple(live), rows, cols))
+
+
+class _BandOrders:
+    """lapack._band_order's order of each off-diagonal pattern of a
+    SectorPlan, keyed by its nonzero hop terms: computed on first use,
+    once, under a lock, so the solve lanes of a search share it. Operators
+    hold this rather than the plan, so they do not keep its terms alive."""
+
+    def __init__(self, dimension: int):
+        self._dimension = dimension
+        self._orders: Dict[Tuple[bool, ...], np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def get(self, live: Tuple[bool, ...], rows: np.ndarray,
+            cols: np.ndarray) -> np.ndarray:
+        # every operator with the nonzero hop terms `live` has the
+        # off-diagonal pattern of (rows, cols): hop terms never share an
+        # entry, and their amplitudes are never zero
+        with self._lock:
+            if live not in self._orders:
+                self._orders[live] = lapack._band_order(self._dimension,
+                                                        rows, cols)[0]
+            return self._orders[live]
+
+
 def build_hamiltonian(params: ModelParams, basis: Basis) -> SparseOperator:
-    """Assemble the many-body Hamiltonian on the given basis.
+    """Assemble the many-body Hamiltonian on the given basis: the
+    SectorPlan of the basis at one point.
 
     Hop terms: for each leg s and bond (x, x+1), -jl_s moves a particle from
     x+1 to x and -jr_s from x to x+1; rung terms move between legs with +jp
     in both directions. The result conserves particle number by construction
     and has real entries.
     """
-    if (basis.cells, basis.particles, basis.statistics) != \
-            (params.cells, params.particles, params.statistics):
-        raise ValueError(f"basis {basis!r} does not match params "
-                         f"(cells={params.cells}, particles={params.particles}, "
-                         f"statistics={params.statistics})")
-    occ = basis.occupations
-    diag = _diagonal(occ, params)
-    on = np.flatnonzero(diag)
-    rows, cols, vals = [on], [on], [diag[on]]
-    for from_site, to_site, coeff in _hop_terms(params):
-        if coeff == 0.0:
-            continue
-        kept, new, amplitudes = hop_all(occ, from_site, to_site, params.statistics)
-        rows.append(basis.rank_all(new))
-        cols.append(kept)
-        vals.append(coeff * amplitudes)
-    return SparseOperator(dimension=basis.dimension,
-                          rows=np.concatenate(rows), cols=np.concatenate(cols),
-                          values=np.concatenate(vals))
+    return SectorPlan(basis).operator(params)
 
 
 def build_single_particle_matrix(params: ModelParams) -> np.ndarray:

@@ -23,9 +23,11 @@ import numpy as np
 
 from . import lapack
 from .eig import check_eps_im, default_eps_im, eigendecompose
-from .fock import Basis, enumerate_basis
-from .model import (FLOAT_FIELDS, ModelParams, build_hamiltonian, diagonal_counts,
+from .fock import enumerate_basis
+from .model import (FLOAT_FIELDS, ModelParams, SectorPlan, diagonal_counts,
                     sector_basis)
+# bound here for perfbench/tracing.py; solves assemble through a SectorPlan
+from .model import build_hamiltonian  # noqa: F401
 from .observables import (OBSERVABLES, check_gaps, check_selector,
                           correlation_ncor, cut_entropies, left_half_sites,
                           polarization, select_clusters)
@@ -125,18 +127,18 @@ def _observable_columns(observables: Sequence[str]) -> List[str]:
 
 
 def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
-                    basis: Basis, capacity: Optional[int]) -> Dict:
+                    plan: SectorPlan, capacity: Optional[int]) -> Dict:
     row: Dict = {axis.name: v for axis, v in zip(spec.axes, values)}
     for col in _observable_columns(spec.observables):
         row[col] = math.nan
     row["error"] = ""
+    basis = plan.basis
     try:
         params = _point_params(spec, values)
         # the threshold search solves its own jp values; the point's own
         # spectrum is solved only for the other observables
         if set(spec.observables) != {"threshold"}:
-            result = eigendecompose(build_hamiltonian(params, basis),
-                                    capacity=capacity)
+            result = eigendecompose(plan.operator(params), capacity=capacity)
             top = int(np.argmax(np.abs(result.eigenvalues.imag)))
             vec = result.eigenvectors[:, top]
         for obs in spec.observables:
@@ -158,7 +160,7 @@ def _evaluate_point(spec: SweepSpec, values: Tuple[float, ...],
             elif obs == "threshold":
                 t = _search(params, spec.threshold_selector, spec.eps_im,
                             spec.threshold_bracket, spec.threshold_resolution,
-                            spec.gap_factor, spec.min_gap, basis, capacity,
+                            spec.gap_factor, spec.min_gap, plan, capacity,
                             lanes=1)
                 row["jp_star"] = t.jp_star
     except MemoryError:
@@ -189,7 +191,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     Rows carry the axis values, the requested observable columns, and an
     error column that holds the exception tag for failed points (empty on
     success). Axes vary float fields only, so every point shares the
-    sector of spec.base: it is enumerated once, before any solve, and a
+    sector of spec.base: it is enumerated once, before any solve, into one
+    model.SectorPlan that assembles every point's Hamiltonian, and a
     sector over the capacity raises CapacityError instead of failing every
     point; a point that raises MemoryError stops the sweep. The points are
     solved sweep_lanes(workers) at a time on threads, two on two cores with
@@ -199,9 +202,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    basis = sector_basis(spec.base, capacity=capacity)
+    plan = SectorPlan(sector_basis(spec.base, capacity=capacity))
     with _lanes(sweep_lanes(workers)) as run:
-        return list(run(lambda values: _evaluate_point(spec, values, basis,
+        return list(run(lambda values: _evaluate_point(spec, values, plan,
                                                        capacity),
                         _grid_values(spec)))
 
@@ -225,13 +228,15 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     turns complex (max |Im| exceeds eps_im).
 
     The bracket is a search window whose spectrum must be real at lo. Five
-    points spread over it find the first sampled crossing; each later round
-    solves the midpoint of the last narrowing and again keeps the first
-    crossing, until the bracket is at most resolution wide; jp_star is its
-    upper end. A complex window that falls between two solved points is
-    missed. Raises ValueError when the spectrum is complex at lo or real at
-    all five points, or, before the sector is enumerated, when the bracket
-    does not have lo < hi, resolution is below the spacing of doubles at
+    points spread over it find the first sampled crossing: they are solved
+    in order, up to the first that is complex, so hi is solved only where
+    the three inner points are real. Each later round solves the midpoint
+    of the last narrowing and again keeps the first crossing, until the
+    bracket is at most resolution wide; jp_star is its upper end. A
+    complex window that falls between two solved points is missed. Raises
+    ValueError when the spectrum is complex at lo or real at all five
+    points, or, before the sector is enumerated, when the bracket does not
+    have lo < hi, resolution is below the spacing of doubles at
     the bracket ends (math.ulp), where bisection would never end, eps_im is
     negative or NaN, gap_factor or min_gap is out of range
     (observables.check_gaps), cluster_selector is not one of
@@ -241,13 +246,16 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
 
     Solves run on lapack.solve_lanes() threads at one BLAS thread each, as
     inside a sweep; the pool size is restored afterwards. With two lanes the
-    first round solves lo and hi together and then its three inner points;
-    each later round also solves the next round's midpoint on the side
-    where linear interpolation of the indicator puts the crossing.
-    The answer does not depend on the lanes; evaluations and trace count
-    every solve, speculative ones included. With the "all" selector each
-    solve computes eigenvalues only and verifies the eigenpair that decides
-    max |Im| (eig.eigendecompose with vectors=False).
+    first round solves its points two at a time, lo with the first inner
+    one, and hi beside the midpoint of the last inner point and hi; each
+    later round also solves the next round's midpoint on the side where
+    linear interpolation of the indicator puts the crossing. The answer
+    does not depend on the lanes; evaluations and trace count every solve,
+    speculative ones included. Every solve assembles its Hamiltonian from
+    one model.SectorPlan of the sector. With the "all" selector each solve
+    computes eigenvalues only and verifies the eigenpair that decides
+    max |Im| (eig.eigendecompose with vectors=False), in the band order the
+    plan computes once for the jp = 0 pattern and once for the others.
     """
     _check_bracket(bracket, resolution)
     if eps_im is not None:
@@ -256,7 +264,8 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     check_selector(cluster_selector)
     _check_bound(params, cluster_selector)
     return _search(params, cluster_selector, eps_im, bracket, resolution,
-                   gap_factor, min_gap, sector_basis(params, capacity=capacity),
+                   gap_factor, min_gap,
+                   SectorPlan(sector_basis(params, capacity=capacity)),
                    capacity, lapack.solve_lanes())
 
 
@@ -287,11 +296,11 @@ def _check_bracket(bracket: Tuple[float, float], resolution: float) -> None:
 def _search(params: ModelParams, cluster_selector: str,
             eps_im: Optional[float], bracket: Tuple[float, float],
             resolution: float, gap_factor: float, min_gap: Optional[float],
-            basis: Basis, capacity: Optional[int],
+            plan: SectorPlan, capacity: Optional[int],
             lanes: int) -> ThresholdResult:
-    """find_threshold_jp in the enumerated sector `basis`, with `lanes`
-    solves at once, for a request already checked: by find_threshold_jp,
-    or by SweepSpec but for the pair energy, which a sweep axis can move."""
+    """find_threshold_jp on the sector of `plan`, with `lanes` solves at
+    once, for a request already checked: by find_threshold_jp, or by
+    SweepSpec but for the pair energy, which a sweep axis can move."""
     lo, hi = float(bracket[0]), float(bracket[1])
     _check_bound(params, cluster_selector)
 
@@ -299,7 +308,7 @@ def _search(params: ModelParams, cluster_selector: str,
         p = params.with_updates(jp=jp)
         # "all" reads max |Im| alone, which the eigenvalue-only solve
         # verifies; the cluster selectors read other eigenvalues
-        result = eigendecompose(build_hamiltonian(p, basis), capacity=capacity,
+        result = eigendecompose(plan.operator(p), capacity=capacity,
                                 vectors=cluster_selector != "all")
         return (_max_im_for_selector(result, p, cluster_selector, gap_factor,
                                      min_gap), result.matrix_norm)
@@ -320,26 +329,37 @@ def _search(params: ModelParams, cluster_selector: str,
                 cache[jp] = value
             return [cache[jp] for jp in points]
 
-        f_lo = measure(lo, hi)[0]
-        if f_lo > eps:
-            raise ValueError(f"invalid bracket: spectrum already complex at "
-                             f"jp={lo} (max |Im| = {f_lo:.3e} > {eps:.3e})")
-
-        # each round narrows to its first sampled crossing: five points over
-        # the window, then the midpoint of the last narrowing
-        samples, ahead = [float(jp) for jp in np.linspace(lo, hi, 5)], []
+        # each round narrows to its first sampled crossing. The first round
+        # samples five points over the window and solves them in order,
+        # lanes at a time, up to the first complex one: hi only once the
+        # three inner ones are real, beside the midpoint of (last inner, hi)
+        samples = [float(jp) for jp in np.linspace(lo, hi, 5)]
+        last = [samples[4]]
+        if lanes > 1 and samples[4] - samples[3] > resolution:
+            last.append(0.5 * (samples[3] + samples[4]))
+        steps = [samples[i:i + lanes] for i in range(0, 4, lanes)] + [last]
+        for step in steps:
+            measure(*step)
+            if cache[lo] > eps:
+                raise ValueError(f"invalid bracket: spectrum already complex "
+                                 f"at jp={lo} (max |Im| = {cache[lo]:.3e} > "
+                                 f"{eps:.3e})")
+            above = [jp in cache and cache[jp] > eps for jp in samples]
+            if True in above:
+                break
+        else:
+            raise ValueError(f"invalid bracket: spectrum still real at "
+                             f"{len(samples)} points from jp={lo} to "
+                             f"jp={hi} (max |Im| <= {eps:.3e})")
         while True:
-            above = [v > eps for v in measure(*samples, *ahead)[:len(samples)]]
-            if True not in above:
-                raise ValueError(f"invalid bracket: spectrum still real at "
-                                 f"{len(samples)} points from jp={lo} to "
-                                 f"jp={hi} (max |Im| <= {eps:.3e})")
             first = above.index(True)  # >= 1: samples[0] is real
             b_lo, b_hi = samples[first - 1], samples[first]
             if b_hi - b_lo <= resolution:
                 return ThresholdResult(jp_star=b_hi, bracket=(b_lo, b_hi),
                                        eps_im=eps, evaluations=len(cache),
                                        trace=tuple(cache.items()))
+            # the midpoint of the last narrowing, and with a spare lane the
+            # next one on the side where linear interpolation puts the crossing
             mid = 0.5 * (b_lo + b_hi)
             samples, ahead = [b_lo, mid, b_hi], []
             if lanes > 1 and mid not in cache:
@@ -348,6 +368,7 @@ def _search(params: ModelParams, cluster_selector: str,
                 q_lo, q_hi = (b_lo, mid) if guess < mid else (mid, b_hi)
                 if q_hi - q_lo > resolution:
                     ahead = [0.5 * (q_lo + q_hi)]
+            above = [v > eps for v in measure(*samples, *ahead)[:3]]
 
 
 # the columns of an EonsiteTable crossing row, in order

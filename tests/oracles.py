@@ -198,6 +198,41 @@ def per_state_hamiltonian(params) -> np.ndarray:
     return h
 
 
+def per_term_entries(params, basis) -> Tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """Rows, columns and values of the sector Hamiltonian as the package
+    assembled them one call at a time, before it kept a plan per sector:
+    the nonzero diagonal, then one fock.hop_all pass per hop term with a
+    nonzero coefficient, in the order -jl_s leftward and -jr_s rightward on
+    each bond of leg A and then of leg B, and +jp out of leg A and into it
+    on each rung, its amplitudes times the coefficient. A plan's operator
+    must match it entry for entry and bit for bit."""
+    from nhladder.fock import hop_all
+    from nhladder.model import diagonal_counts
+
+    cells, occ = params.cells, basis.occupations
+    quanta, imbalance = diagonal_counts(occ, params.statistics)
+    diag = params.mu * imbalance + params.pair_energy * quanta
+    terms = []
+    for off, jl, jr in ((0, params.jl_a, params.jr_a),
+                        (cells, params.jl_b, params.jr_b)):
+        for a in range(off, off + cells - 1):
+            terms += [(a + 1, a, -jl), (a, a + 1, -jr)]
+    for x in range(cells):
+        terms += [(x, cells + x, params.jp), (cells + x, x, params.jp)]
+    on = np.flatnonzero(diag)
+    rows, cols, vals = [on], [on], [diag[on]]
+    for from_site, to_site, coeff in terms:
+        if coeff == 0.0:
+            continue
+        kept, new, amplitudes = hop_all(occ, from_site, to_site,
+                                        params.statistics)
+        rows.append(basis.rank_all(new))
+        cols.append(kept)
+        vals.append(coeff * amplitudes)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def brute_fermion_entropy(vector: Sequence[complex],
                           states: Sequence[Sequence[int]],
                           subset: Sequence[int]) -> float:

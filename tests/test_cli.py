@@ -556,7 +556,8 @@ def test_threshold_command(tmp_path, monkeypatch):
     # the sidecar results are the ThresholdResult, field for field
     assert list(results) == [f.name for f in dataclasses.fields(
         ThresholdResult)]
-    assert [jp for jp, _ in results["trace"][:2]] == [0.0, 0.2]
+    # lo, then the first round's samples in order, up to the first complex
+    assert [jp for jp, _ in results["trace"][:2]] == [0.0, 0.05]
     # invalid bracket is a parameter error
     assert main(["threshold", "--cells", "8", "--particles", "1",
                  "--bracket", "0.15:0.2",

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from nhladder import lapack
 from nhladder.fock import enumerate_basis
-from nhladder.model import (ModelParams, build_hamiltonian,
+from nhladder.model import (ModelParams, SectorPlan, build_hamiltonian,
                             build_single_particle_matrix, onsite_energy,
                             sector_basis)
+from nhladder.sweep import find_threshold_jp
 
 from oracles import (brute_boson_hamiltonian, brute_fermion_hamiltonian,
-                     multisets_close, per_state_hamiltonian)
+                     multisets_close, per_state_hamiltonian, per_term_entries)
 
 
 def test_defaults_are_mirrored_nonreciprocal_pair():
@@ -216,3 +218,122 @@ def test_leg_reflection_maps_hamiltonian_to_its_transpose(cells, particles,
         sign = (-1.0) ** ((n * (n - 1) // 2).sum(axis=1))
     assert np.array_equal(image[image], np.arange(basis.dimension))
     assert np.array_equal(sign[:, None] * h[np.ix_(image, image)] * sign, h.T)
+
+
+PLAN_SECTORS = [(4, 2, "boson"), (3, 3, "boson"), (1, 3, "boson"),
+                (4, 3, "fermion"), (3, 2, "fermion"), (2, 4, "fermion")]
+
+
+@pytest.mark.parametrize("cells,particles,statistics", PLAN_SECTORS)
+def test_plan_operator_bit_identical_to_per_term_assembly(cells, particles,
+                                                          statistics):
+    # one plan serves every draw of its sector; zeroed rung, mu,
+    # interaction and leg hops take the skipped-term and empty-diagonal paths
+    interaction = "u" if statistics == "boson" else "u_nn"
+    names = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", interaction)
+    rng = np.random.default_rng(7 * cells + particles + len(statistics))
+    plan = SectorPlan(enumerate_basis(cells, particles, statistics))
+    for draw in range(12):
+        values = dict(zip(names, rng.normal(size=len(names))))
+        for name in (("jp",), ("mu",), (interaction,), ("jr_b",),
+                     ("jp", "mu", interaction), ())[draw % 6]:
+            values[name] = 0.0
+        p = ModelParams(cells=cells, particles=particles,
+                        statistics=statistics, **values)
+        op = plan.operator(p)
+        rows, cols, vals = per_term_entries(p, plan.basis)
+        assert op.dimension == plan.basis.dimension
+        assert np.array_equal(op.rows, rows)
+        assert np.array_equal(op.cols, cols)
+        assert op.values.dtype == vals.dtype
+        assert np.array_equal(op.values.view(np.uint64), vals.view(np.uint64))
+
+
+def test_plan_rejects_params_of_another_sector():
+    plan = SectorPlan(enumerate_basis(3, 2, "boson"))
+    for p in (ModelParams(cells=3, particles=1),
+              ModelParams(cells=3, particles=2, statistics="fermion")):
+        with pytest.raises(ValueError, match="does not match params"):
+            plan.operator(p)
+
+
+def test_plan_orders_each_pattern_once():
+    plan = SectorPlan(enumerate_basis(4, 2, "boson"))
+    ops = [plan.operator(ModelParams(cells=4, particles=2, u=4.0, jp=jp))
+           for jp in (0.0, 0.1, 0.2, 0.0)]
+    orders = [op.band_order() for op in ops]
+    assert orders[1] is orders[2] and orders[0] is orders[3]
+    assert orders[0] is not orders[1]
+    for op, order in zip(ops, orders):
+        off = op.rows != op.cols
+        expected, _ = lapack._band_order(op.dimension, op.rows[off],
+                                         op.cols[off])
+        assert np.array_equal(order, expected)
+
+
+@pytest.mark.parametrize("params,kwargs,patterns", [
+    # every jp of the window is nonzero: one pattern
+    (ModelParams(cells=6, particles=3, u=16.0, mu=16.0 / 3.0),
+     dict(bracket=(0.1, 1.2), resolution=0.02, eps_im=1e-2), 1),
+    # jp = 0 drops the rung terms: a second pattern
+    (ModelParams(cells=8, particles=2, u=4.0, mu=0.2),
+     dict(bracket=(0.0, 0.1)), 2)])
+def test_search_orders_each_pattern_once(params, kwargs, patterns,
+                                         monkeypatch):
+    calls = []
+    original = lapack._band_order
+
+    def counting(n, rows, cols):
+        calls.append(n)
+        return original(n, rows, cols)
+
+    monkeypatch.setattr(lapack, "_band_order", counting)
+    result = find_threshold_jp(params, **kwargs)
+    assert result.evaluations > patterns
+    # the unbound np.linalg.solve path orders nothing
+    assert len(calls) == (patterns if lapack.symbol() else 0)
+
+
+def test_plan_orders_each_pattern_once_across_threads(monkeypatch):
+    # more threads than cores ask for two patterns' orders at once, with
+    # a short switch interval; each pattern is still ordered exactly once
+    # and every thread gets that one order
+    import sys
+    import threading
+    import time
+
+    calls = []
+    original = lapack._band_order
+
+    def slow(n, rows, cols):
+        calls.append(n)
+        time.sleep(0.01)
+        return original(n, rows, cols)
+
+    monkeypatch.setattr(lapack, "_band_order", slow)
+    plan = SectorPlan(enumerate_basis(4, 2, "boson"))
+    ops = [plan.operator(ModelParams(cells=4, particles=2, u=4.0,
+                                     jp=0.1 * (k % 2)))
+           for k in range(8)]
+    orders = [None] * len(ops)
+    start = threading.Barrier(len(ops))
+
+    def read(k):
+        start.wait(timeout=10)
+        orders[k] = ops[k].band_order()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,))
+                   for k in range(len(ops))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 2
+    assert all(orders[k] is orders[k % 2] for k in range(len(ops)))
+    assert orders[0] is not orders[1]

@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -241,7 +243,8 @@ def test_threshold_fallback_on_nonmonotone_indicator(monkeypatch):
     lo, hi = result.bracket
     assert lo <= 0.04 < hi == result.jp_star
     assert hi - lo <= 0.01
-    assert result.evaluations == len(result.trace) == 8
+    # 0.0 and 0.05, where the first round stops, then three midpoints
+    assert result.evaluations == len(result.trace) == 5
 
 
 def test_fallback_scan_memory_does_not_grow_with_resolution(monkeypatch):
@@ -263,7 +266,7 @@ def test_fallback_scan_memory_does_not_grow_with_resolution(monkeypatch):
         tracemalloc.stop()
     assert result.bracket == (0.0, result.jp_star)
     assert 0.0 < result.jp_star <= 1e-6
-    assert result.evaluations == len(result.trace) == 36
+    assert result.evaluations == len(result.trace) == 33
     assert peak < 1e6
 
 
@@ -327,12 +330,68 @@ def test_threshold_trace_records_every_solve(monkeypatch):
     p = ModelParams(cells=8, particles=1)
     result = find_threshold_jp(p, bracket=(0.0, 0.2), resolution=1e-3)
     jps = [jp for jp, _ in result.trace]
-    assert jps[:2] == [0.0, 0.2]  # lo and hi first, then the inner scan
-    assert jps[2:5] == [0.05, 0.1, 0.15000000000000002]
+    # the first round in order up to its first complex sample, 0.05; hi is
+    # never solved
+    assert jps[:2] == [0.0, 0.05]
+    assert 0.1 not in jps and 0.2 not in jps
     assert result.evaluations == len(result.trace)
     values = dict(result.trace)
     lo, hi = result.bracket
     assert values[lo] <= result.eps_im < values[hi]
+
+
+@contextlib.contextmanager
+def _recording_lanes(steps):
+    """A stand-in for sweep._lanes whose map runs serially and records the
+    jp values of each call that solves any: one step of the search, solved
+    together."""
+    def run(fn, jps):
+        jps = list(jps)
+        if jps:
+            steps.append(jps)
+        return map(fn, jps)
+
+    yield run
+
+
+# (crossing, lanes) -> the steps of a search over the bracket (0, 1) at
+# resolution 0.1, whose first round samples 0, 0.25, 0.5, 0.75 and 1
+_SCHEDULES = {
+    (0.1, 1): [[0.0], [0.25], [0.125], [0.0625]],
+    (0.1, 2): [[0.0, 0.25], [0.125, 0.1875], [0.0625]],
+    (0.4, 1): [[0.0], [0.25], [0.5], [0.375], [0.4375]],
+    (0.4, 2): [[0.0, 0.25], [0.5, 0.75], [0.375, 0.4375]],
+    (0.9, 1): [[0.0], [0.25], [0.5], [0.75], [1.0], [0.875], [0.9375]],
+    (0.9, 2): [[0.0, 0.25], [0.5, 0.75], [1.0, 0.875], [0.9375]],
+}
+
+
+@pytest.mark.parametrize("crossing,lanes", list(_SCHEDULES))
+def test_first_round_stops_at_its_first_crossing(crossing, lanes,
+                                                 monkeypatch):
+    # the first round solves its samples in order, lanes at a time, and no
+    # sample past the first complex one; hi only once the three inner ones
+    # are real, on two lanes beside the midpoint of (0.75, hi)
+    def step(result, params, selector, gap_factor, min_gap):
+        return float(params.jp > crossing)
+
+    steps = []
+    # with eps_im given and the indicator stubbed, no spectrum is read
+    solved = types.SimpleNamespace(matrix_norm=1.0)
+    monkeypatch.setattr(sweep_mod, "eigendecompose", lambda *a, **kw: solved)
+    monkeypatch.setattr(sweep_mod, "_max_im_for_selector", step)
+    monkeypatch.setattr(sweep_mod, "_lanes", lambda n: _recording_lanes(steps))
+    monkeypatch.setattr(lapack, "solve_lanes", lambda: lanes)
+    result = find_threshold_jp(ModelParams(cells=2, particles=1), eps_im=0.5,
+                               bracket=(0.0, 1.0), resolution=0.1)
+    assert steps == _SCHEDULES[crossing, lanes]
+    assert [jp for jp, _ in result.trace] == sum(steps, [])
+    assert result.evaluations == len(result.trace)
+    # the same answer at either lane count
+    lo, hi = result.bracket
+    assert hi == result.jp_star
+    assert (lo, hi) == {0.1: (0.0625, 0.125), 0.4: (0.375, 0.4375),
+                        0.9: (0.875, 0.9375)}[crossing]
 
 
 def test_threshold_restores_blas_threads(monkeypatch):
@@ -688,3 +747,40 @@ def test_cluster_selectors_keep_the_full_path(selector, monkeypatch):
                           cluster_selector=selector, bracket=(0.0, 1.0),
                           resolution=0.05)
     assert len(asked) >= 5 and set(asked) == {True}
+
+
+@pytest.mark.parametrize("case", list(_SEARCHES))
+def test_search_trace_equals_one_point_solves(case):
+    # each solve of a search, through the sector's one plan and its shared
+    # band order, has the bits of a solve of a Hamiltonian assembled at that
+    # point alone, ordered for that solve (band_order=None), at the search's
+    # one BLAS thread
+    params, kwargs = _SEARCHES[case]
+    result = find_threshold_jp(params, **kwargs)
+    basis = sector_basis(params)
+    with lapack.threads(1):
+        for jp, value in result.trace:
+            op = dataclasses.replace(
+                build_hamiltonian(params.with_updates(jp=jp), basis),
+                band_order=None)
+            alone = eigendecompose(op, vectors=False)
+            assert np.max(np.abs(alone.eigenvalues.imag)) == value, jp
+
+
+def test_sweep_builds_one_plan(monkeypatch):
+    plans = []
+
+    class CountingPlan(sweep_mod.SectorPlan):
+        def __init__(self, basis):
+            plans.append(basis)
+            super().__init__(basis)
+
+    monkeypatch.setattr(sweep_mod, "SectorPlan", CountingPlan)
+    spec = small_spec(observables=("max_im_global", "threshold"),
+                      threshold_bracket=(0.0, 1.0),
+                      threshold_resolution=0.1)
+    rows = run_sweep(spec, workers=2)
+    assert [row["error"] for row in rows] == ["", "", ""]
+    assert len(plans) == 1
+    find_threshold_jp(spec.base, bracket=(0.0, 1.0), resolution=0.1)
+    assert len(plans) == 2
