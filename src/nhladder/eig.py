@@ -14,8 +14,10 @@ eigenvector it checks by inverse iteration on the matrix renumbered into a
 narrow band, in a band buffer of about 3 kl x n entries (kl diagonals on
 either side) allocated after geev's n x n floats are freed. The band order
 is the one the operator carries (SparseOperator.band_order, which a
-model.SectorPlan computes once per sparsity pattern) or, for dense input
-and hand-made operators, one computed for the solve.
+threshold search computes once per sector) or, for dense input and
+hand-made operators, one computed for the solve. Where that eigenpair
+misses the residual bound, as it can at an exceptional point (a defective
+eigenvalue), the operator is solved again with every eigenvector.
 
 Every decomposition is checked before it is returned: per-eigenpair
 residuals (of the deciding eigenpair alone without eigenvectors) against
@@ -188,7 +190,11 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     has its residual checked, against the same bound: its eigenvector comes
     from lapack.inverse_iteration on the balanced matrix, in the operator's
     band_order where it has one, and the other residuals are NaN. This
-    serves a caller that reads max |Im| alone.
+    serves a caller that reads max |Im| alone. Where that residual misses
+    the bound, the result is that of the full solve (vectors=True) of the
+    same operator, eigenvectors included: two steps of inverse iteration
+    need not resolve a defective eigenvalue, as at an exceptional point,
+    and the full solve checks every eigenpair instead.
     """
     start = time.perf_counter()
     if not isinstance(operator, SparseOperator):
@@ -238,6 +244,8 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
                 x[:, np.newaxis])[0]
     bound = RESIDUAL_RTOL * max(norm, 1e-300)
     if dim and not residuals[worst] <= bound:
+        if not vectors:
+            return eigendecompose(operator, capacity, vectors=True)
         raise ConvergenceError(f"eigenpair residual {residuals[worst]:.3e} at index "
                                f"{worst} exceeds bound {bound:.3e}")
 

@@ -10,9 +10,9 @@ with or without eigenvectors. `inverse_iteration` renumbers a shifted
 sparse matrix into a narrow band, factors it in place with `gbtrf` and
 solves with `gbtrs` from the same library, to check one eigenpair of an
 eigenvalue-only solve: O(D kl^2) time and about 3 kl D entries for a
-band of kl diagonals on either side. The band order comes with the
-operator where a model.SectorPlan made it, once per sparsity pattern, and
-is computed for the solve otherwise. `threads` sets the size
+band of kl diagonals on either side. The band order is given where the
+caller has one (a threshold search computes one per sector) and is
+computed for the solve otherwise. `threads` sets the size
 of the OpenBLAS thread pool for a block of code, and `solve_lanes` is how
 many such solves a threshold search runs at once.
 
@@ -30,7 +30,7 @@ import functools
 import glob
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -209,7 +209,7 @@ def geev(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
 
 def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
                       values: np.ndarray, shift: complex,
-                      band_order: Optional[Callable[[], np.ndarray]] = None
+                      band_order: Optional[np.ndarray] = None
                       ) -> np.ndarray:
     """An eigenvector estimate of the real n x n matrix B with the given
     distinct nonzeros, for its eigenvalue estimate `shift`: two steps of
@@ -218,10 +218,11 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
     complex otherwise.
 
     B - shift I is factored as a band matrix: its rows and columns are
-    renumbered by _band_order, which leaves kl nonzero diagonals below the
-    main one and ku above, or by band_order() where it is given (the same
-    order, which a model.SectorPlan computes once for all the operators of
-    one sparsity pattern), and it is scattered into LAPACK band storage,
+    renumbered by band_order, the old index of each new position, where it
+    is given (model.SectorPlan.band_order, computed once for every operator
+    of a sector), and by _band_order of B's own pattern otherwise; that
+    leaves kl nonzero diagonals below the main one and ku above. It is
+    scattered into LAPACK band storage,
     one buffer of (2 kl + ku + 1) x n floats for a real shift or complex
     for a complex one. gbtrf factors it in place, in O(n kl (kl + ku))
     time, and both steps solve (gbtrs) with that one factorisation; x
@@ -244,7 +245,7 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
         position = np.arange(n)
         shape, at, diagonal = (n, n), (rows, cols), (position, position)
     else:
-        order = (band_order() if band_order is not None
+        order = (band_order if band_order is not None
                  else _band_order(n, rows, cols)[0])
         position = np.empty(n, np.int64)
         position[order] = np.arange(n)
@@ -283,12 +284,10 @@ def _band_order(n: int, rows: np.ndarray, cols: np.ndarray
     position, and `level`, the level of each position, which never
     decreases along `order`.
 
-    Each connected part is searched from a pseudo-peripheral node, found as
-    George and Liu do (1979): from a node of least degree, search again
-    from a node of least degree in the last level as long as that adds
-    levels. A level is the unplaced neighbours of the one before, in the
-    order of the first node that reaches them and then by degree, found in
-    one vectorised step. Levels are numbered on across the parts, and
+    Each connected part is searched breadth-first from one of its nodes of
+    least degree. A level is the unplaced neighbours of the one before, in
+    the order of the first node that reaches them and then by degree, found
+    in one vectorised step. Levels are numbered on across the parts, and
     nodes with no neighbour come first, one level each. A nonzero then
     joins levels at most one apart, so no nonzero lies further from the
     diagonal than the two largest levels are wide.
@@ -304,9 +303,8 @@ def _band_order(n: int, rows: np.ndarray, cols: np.ndarray
     parts = [np.flatnonzero(seen)]
     levels = [np.arange(len(parts[0]))]
 
-    def search(root: int) -> list:
-        """The levels of a breadth-first search from root over unseen
-        nodes, which it marks seen."""
+    while not seen.all():
+        root = int(np.argmin(np.where(seen, n, degree)))
         found = [np.array([root])]
         seen[root] = True
         while True:
@@ -319,24 +317,13 @@ def _band_order(n: int, rows: np.ndarray, cols: np.ndarray
             new = ~seen[reached]
             reached, parent = reached[new], parent[new]
             if not len(reached):
-                return found
+                break
             # the first occurrence of each node, by its first parent
             sort = np.argsort(reached, kind="stable")
             once = sort[np.diff(reached[sort], prepend=-1) != 0]
             level = reached[once]
             found.append(level[np.lexsort((degree[level], parent[once]))])
             seen[level] = True
-
-    while not seen.all():
-        found = search(int(np.argmin(np.where(seen, n, degree))))
-        while True:
-            # both searches mark the same part seen
-            seen[np.concatenate(found)] = False
-            last = found[-1]
-            again = search(int(last[np.argmin(degree[last])]))
-            if len(again) <= len(found):
-                break
-            found = again
         parts.append(np.concatenate(found))
         levels.append(levels[-1].max(initial=-1) + 1 + np.repeat(
             np.arange(len(found)), [len(level) for level in found]))

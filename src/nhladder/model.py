@@ -13,17 +13,16 @@ diagonal counts of its states and, for each hop term, the rows, columns
 and amplitudes of its nonzeros. plan.operator(params) only scales them,
 and build_hamiltonian is the plan at one point, so a search or a sweep
 that builds one plan per sector assembles each of its operators with the
-same bits. The plan also orders each sparsity pattern for the banded
-inverse iteration of eigenvalue-only solves once, on first use.
+same bits. plan.band_order() numbers the sector's states for the banded
+inverse iteration of eigenvalue-only solves; a threshold search computes it
+once and hands it to every solve on its operator.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,17 +96,17 @@ class ModelParams:
 class SparseOperator:
     """Coordinate-format operator on a fixed basis; duplicates add.
 
-    band_order, where set, returns lapack._band_order's order of the
-    off-diagonal pattern; a SectorPlan shares it between the operators with
-    the same nonzero hop terms. None has lapack.inverse_iteration order the
-    pattern itself."""
+    band_order, where set, is a numbering of the basis that keeps every
+    nonzero near the diagonal (SectorPlan.band_order), which
+    lapack.inverse_iteration uses in place of ordering the pattern itself;
+    None has it order the pattern per solve."""
 
     dimension: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    band_order: Optional[Callable[[], np.ndarray]] = field(
-        default=None, repr=False, compare=False)
+    band_order: Optional[np.ndarray] = field(default=None, repr=False,
+                                             compare=False)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dimension, self.dimension), dtype=self.values.dtype)
@@ -163,8 +162,8 @@ class SectorPlan:
     _hop_terms order, the rows (ranks of the images), columns (the states
     the move does not annihilate) and amplitudes of its nonzeros.
 
-    operator(params) scales them; its band_order is shared by the
-    operators with the same nonzero hop terms (_BandOrders).
+    operator(params) scales them, and band_order() orders them for the
+    banded inverse iteration.
     """
 
     def __init__(self, basis: Basis):
@@ -177,7 +176,6 @@ class SectorPlan:
                                             basis.statistics)
             self._terms.append((name, sign, basis.rank_all(new), kept,
                                 amplitudes))
-        self._band_orders = _BandOrders(basis.dimension)
 
     def operator(self, params: ModelParams) -> SparseOperator:
         """The Hamiltonian at params: the diagonal nonzeros, then each hop
@@ -192,42 +190,25 @@ class SectorPlan:
                              f"statistics={params.statistics})")
         diag = _diagonal(self._counts, params)
         on = np.flatnonzero(diag)
-        rows, cols, vals, live = [on], [on], [diag[on]], []
+        rows, cols, vals = [on], [on], [diag[on]]
         for name, sign, term_rows, term_cols, amplitudes in self._terms:
             coeff = sign * getattr(params, name)
-            live.append(coeff != 0.0)
             if coeff != 0.0:
                 rows.append(term_rows)
                 cols.append(term_cols)
                 vals.append(coeff * amplitudes)
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        return SparseOperator(dimension=basis.dimension, rows=rows, cols=cols,
-                              values=np.concatenate(vals),
-                              band_order=partial(self._band_orders.get,
-                                                 tuple(live), rows, cols))
+        return SparseOperator(dimension=basis.dimension,
+                              rows=np.concatenate(rows),
+                              cols=np.concatenate(cols),
+                              values=np.concatenate(vals))
 
-
-class _BandOrders:
-    """lapack._band_order's order of each off-diagonal pattern of a
-    SectorPlan, keyed by its nonzero hop terms: computed on first use,
-    once, under a lock, so the solve lanes of a search share it. Operators
-    hold this rather than the plan, so they do not keep its terms alive."""
-
-    def __init__(self, dimension: int):
-        self._dimension = dimension
-        self._orders: Dict[Tuple[bool, ...], np.ndarray] = {}
-        self._lock = threading.Lock()
-
-    def get(self, live: Tuple[bool, ...], rows: np.ndarray,
-            cols: np.ndarray) -> np.ndarray:
-        # every operator with the nonzero hop terms `live` has the
-        # off-diagonal pattern of (rows, cols): hop terms never share an
-        # entry, and their amplitudes are never zero
-        with self._lock:
-            if live not in self._orders:
-                self._orders[live] = lapack._band_order(self._dimension,
-                                                        rows, cols)[0]
-            return self._orders[live]
+    def band_order(self) -> np.ndarray:
+        """lapack._band_order's numbering of the union of every hop term's
+        nonzeros, the rung terms included: it serves every operator of the
+        sector, whichever of its hop terms are zero."""
+        _, _, rows, cols, _ = zip(*self._terms)
+        return lapack._band_order(self.basis.dimension, np.concatenate(rows),
+                                  np.concatenate(cols))[0]
 
 
 def build_hamiltonian(params: ModelParams, basis: Basis) -> SparseOperator:

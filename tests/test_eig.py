@@ -197,6 +197,26 @@ def test_wrong_deciding_eigenvalue_is_caught(vectors, monkeypatch):
         eigendecompose(operator, vectors=vectors)
 
 
+def test_eigenvalue_only_solve_falls_back_to_the_full_solve(monkeypatch):
+    # a deciding eigenvector that misses the residual bound, as inverse
+    # iteration's can at an exceptional point, has the same operator solved
+    # with every eigenvector, each residual checked
+    from nhladder import lapack
+
+    operator = _sector(8, 2, jp=0.01, mu=0.2, u=4.0)
+    full = eigendecompose(operator)
+    inverse_iteration = lapack.inverse_iteration
+
+    def skewed(n, *args):
+        return inverse_iteration(n, *args) + 1e-3 * np.arange(n)
+
+    monkeypatch.setattr(lapack, "inverse_iteration", skewed)
+    fast = eigendecompose(operator, vectors=False)
+    assert fast.eigenvectors is not None
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(fast, name), getattr(full, name)), name
+
+
 def test_eigenvalue_only_solve_keeps_the_diagnostic_keys():
     op = _sector(6, 2, jp=0.01, mu=0.2, u=4.0)
     assert list(eigendecompose(op, vectors=False).diagnostics) \

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nhladder import lapack
+from nhladder.eig import RESIDUAL_RTOL, eigendecompose
 from nhladder.fock import enumerate_basis
 from nhladder.model import (ModelParams, SectorPlan, build_hamiltonian,
                             build_single_particle_matrix, onsite_energy,
@@ -257,28 +259,43 @@ def test_plan_rejects_params_of_another_sector():
             plan.operator(p)
 
 
-def test_plan_orders_each_pattern_once():
-    plan = SectorPlan(enumerate_basis(4, 2, "boson"))
-    ops = [plan.operator(ModelParams(cells=4, particles=2, u=4.0, jp=jp))
-           for jp in (0.0, 0.1, 0.2, 0.0)]
-    orders = [op.band_order() for op in ops]
-    assert orders[1] is orders[2] and orders[0] is orders[3]
-    assert orders[0] is not orders[1]
-    for op, order in zip(ops, orders):
-        off = op.rows != op.cols
-        expected, _ = lapack._band_order(op.dimension, op.rows[off],
-                                         op.cols[off])
-        assert np.array_equal(order, expected)
+@pytest.mark.parametrize("cells,particles,statistics", [
+    (8, 2, "boson"), (6, 2, "fermion")])
+def test_plan_band_order_serves_every_operator(cells, particles, statistics):
+    plan = SectorPlan(enumerate_basis(cells, particles, statistics))
+    order = plan.band_order()
+    assert np.array_equal(np.sort(order), np.arange(plan.basis.dimension))
+    interaction = "u" if statistics == "boson" else "u_nn"
+    base = ModelParams(cells=cells, particles=particles,
+                       statistics=statistics, mu=0.2, **{interaction: 4.0})
+    # with every hop term nonzero, the union is the operator's own pattern
+    for jp in (0.01, 0.05, 0.3):
+        op = plan.operator(base.with_updates(jp=jp))
+        assert np.array_equal(
+            order, lapack._band_order(op.dimension, op.rows, op.cols)[0])
+    # jp = 0 drops the rung terms and jr_b = 0 a leg's; the union order
+    # still verifies the deciding eigenpair of the eigenvalue-only solve
+    for p in (base, base.with_updates(jp=0.05, jr_b=0.0)):
+        result = eigendecompose(
+            dataclasses.replace(plan.operator(p), band_order=order),
+            vectors=False)
+        assert result.eigenvectors is None  # no full-solve fallback
+        checked = result.residuals[np.isfinite(result.residuals)]
+        assert len(checked) == 1
+        assert checked[0] <= RESIDUAL_RTOL * result.matrix_norm
 
 
-@pytest.mark.parametrize("params,kwargs,patterns", [
-    # every jp of the window is nonzero: one pattern
+@pytest.mark.parametrize("params,kwargs,orders", [
+    # every jp of the window is nonzero
     (ModelParams(cells=6, particles=3, u=16.0, mu=16.0 / 3.0),
      dict(bracket=(0.1, 1.2), resolution=0.02, eps_im=1e-2), 1),
-    # jp = 0 drops the rung terms: a second pattern
+    # jp = 0 drops the rung terms, and the one order still serves it
     (ModelParams(cells=8, particles=2, u=4.0, mu=0.2),
-     dict(bracket=(0.0, 0.1)), 2)])
-def test_search_orders_each_pattern_once(params, kwargs, patterns,
+     dict(bracket=(0.0, 0.1)), 1),
+    # the full solves of a cluster selector order nothing
+    (ModelParams(cells=8, particles=2, u=4.0, mu=0.2),
+     dict(bracket=(0.0, 0.1), cluster_selector="scattering"), 0)])
+def test_search_orders_each_pattern_once(params, kwargs, orders,
                                          monkeypatch):
     calls = []
     original = lapack._band_order
@@ -289,51 +306,6 @@ def test_search_orders_each_pattern_once(params, kwargs, patterns,
 
     monkeypatch.setattr(lapack, "_band_order", counting)
     result = find_threshold_jp(params, **kwargs)
-    assert result.evaluations > patterns
+    assert result.evaluations > 1
     # the unbound np.linalg.solve path orders nothing
-    assert len(calls) == (patterns if lapack.symbol() else 0)
-
-
-def test_plan_orders_each_pattern_once_across_threads(monkeypatch):
-    # more threads than cores ask for two patterns' orders at once, with
-    # a short switch interval; each pattern is still ordered exactly once
-    # and every thread gets that one order
-    import sys
-    import threading
-    import time
-
-    calls = []
-    original = lapack._band_order
-
-    def slow(n, rows, cols):
-        calls.append(n)
-        time.sleep(0.01)
-        return original(n, rows, cols)
-
-    monkeypatch.setattr(lapack, "_band_order", slow)
-    plan = SectorPlan(enumerate_basis(4, 2, "boson"))
-    ops = [plan.operator(ModelParams(cells=4, particles=2, u=4.0,
-                                     jp=0.1 * (k % 2)))
-           for k in range(8)]
-    orders = [None] * len(ops)
-    start = threading.Barrier(len(ops))
-
-    def read(k):
-        start.wait(timeout=10)
-        orders[k] = ops[k].band_order()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(k,))
-                   for k in range(len(ops))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(calls) == 2
-    assert all(orders[k] is orders[k % 2] for k in range(len(ops)))
-    assert orders[0] is not orders[1]
+    assert len(calls) == (orders if lapack.symbol() else 0)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import math
 import tracemalloc
 import types
@@ -732,6 +731,20 @@ def test_eigenvalue_only_search_matches_the_full_path(case, lanes,
                                rtol=0.0, atol=_EIGENVALUE_ONLY_ATOL)
 
 
+def test_threshold_at_an_exceptional_point():
+    # the sample jp = 0.5 is where the two middle eigenvalues of the
+    # two-cell ladder meet (dgeev gives them |Im| of a few 1e-9): its
+    # eigenvalue-only solve must still reach a verdict, and with one
+    # particle every cluster scatters, so both selectors read one indicator
+    params = ModelParams(cells=2, particles=1)
+    result = find_threshold_jp(params, bracket=(0.0, 1.0))
+    assert result.jp_star == 0.5
+    full = find_threshold_jp(params, cluster_selector="scattering",
+                             bracket=(0.0, 1.0))
+    assert (result.jp_star, result.bracket, result.evaluations) \
+        == (full.jp_star, full.bracket, full.evaluations)
+
+
 @pytest.mark.parametrize("selector", ["scattering", "bound"])
 def test_cluster_selectors_keep_the_full_path(selector, monkeypatch):
     asked = []
@@ -751,18 +764,17 @@ def test_cluster_selectors_keep_the_full_path(selector, monkeypatch):
 
 @pytest.mark.parametrize("case", list(_SEARCHES))
 def test_search_trace_equals_one_point_solves(case):
-    # each solve of a search, through the sector's one plan and its shared
+    # each solve of a search, through the sector's one plan and its one
     # band order, has the bits of a solve of a Hamiltonian assembled at that
-    # point alone, ordered for that solve (band_order=None), at the search's
+    # point alone, ordered for that solve (no band_order), at the search's
     # one BLAS thread
     params, kwargs = _SEARCHES[case]
     result = find_threshold_jp(params, **kwargs)
     basis = sector_basis(params)
     with lapack.threads(1):
         for jp, value in result.trace:
-            op = dataclasses.replace(
-                build_hamiltonian(params.with_updates(jp=jp), basis),
-                band_order=None)
+            op = build_hamiltonian(params.with_updates(jp=jp), basis)
+            assert op.band_order is None
             alone = eigendecompose(op, vectors=False)
             assert np.max(np.abs(alone.eigenvalues.imag)) == value, jp
 
