@@ -311,9 +311,10 @@ def _params_from_config(cfg: Dict) -> ModelParams:
 
 def _environment(command: str, cfg: Dict) -> Dict:
     """Usable cores, the BLAS numpy was built against, the thread variables
-    as set, and the budget the command ran with: BLAS threads (1, as main
-    sets for every command; null when solves go through np.linalg.eig),
-    solves at once in the process, and the bound dgeev symbol."""
+    as set, and the budget the command ran with: BLAS threads (the pool
+    size read inside main's one-thread block; null when solves go through
+    np.linalg.eig), solves at once in the process, and the bound dgeev
+    symbol."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no mode argument
@@ -330,7 +331,7 @@ def _environment(command: str, cfg: Dict) -> Dict:
             "thread_env": {k: os.environ.get(k) for k in
                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                             "MKL_NUM_THREADS")},
-            "blas_threads": 1 if lapack.symbol() else None,
+            "blas_threads": lapack.get_threads(),
             "solve_lanes": lanes,
             "lapack": lapack.symbol()}
 

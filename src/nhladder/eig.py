@@ -13,9 +13,9 @@ solve (vectors=False) has dgeev skip the eigenvectors and finds the one
 eigenvector it checks by inverse iteration on the matrix renumbered into a
 narrow band, in a band buffer of about 3 kl x n entries (kl diagonals on
 either side) allocated after geev's n x n floats are freed. The band order
-is the one the operator carries (SparseOperator.band_order, which a
-threshold search computes once per sector) or, for dense input and
-hand-made operators, one computed for the solve. Where that eigenpair
+is the one the operator carries (SparseOperator.band_order, which every
+operator of a model.SectorPlan has); dense input and hand-made operators
+carry none and are factored in their own numbering. Where that eigenpair
 misses the residual bound, as it can at an exceptional point (a defective
 eigenvalue), the operator is solved again with every eigenvector.
 
@@ -189,12 +189,13 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     every eigenvalue, but only the deciding eigenvalue (_deciding_index)
     has its residual checked, against the same bound: its eigenvector comes
     from lapack.inverse_iteration on the balanced matrix, in the operator's
-    band_order where it has one, and the other residuals are NaN. This
-    serves a caller that reads max |Im| alone. Where that residual misses
-    the bound, the result is that of the full solve (vectors=True) of the
-    same operator, eigenvectors included: two steps of inverse iteration
-    need not resolve a defective eigenvalue, as at an exceptional point,
-    and the full solve checks every eigenpair instead.
+    band_order (its own numbering where that is None), and the other
+    residuals are NaN. This serves a caller that reads max |Im| alone.
+    Where that residual misses the bound, the result is that of the full
+    solve (vectors=True) of the same operator, eigenvectors included: two
+    steps of inverse iteration need not resolve a defective eigenvalue, as
+    at an exceptional point, and the full solve checks every eigenpair
+    instead.
     """
     start = time.perf_counter()
     if not isinstance(operator, SparseOperator):

@@ -6,15 +6,15 @@ integers, symbols suffixed `64_`) in `numpy.libs`. `np.linalg.eig` calls
 its `dgeev` on a private copy of the input and keeps about five n x n
 buffers of its own. `geev` takes the nonzeros of a real matrix and calls
 the same routine in place, in the one buffer it allocates and describes,
-with or without eigenvectors. `inverse_iteration` renumbers a shifted
-sparse matrix into a narrow band, factors it in place with `gbtrf` and
-solves with `gbtrs` from the same library, to check one eigenpair of an
-eigenvalue-only solve: O(D kl^2) time and about 3 kl D entries for a
-band of kl diagonals on either side. The band order is given where the
-caller has one (a threshold search computes one per sector) and is
-computed for the solve otherwise. `threads` sets the size
-of the OpenBLAS thread pool for a block of code, and `solve_lanes` is how
-many such solves a threshold search runs at once.
+with or without eigenvectors. `inverse_iteration` factors a shifted
+sparse matrix as a band, in place with `gbtrf`, and solves with `gbtrs`
+from the same library, to check one eigenpair of an eigenvalue-only
+solve: O(D kl^2) time and about 3 kl D entries for a band of kl diagonals
+on either side. The caller gives the numbering that makes the band
+narrow (every model operator carries its sector's); without one the
+matrix is factored in its own. `threads` sets the size of the OpenBLAS
+thread pool for a block of code, and `solve_lanes` is how many such
+solves a threshold search runs at once.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
@@ -125,9 +125,10 @@ def solve_lanes() -> int:
     where dgeev is not bound. Each in-place solve holds one buffer of two
     real D x D arrays at most (an eigenvalue-only solve holds geev's D x D
     floats, then inverse_iteration's band of (2 kl + ku + 1) x D floats or
-    complex, never both; in the ladder sectors of a search the band has
-    fewer than D / 2 rows), so two lanes hold fewer than one np.linalg.eig
-    solve, which keeps about five; a third lane would hold six."""
+    complex, never both; in the ladder sectors of a search, in their band
+    order, the band has fewer than D / 2 rows), so two lanes hold fewer
+    than one np.linalg.eig solve, which keeps about five; a third lane
+    would hold six."""
     if symbol() is None:
         return 1
     return min(2, usable_cores())
@@ -219,21 +220,20 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
 
     B - shift I is factored as a band matrix: its rows and columns are
     renumbered by band_order, the old index of each new position, where it
-    is given (model.SectorPlan.band_order, computed once for every operator
-    of a sector), and by _band_order of B's own pattern otherwise; that
-    leaves kl nonzero diagonals below the main one and ku above. It is
-    scattered into LAPACK band storage,
-    one buffer of (2 kl + ku + 1) x n floats for a real shift or complex
-    for a complex one. gbtrf factors it in place, in O(n kl (kl + ku))
-    time, and both steps solve (gbtrs) with that one factorisation; x
-    comes back in the original numbering. A ladder sector is sparse and
-    its band narrow (kl = ku = 75 at n = 816). A dense B has kl = ku =
-    n - 1, and its band holds (3n - 2) x n entries, three times a dense
-    copy. Where a pivot is exactly zero, the shift moves by
-    eps * norm(B, inf) (tiny / eps for B = 0), as LAPACK dhsein perturbs a
-    shift, and B is factored again; LinAlgError after four tries. Where
-    the library is not bound, `np.linalg.solve` does each step on a dense
-    n x n copy.
+    is given (the operators of a model.SectorPlan carry their sector's),
+    and left in their own numbering where it is None; that leaves kl
+    nonzero diagonals below the main one and ku above. It is scattered
+    into LAPACK band storage, one buffer of (2 kl + ku + 1) x n floats for
+    a real shift or complex for a complex one. gbtrf factors it in place,
+    in O(n kl (kl + ku)) time, and both steps solve (gbtrs) with that one
+    factorisation; x comes back in the original numbering. A ladder
+    sector in its band order is sparse and its band narrow (kl = 76 at
+    n = 816). A dense B has kl = ku = n - 1, and its band holds
+    (3n - 2) x n entries, three times a dense copy. Where a pivot is
+    exactly zero, the shift moves by eps * norm(B, inf) (tiny / eps for
+    B = 0), as LAPACK dhsein perturbs a shift, and B is factored again;
+    LinAlgError after four tries. Where the library is not bound,
+    `np.linalg.solve` does each step on a dense n x n copy.
     """
     kind = "D" if np.iscomplexobj(shift) else "d"
     norm = np.bincount(rows, weights=np.abs(values),
@@ -241,14 +241,12 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
     eps = np.finfo(float).eps
     nudge = eps * norm or np.finfo(float).tiny / eps
     binding = _bind()
+    position = np.arange(n)
     if binding is None:
-        position = np.arange(n)
         shape, at, diagonal = (n, n), (rows, cols), (position, position)
     else:
-        order = (band_order if band_order is not None
-                 else _band_order(n, rows, cols)[0])
-        position = np.empty(n, np.int64)
-        position[order] = np.arange(n)
+        if band_order is not None:
+            position[band_order] = np.arange(n)
         i, j = position[rows], position[cols]
         kl = int(np.max(i - j, initial=0))
         ku = int(np.max(j - i, initial=0))
@@ -274,60 +272,6 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
         except np.linalg.LinAlgError:
             shift += nudge
     raise np.linalg.LinAlgError("shifted matrix stays singular")
-
-
-def _band_order(n: int, rows: np.ndarray, cols: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """A numbering of the n x n sparsity pattern (rows, cols), symmetrised,
-    that keeps its nonzeros near the diagonal: the breadth-first levels of
-    Cuthill and McKee (1969). Returns `order`, the old index of each new
-    position, and `level`, the level of each position, which never
-    decreases along `order`.
-
-    Each connected part is searched breadth-first from one of its nodes of
-    least degree. A level is the unplaced neighbours of the one before, in
-    the order of the first node that reaches them and then by degree, found
-    in one vectorised step. Levels are numbered on across the parts, and
-    nodes with no neighbour come first, one level each. A nonzero then
-    joins levels at most one apart, so no nonzero lies further from the
-    diagonal than the two largest levels are wide.
-    """
-    off = rows != cols
-    keys = np.sort(np.concatenate([rows[off] * n + cols[off],
-                                   cols[off] * n + rows[off]]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    neighbours = keys % n
-    degree = np.bincount(keys // n, minlength=n)
-    first = np.cumsum(degree) - degree
-    seen = degree == 0
-    parts = [np.flatnonzero(seen)]
-    levels = [np.arange(len(parts[0]))]
-
-    while not seen.all():
-        root = int(np.argmin(np.where(seen, n, degree)))
-        found = [np.array([root])]
-        seen[root] = True
-        while True:
-            frontier = found[-1]
-            counts = degree[frontier]
-            start = np.cumsum(counts) - counts
-            reached = neighbours[np.arange(start[-1] + counts[-1])
-                                 + np.repeat(first[frontier] - start, counts)]
-            parent = np.repeat(np.arange(len(frontier)), counts)
-            new = ~seen[reached]
-            reached, parent = reached[new], parent[new]
-            if not len(reached):
-                break
-            # the first occurrence of each node, by its first parent
-            sort = np.argsort(reached, kind="stable")
-            once = sort[np.diff(reached[sort], prepend=-1) != 0]
-            level = reached[once]
-            found.append(level[np.lexsort((degree[level], parent[once]))])
-            seen[level] = True
-        parts.append(np.concatenate(found))
-        levels.append(levels[-1].max(initial=-1) + 1 + np.repeat(
-            np.arange(len(found)), [len(level) for level in found]))
-    return np.concatenate(parts), np.concatenate(levels)
 
 
 def _unpack(buffer: np.ndarray, vr: np.ndarray,

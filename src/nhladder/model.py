@@ -13,9 +13,12 @@ diagonal counts of its states and, for each hop term, the rows, columns
 and amplitudes of its nonzeros. plan.operator(params) only scales them,
 and build_hamiltonian is the plan at one point, so a search or a sweep
 that builds one plan per sector assembles each of its operators with the
-same bits. plan.band_order() numbers the sector's states for the banded
-inverse iteration of eigenvalue-only solves; a threshold search computes it
-once and hands it to every solve on its operator.
+same bits. Every operator of a plan carries the sector's band order: its
+states sorted by total cell coordinate S = sum_s n_s (s mod L), ties broken
+by the particle count on leg A. A hop moves one particle by at most one
+cell, so every nonzero joins S-levels at most one apart whatever the
+parameters, and lapack.inverse_iteration factors the operator as a narrow
+band in that order.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import lapack
 from .fock import Basis, enumerate_basis, hop_all
 
 FLOAT_FIELDS = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "u_nn")
@@ -97,9 +99,9 @@ class SparseOperator:
     """Coordinate-format operator on a fixed basis; duplicates add.
 
     band_order, where set, is a numbering of the basis that keeps every
-    nonzero near the diagonal (SectorPlan.band_order), which
-    lapack.inverse_iteration uses in place of ordering the pattern itself;
-    None has it order the pattern per solve."""
+    nonzero near the diagonal, the old index of each new position: every
+    operator of a SectorPlan carries its sector's. lapack.inverse_iteration
+    factors in it, and in the basis's own numbering where it is None."""
 
     dimension: int
     rows: np.ndarray
@@ -162,14 +164,20 @@ class SectorPlan:
     _hop_terms order, the rows (ranks of the images), columns (the states
     the move does not annihilate) and amplitudes of its nonzeros.
 
-    operator(params) scales them, and band_order() orders them for the
-    banded inverse iteration.
+    operator(params) scales them, and every operator it returns carries
+    the sector's band order (the module docstring): the states sorted by
+    total cell coordinate, ties broken by the leg imbalance N_A - N_B =
+    2 N_A - N, which sorts them as the particle count on leg A does.
     """
 
     def __init__(self, basis: Basis):
         self.basis = basis
         occ = basis.occupations
         self._counts = diagonal_counts(occ, basis.statistics)
+        cell_sum = occ.reshape(len(occ), 2, basis.cells).sum(axis=1) \
+            @ np.arange(basis.cells)
+        self._band_order = np.lexsort((self._counts[1], cell_sum))
+        self._band_order.setflags(write=False)
         self._terms = []
         for from_site, to_site, name, sign in _hop_terms(basis.cells):
             kept, new, amplitudes = hop_all(occ, from_site, to_site,
@@ -180,8 +188,8 @@ class SectorPlan:
     def operator(self, params: ModelParams) -> SparseOperator:
         """The Hamiltonian at params: the diagonal nonzeros, then each hop
         term with a nonzero coefficient, its amplitudes times the
-        coefficient, in term order. Raises ValueError where params belong
-        to another sector."""
+        coefficient, in term order, with the plan's band order. Raises
+        ValueError where params belong to another sector."""
         basis = self.basis
         if (basis.cells, basis.particles, basis.statistics) != \
                 (params.cells, params.particles, params.statistics):
@@ -200,20 +208,13 @@ class SectorPlan:
         return SparseOperator(dimension=basis.dimension,
                               rows=np.concatenate(rows),
                               cols=np.concatenate(cols),
-                              values=np.concatenate(vals))
-
-    def band_order(self) -> np.ndarray:
-        """lapack._band_order's numbering of the union of every hop term's
-        nonzeros, the rung terms included: it serves every operator of the
-        sector, whichever of its hop terms are zero."""
-        _, _, rows, cols, _ = zip(*self._terms)
-        return lapack._band_order(self.basis.dimension, np.concatenate(rows),
-                                  np.concatenate(cols))[0]
+                              values=np.concatenate(vals),
+                              band_order=self._band_order)
 
 
 def build_hamiltonian(params: ModelParams, basis: Basis) -> SparseOperator:
     """Assemble the many-body Hamiltonian on the given basis: the
-    SectorPlan of the basis at one point.
+    SectorPlan of the basis at one point, band order included.
 
     Hop terms: for each leg s and bond (x, x+1), -jl_s moves a particle from
     x+1 to x and -jr_s from x to x+1; rung terms move between legs with +jp

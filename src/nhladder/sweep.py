@@ -16,7 +16,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -254,8 +254,8 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     speculative ones included. Every solve assembles its Hamiltonian from
     one model.SectorPlan of the sector. With the "all" selector each solve
     computes eigenvalues only and verifies the eigenpair that decides
-    max |Im| (eig.eigendecompose with vectors=False), in the one band order
-    the plan computes before the first solve.
+    max |Im| (eig.eigendecompose with vectors=False), in the band order
+    every operator of the plan carries.
     """
     _check_bracket(bracket, resolution)
     if eps_im is not None:
@@ -304,15 +304,14 @@ def _search(params: ModelParams, cluster_selector: str,
     lo, hi = float(bracket[0]), float(bracket[1])
     _check_bound(params, cluster_selector)
     # "all" reads max |Im| alone, which the eigenvalue-only solve verifies
-    # by banded inverse iteration (not where np.linalg.solve stands in for
-    # it); the cluster selectors read other eigenvalues
+    # by banded inverse iteration; the cluster selectors read other
+    # eigenvalues
     vectors = cluster_selector != "all"
-    order = None if vectors or lapack.symbol() is None else plan.band_order()
 
     def solve(jp: float) -> Tuple[float, float]:
         p = params.with_updates(jp=jp)
-        result = eigendecompose(replace(plan.operator(p), band_order=order),
-                                capacity=capacity, vectors=vectors)
+        result = eigendecompose(plan.operator(p), capacity=capacity,
+                                vectors=vectors)
         return (_max_im_for_selector(result, p, cluster_selector, gap_factor,
                                      min_gap), result.matrix_norm)
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -130,6 +131,25 @@ def test_sidecar_environment_round_trips_as_config(tmp_path, monkeypatch):
                      "--out", str(out)]) == 0, command
         assert read_json(f"{out}.json")["environment"]["blas_threads"] == \
             env["blas_threads"], command
+
+
+@pytest.mark.skipif(lapack.symbol() is None, reason="dgeev is not bound")
+def test_sidecar_records_the_blas_threads_the_command_ran_at(tmp_path,
+                                                             monkeypatch):
+    # with main's one-thread block a no-op the pool keeps the caller's two
+    # threads, and the sidecar reads the pool, not a constant
+    previous = lapack.set_threads(2)
+    try:
+        if lapack.get_threads() != 2:
+            pytest.skip("OpenBLAS does not take two threads here")
+        monkeypatch.setattr(cli.lapack, "threads",
+                            lambda n: contextlib.nullcontext())
+        out = tmp_path / "run"
+        assert main(["spectrum", "--cells", "3", "--particles", "2",
+                     "--u", "4", "--jp", "0.01", "--out", str(out)]) == 0
+        assert read_json(f"{out}.json")["environment"]["blas_threads"] == 2
+    finally:
+        lapack.set_threads(previous)
 
 
 D465 = ["--cells", "15", "--particles", "2", "--u", "4", "--jp", "0.01"]

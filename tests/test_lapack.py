@@ -213,7 +213,7 @@ INVERSE_ITERATION_INPUTS = {
     "random n=40": lambda: _nonzeros(np.random.default_rng(8)
                                      .normal(size=(40, 40))),
     # no rung nonzeros: the pattern falls apart into one part per split of
-    # the particles between the legs, and the ordering searches each
+    # the particles between the legs
     "boson L=8 N=2 jp=0": lambda: _balanced(_sector(8, 2, jp=0.0, mu=0.2,
                                                     u=4.0)),
     "n=1": lambda: _nonzeros(np.array([[2.5]])),
@@ -224,7 +224,8 @@ INVERSE_ITERATION_INPUTS = {
 def test_inverse_iteration_finds_the_eigenvector(unbound, monkeypatch):
     if unbound:
         monkeypatch.setattr(lapack, "_bind", lambda: None)
-    # the band path (bound) and np.linalg.solve (unbound) factor
+    # without a band order each input is factored in its own numbering.
+    # The band path (bound) and np.linalg.solve (unbound) factor
     # differently, so their vectors differ in the last bits and, for a
     # shift this close to an eigenvalue, in their phase: both must meet
     # the residual bound
@@ -247,33 +248,6 @@ def test_inverse_iteration_finds_the_eigenvector(unbound, monkeypatch):
         assert np.all(np.isfinite(x))
         assert np.abs(x).max() == pytest.approx(1.0, rel=1e-15)
         assert np.linalg.norm(a @ x - shift * x) <= 1e-15
-
-
-@pytest.mark.parametrize("make", [
-    lambda: _sector(8, 3, jp=0.5, mu=16 / 3, u=16.0),
-    lambda: _sector(20, 2, jp=0.01, mu=0.2, u=4.0),
-    lambda: _sector(20, 2, statistics="fermion", jp=0.01, mu=0.3, u_nn=4.0),
-    lambda: _sector(8, 2, jp=0.0, mu=0.2, u=4.0),
-    lambda: SparseOperator(40, *np.nonzero(np.ones((40, 40))),
-                           np.ones(1600)),
-    lambda: SparseOperator(5, np.arange(5), np.arange(5), np.ones(5))],
-    ids=["boson L=8 N=3", "boson L=20 N=2", "fermion L=20 N=2",
-         "boson L=8 N=2 jp=0", "dense n=40", "diagonal n=5"])
-def test_band_order_keeps_nonzeros_between_adjacent_levels(make):
-    from nhladder.eig import _entries
-
-    operator = make()
-    n = operator.dimension
-    rows, cols, _ = _entries(operator)
-    order, level = lapack._band_order(n, rows, cols)
-    assert np.array_equal(np.sort(order), np.arange(n))
-    assert np.all(np.diff(level) >= 0)
-    position = np.empty(n, np.int64)
-    position[order] = np.arange(n)
-    i, j = position[rows], position[cols]
-    assert np.abs(level[i] - level[j]).max() <= 1
-    widest = np.bincount(level).max()
-    assert np.max(i - j) <= 2 * widest and np.max(j - i) <= 2 * widest
 
 
 @bound
@@ -305,9 +279,8 @@ def test_eigenvalue_only_solve_peaks_no_higher_than_a_full_solve(make):
         assert peaks[False] < 1.5 * 8 * n ** 2
         return
     rows, cols, _ = _entries(operator)
-    order, _ = lapack._band_order(n, rows, cols)
     position = np.empty(n, np.int64)
-    position[order] = np.arange(n)
+    position[operator.band_order] = np.arange(n)
     kl = np.max(position[rows] - position[cols])
     ku = np.max(position[cols] - position[rows])
     # the nonzeros and their temporaries: O(n) in a sparse sector

@@ -1,16 +1,13 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nhladder import lapack
 from nhladder.eig import RESIDUAL_RTOL, eigendecompose
 from nhladder.fock import enumerate_basis
 from nhladder.model import (ModelParams, SectorPlan, build_hamiltonian,
                             build_single_particle_matrix, onsite_energy,
                             sector_basis)
-from nhladder.sweep import find_threshold_jp
 
 from oracles import (brute_boson_hamiltonian, brute_fermion_hamiltonian,
                      multisets_close, per_state_hamiltonian, per_term_entries)
@@ -260,52 +257,60 @@ def test_plan_rejects_params_of_another_sector():
 
 
 @pytest.mark.parametrize("cells,particles,statistics", [
+    (8, 1, "boson"), (8, 2, "boson"), (8, 3, "boson"), (20, 2, "boson"),
+    (1, 2, "boson"), (20, 2, "fermion"), (6, 3, "fermion"),
+    (1, 2, "fermion")],
+    ids=["boson L=8 N=1", "boson L=8 N=2", "boson L=8 N=3", "boson L=20 N=2",
+         "boson L=1 N=2", "fermion L=20 N=2", "fermion L=6 N=3",
+         "fermion L=1 N=2"])
+def test_plan_band_order_keeps_nonzeros_between_adjacent_levels(
+        cells, particles, statistics):
+    # the level of a state is its total cell coordinate S = sum n_s (s mod L)
+    plan = SectorPlan(enumerate_basis(cells, particles, statistics))
+    n = plan.basis.dimension
+    occ = plan.basis.occupations.astype(np.int64)
+    level = occ @ (np.arange(2 * cells) % cells)
+    on_a = occ[:, :cells].sum(axis=1)
+    widest = np.bincount(level).max()
+    interaction = "u" if statistics == "boson" else "u_nn"
+    base = ModelParams(cells=cells, particles=particles,
+                       statistics=statistics, mu=0.2, jp=0.05,
+                       **{interaction: 4.0})
+    order = plan.operator(base).band_order
+    assert np.array_equal(np.sort(order), np.arange(n))
+    # S never decreases along the order, nor N_A within one S
+    key = level * (particles + 1) + on_a
+    assert np.all(np.diff(key[order]) >= 0)
+    position = np.empty(n, np.int64)
+    position[order] = np.arange(n)
+    # jp = 0 drops the rung terms, jl_a = 0 and jr_b = 0 a leg's
+    for p in (base, base.with_updates(jp=0.0), base.with_updates(jl_a=0.0),
+              base.with_updates(jr_b=0.0)):
+        op = plan.operator(p)
+        assert np.array_equal(op.band_order, order)
+        # L=1 fermions fill both sites: at jp = 0 no nonzero is left
+        assert np.abs(level[op.rows] - level[op.cols]).max(initial=0) <= 1
+        i, j = position[op.rows], position[op.cols]
+        assert np.max(i - j, initial=0) <= 2 * widest
+        assert np.max(j - i, initial=0) <= 2 * widest
+    assert np.array_equal(build_hamiltonian(base, plan.basis).band_order,
+                          order)
+
+
+@pytest.mark.parametrize("cells,particles,statistics", [
     (8, 2, "boson"), (6, 2, "fermion")])
 def test_plan_band_order_serves_every_operator(cells, particles, statistics):
     plan = SectorPlan(enumerate_basis(cells, particles, statistics))
-    order = plan.band_order()
-    assert np.array_equal(np.sort(order), np.arange(plan.basis.dimension))
     interaction = "u" if statistics == "boson" else "u_nn"
     base = ModelParams(cells=cells, particles=particles,
                        statistics=statistics, mu=0.2, **{interaction: 4.0})
-    # with every hop term nonzero, the union is the operator's own pattern
-    for jp in (0.01, 0.05, 0.3):
-        op = plan.operator(base.with_updates(jp=jp))
-        assert np.array_equal(
-            order, lapack._band_order(op.dimension, op.rows, op.cols)[0])
-    # jp = 0 drops the rung terms and jr_b = 0 a leg's; the union order
-    # still verifies the deciding eigenpair of the eigenvalue-only solve
-    for p in (base, base.with_updates(jp=0.05, jr_b=0.0)):
-        result = eigendecompose(
-            dataclasses.replace(plan.operator(p), band_order=order),
-            vectors=False)
+    # jp = 0 drops the rung terms and jr_b = 0 a leg's; the plan's one
+    # order still verifies the deciding eigenpair of the eigenvalue-only
+    # solve, as it does with every hop term nonzero
+    for p in (base, base.with_updates(jp=0.05, jr_b=0.0),
+              base.with_updates(jp=0.05)):
+        result = eigendecompose(plan.operator(p), vectors=False)
         assert result.eigenvectors is None  # no full-solve fallback
         checked = result.residuals[np.isfinite(result.residuals)]
         assert len(checked) == 1
         assert checked[0] <= RESIDUAL_RTOL * result.matrix_norm
-
-
-@pytest.mark.parametrize("params,kwargs,orders", [
-    # every jp of the window is nonzero
-    (ModelParams(cells=6, particles=3, u=16.0, mu=16.0 / 3.0),
-     dict(bracket=(0.1, 1.2), resolution=0.02, eps_im=1e-2), 1),
-    # jp = 0 drops the rung terms, and the one order still serves it
-    (ModelParams(cells=8, particles=2, u=4.0, mu=0.2),
-     dict(bracket=(0.0, 0.1)), 1),
-    # the full solves of a cluster selector order nothing
-    (ModelParams(cells=8, particles=2, u=4.0, mu=0.2),
-     dict(bracket=(0.0, 0.1), cluster_selector="scattering"), 0)])
-def test_search_orders_each_pattern_once(params, kwargs, orders,
-                                         monkeypatch):
-    calls = []
-    original = lapack._band_order
-
-    def counting(n, rows, cols):
-        calls.append(n)
-        return original(n, rows, cols)
-
-    monkeypatch.setattr(lapack, "_band_order", counting)
-    result = find_threshold_jp(params, **kwargs)
-    assert result.evaluations > 1
-    # the unbound np.linalg.solve path orders nothing
-    assert len(calls) == (orders if lapack.symbol() else 0)

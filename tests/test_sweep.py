@@ -763,18 +763,26 @@ def test_cluster_selectors_keep_the_full_path(selector, monkeypatch):
 
 
 @pytest.mark.parametrize("case", list(_SEARCHES))
-def test_search_trace_equals_one_point_solves(case):
-    # each solve of a search, through the sector's one plan and its one
-    # band order, has the bits of a solve of a Hamiltonian assembled at that
-    # point alone, ordered for that solve (no band_order), at the search's
-    # one BLAS thread
+def test_search_trace_equals_one_point_solves(case, monkeypatch):
+    # each solve of a search, through the sector's one plan, has the bits
+    # of a solve of a Hamiltonian assembled at that point alone, which
+    # carries the search's band order, at the search's one BLAS thread
     params, kwargs = _SEARCHES[case]
+    orders = []
+
+    def recording(operator, *args, **kw):
+        orders.append(operator.band_order)
+        return eigendecompose(operator, *args, **kw)
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", recording)
     result = find_threshold_jp(params, **kwargs)
+    assert len(orders) == len(result.trace)
     basis = sector_basis(params)
     with lapack.threads(1):
         for jp, value in result.trace:
             op = build_hamiltonian(params.with_updates(jp=jp), basis)
-            assert op.band_order is None
+            assert all(np.array_equal(op.band_order, order)
+                       for order in orders)
             alone = eigendecompose(op, vectors=False)
             assert np.max(np.abs(alone.eigenvalues.imag)) == value, jp
 
