@@ -14,9 +14,9 @@ eigenvector it checks by inverse iteration on the matrix renumbered into a
 narrow band, in a band buffer of about 3 kl x n entries (kl diagonals on
 either side) allocated after geev's n x n floats are freed. The band order
 is the one the operator carries (SparseOperator.band_order, which every
-operator of a model.SectorPlan has); dense input and hand-made operators
-carry none and are factored in their own numbering. Where that eigenpair
-misses the residual bound, as it can at an exceptional point (a defective
+operator of a model.SectorPlan has); an operator without one, dense input
+included, is solved with every eigenvector. Where that eigenpair misses
+the residual bound, as it can at an exceptional point (a defective
 eigenvalue), the operator is solved again with every eigenvector.
 
 Every decomposition is checked before it is returned: per-eigenpair
@@ -189,13 +189,13 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     every eigenvalue, but only the deciding eigenvalue (_deciding_index)
     has its residual checked, against the same bound: its eigenvector comes
     from lapack.inverse_iteration on the balanced matrix, in the operator's
-    band_order (its own numbering where that is None), and the other
-    residuals are NaN. This serves a caller that reads max |Im| alone.
-    Where that residual misses the bound, the result is that of the full
-    solve (vectors=True) of the same operator, eigenvectors included: two
-    steps of inverse iteration need not resolve a defective eigenvalue, as
-    at an exceptional point, and the full solve checks every eigenpair
-    instead.
+    band_order, and the other residuals are NaN. This serves a caller that
+    reads max |Im| alone. The result is that of the full solve
+    (vectors=True) of the same operator, eigenvectors included, where the
+    operator carries no band_order (a dense array never does), and where
+    that residual misses the bound: two steps of inverse iteration need not
+    resolve a defective eigenvalue, as at an exceptional point, and the
+    full solve checks every eigenpair instead.
     """
     start = time.perf_counter()
     if not isinstance(operator, SparseOperator):
@@ -204,6 +204,7 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
             raise ValueError(f"expected a square matrix, got shape {dense.shape}")
         rows, cols = np.nonzero(dense)
         operator = SparseOperator(len(dense), rows, cols, dense[rows, cols])
+    vectors = vectors or operator.band_order is None
     dim, dtype = operator.dimension, operator.values.dtype
     if dtype.kind not in "biuf":
         raise ValueError(f"expected a real matrix, got dtype {dtype}")

@@ -10,11 +10,10 @@ with or without eigenvectors. `inverse_iteration` factors a shifted
 sparse matrix as a band, in place with `gbtrf`, and solves with `gbtrs`
 from the same library, to check one eigenpair of an eigenvalue-only
 solve: O(D kl^2) time and about 3 kl D entries for a band of kl diagonals
-on either side. The caller gives the numbering that makes the band
-narrow (every model operator carries its sector's); without one the
-matrix is factored in its own. `threads` sets the size of the OpenBLAS
-thread pool for a block of code, and `solve_lanes` is how many such
-solves a threshold search runs at once.
+on either side. The caller always gives the numbering that makes the
+band narrow, as every model operator carries its sector's. `threads` sets
+the size of the OpenBLAS thread pool for a block of code, and
+`solve_lanes` is how many such solves a threshold search runs at once.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
@@ -210,8 +209,7 @@ def geev(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
 
 def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
                       values: np.ndarray, shift: complex,
-                      band_order: Optional[np.ndarray] = None
-                      ) -> np.ndarray:
+                      band_order: np.ndarray) -> np.ndarray:
     """An eigenvector estimate of the real n x n matrix B with the given
     distinct nonzeros, for its eigenvalue estimate `shift`: two steps of
     inverse iteration, x <- (B - shift I)^-1 x scaled to a largest modulus
@@ -219,21 +217,19 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
     complex otherwise.
 
     B - shift I is factored as a band matrix: its rows and columns are
-    renumbered by band_order, the old index of each new position, where it
-    is given (the operators of a model.SectorPlan carry their sector's),
-    and left in their own numbering where it is None; that leaves kl
+    renumbered by band_order, the old index of each new position (the
+    operators of a model.SectorPlan carry their sector's), which leaves kl
     nonzero diagonals below the main one and ku above. It is scattered
     into LAPACK band storage, one buffer of (2 kl + ku + 1) x n floats for
     a real shift or complex for a complex one. gbtrf factors it in place,
     in O(n kl (kl + ku)) time, and both steps solve (gbtrs) with that one
     factorisation; x comes back in the original numbering. A ladder
     sector in its band order is sparse and its band narrow (kl = 76 at
-    n = 816). A dense B has kl = ku = n - 1, and its band holds
-    (3n - 2) x n entries, three times a dense copy. Where a pivot is
-    exactly zero, the shift moves by eps * norm(B, inf) (tiny / eps for
-    B = 0), as LAPACK dhsein perturbs a shift, and B is factored again;
-    LinAlgError after four tries. Where the library is not bound,
-    `np.linalg.solve` does each step on a dense n x n copy.
+    n = 816). Where a pivot is exactly zero, the shift moves by
+    eps * norm(B, inf) (tiny / eps for B = 0), as LAPACK dhsein perturbs a
+    shift, and B is factored again; LinAlgError after four tries. Where
+    the library is not bound, `np.linalg.solve` does each step on a dense
+    n x n copy in B's own numbering.
     """
     kind = "D" if np.iscomplexobj(shift) else "d"
     norm = np.bincount(rows, weights=np.abs(values),
@@ -241,12 +237,12 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
     eps = np.finfo(float).eps
     nudge = eps * norm or np.finfo(float).tiny / eps
     binding = _bind()
-    position = np.arange(n)
     if binding is None:
+        position = np.arange(n)
         shape, at, diagonal = (n, n), (rows, cols), (position, position)
     else:
-        if band_order is not None:
-            position[band_order] = np.arange(n)
+        # the new index of each old one
+        position = np.argsort(band_order)
         i, j = position[rows], position[cols]
         kl = int(np.max(i - j, initial=0))
         ku = int(np.max(j - i, initial=0))

@@ -100,8 +100,9 @@ class SparseOperator:
 
     band_order, where set, is a numbering of the basis that keeps every
     nonzero near the diagonal, the old index of each new position: every
-    operator of a SectorPlan carries its sector's. lapack.inverse_iteration
-    factors in it, and in the basis's own numbering where it is None."""
+    operator of a SectorPlan carries its sector's. Only an operator that
+    carries one gets eig.eigendecompose's eigenvalue-only solve, whose
+    lapack.inverse_iteration factors in it; any other is solved in full."""
 
     dimension: int
     rows: np.ndarray

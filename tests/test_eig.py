@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import operator as operator_module
 import tracemalloc
@@ -510,7 +511,12 @@ EIGENVALUE_ONLY_INPUTS = {name: make for name, make in RESIDUAL_INPUTS.items()
 
 @pytest.mark.parametrize("name", list(EIGENVALUE_ONLY_INPUTS))
 def test_eigenvalue_only_solve_verifies_the_deciding_eigenpair(name):
-    operator = EIGENVALUE_ONLY_INPUTS[name]()
+    operator = _sparse(EIGENVALUE_ONLY_INPUTS[name]())
+    if operator.band_order is None:
+        # a hand-built operator gets the eigenvalue-only solve only with an
+        # order: the identity factors it in its own numbering
+        n = operator.dimension
+        operator = dataclasses.replace(operator, band_order=np.arange(n))
     full = eigendecompose(operator)
     fast = eigendecompose(operator, vectors=False)
     w = fast.eigenvalues
@@ -531,3 +537,37 @@ def test_eigenvalue_only_solve_verifies_the_deciding_eigenpair(name):
         expected = np.argmin(np.diff(w)) if len(w) > 1 else 0
     assert checked.tolist() == [expected]
     assert fast.residuals[expected] <= 1e-9 * max(fast.matrix_norm, 1e-300)
+
+
+# dense copies and hand-built operators of model sectors, which carry no
+# band order; the L=8 N=2 boson spectrum is complex, the one-particle real
+ORDERLESS_INPUTS = {
+    "dense complex": lambda: _sector(8, 2, jp=0.01, mu=0.2, u=4.0).to_dense(),
+    "dense real": lambda: _sector(6, 1).to_dense(),
+    "hand-built complex": lambda: dataclasses.replace(
+        _sector(8, 2, jp=0.01, mu=0.2, u=4.0), band_order=None),
+    "hand-built real": lambda: dataclasses.replace(_sector(6, 1),
+                                                   band_order=None),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDERLESS_INPUTS))
+def test_eigenvalue_only_request_without_an_order_is_the_full_solve(
+        name, monkeypatch):
+    from nhladder import lapack
+
+    operator = ORDERLESS_INPUTS[name]()
+    full = eigendecompose(operator)
+    assert np.iscomplexobj(full.eigenvalues) == ("complex" in name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inverse iteration without a band order")
+
+    monkeypatch.setattr(lapack, "inverse_iteration", refuse)
+    fast = eigendecompose(operator, vectors=False)
+    for attr in ("eigenvalues", "eigenvectors", "residuals"):
+        a, b = getattr(fast, attr), getattr(full, attr)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b), attr
+    assert fast.matrix_norm == full.matrix_norm
+    assert list(fast.diagnostics) == list(full.diagnostics)

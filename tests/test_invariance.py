@@ -173,3 +173,16 @@ def test_threshold_is_invariant():
                        MAPS["hop sign"](params, 2.0))]
     assert len({(t.jp_star, t.evaluations) for t in found}) == 1
     assert found[0].bracket[1] - found[0].bracket[0] <= 5e-3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the default min_gap "
+                   "is 0.1 max(|jl_a|, |jr_a|), which the common gauge moves")
+def test_common_gauge_keeps_the_groups_at_the_default_min_gap():
+    # gauged, the default min_gap doubles from 0.1 to 0.2 and joins clusters
+    # that a gap between the two defaults separates at gap_factor 1
+    params = ModelParams(cells=4, particles=2, u=3.0, jp=0.3, mu=0.2)
+    gauged = _gauge(params, 2.0)
+    assert _matched_gap(_spectrum(params), _spectrum(gauged)) <= TOL
+    counts = [len(select_clusters(_solve(p)[1], p, gap_factor=1.0)["all"])
+              for p in (params, gauged)]
+    assert counts[1] == counts[0]

@@ -787,6 +787,24 @@ def test_search_trace_equals_one_point_solves(case, monkeypatch):
             assert np.max(np.abs(alone.eigenvalues.imag)) == value, jp
 
 
+def test_search_keeps_the_eigenvalue_only_solve(monkeypatch):
+    # an operator without a band order is solved in full, eigenvectors
+    # included, 1.3-1.5x slower at D~816: every solve of a search must get
+    # its plan's order and so return no eigenvectors
+    params, kwargs = _SEARCHES["L=8 N=2"]
+    results = []
+
+    def recording(operator, *args, **kw):
+        assert operator.band_order is not None
+        results.append(eigendecompose(operator, *args, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", recording)
+    result = find_threshold_jp(params, **kwargs)
+    assert len(results) == len(result.trace)
+    assert all(r.eigenvectors is None for r in results)
+
+
 def test_sweep_builds_one_plan(monkeypatch):
     plans = []
 
