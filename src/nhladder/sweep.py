@@ -91,7 +91,7 @@ class SweepSpec:
         if "threshold" in self.observables:
             _check_bracket(self.threshold_bracket, self.threshold_resolution)
             # particles is never an axis; a zero pair energy, which an axis
-            # over u or unn can reach, stays a per-point error
+            # over u or u_nn can reach, stays a per-point error
             if self.threshold_selector == "bound" and self.base.particles < 2:
                 raise ValueError(f"selector 'bound' needs N >= 2 particles, "
                                  f"got N={self.base.particles}")
@@ -227,32 +227,34 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     """Locate the rung coupling where the selected part of the spectrum
     turns complex (max |Im| exceeds eps_im).
 
-    The bracket is a search window whose spectrum must be real at lo. Five
-    points spread over it find the first sampled crossing: they are solved
-    in order, up to the first that is complex, so hi is solved only where
-    the three inner points are real. Each later round solves the midpoint
-    of the last narrowing and again keeps the first crossing, until the
-    bracket is at most resolution wide; jp_star is its upper end. A
-    complex window that falls between two solved points is missed. Raises
-    ValueError when the spectrum is complex at lo or real at all five
-    points, or, before the sector is enumerated, when the bracket does not
-    have lo < hi, resolution is below the spacing of doubles at
-    the bracket ends (math.ulp), where bisection would never end, eps_im is
-    negative or NaN, gap_factor or min_gap is out of range
-    (observables.check_gaps), cluster_selector is not one of
-    observables.SELECTORS, or it is "bound" with fewer than two particles
-    or zero pair energy, where observables.select_clusters finds no cluster
-    bound.
+    The bracket is a search window whose spectrum must be real at lo. The
+    search runs in rounds, each by one rule: it solves its samples in
+    order, up to the first that is complex, and narrows to that first
+    sampled crossing. The first round samples five points over the window,
+    so hi is solved only where the three inner points are real; each later
+    round samples the narrowed bracket and its midpoint, until the bracket
+    is at most resolution wide; jp_star is its upper end. A complex window
+    that falls between two solved points is missed. Raises ValueError when
+    the spectrum is complex at lo or real at all five points, or, before
+    the sector is enumerated, when the bracket ends are not finite or not
+    lo < hi, resolution is below the spacing of doubles at the bracket
+    ends (math.ulp), where bisection would never end, eps_im is negative or
+    NaN, gap_factor or min_gap is out of range (observables.check_gaps),
+    cluster_selector is not one of observables.SELECTORS, or it is "bound"
+    with fewer than two particles or zero pair energy, where
+    observables.select_clusters finds no cluster bound.
 
     Solves run on lapack.solve_lanes() threads at one BLAS thread each, as
-    inside a sweep; the pool size is restored afterwards. With two lanes the
-    first round solves its points two at a time, lo with the first inner
-    one, and hi beside the midpoint of the last inner point and hi; each
-    later round also solves the next round's midpoint on the side where
-    linear interpolation of the indicator puts the crossing. The answer
-    does not depend on the lanes; evaluations and trace count every solve,
-    speculative ones included. Every solve assembles its Hamiltonian from
-    one model.SectorPlan of the sector. With the "all" selector each solve
+    inside a sweep; the pool size is restored afterwards. A round solves
+    its new points lanes at a time and stops after the first step with a
+    complex one. With a spare lane it also solves one point ahead, after
+    its samples: in the first round the midpoint of the last inner point
+    and hi, beside hi; in each later round the next round's midpoint on the
+    side where linear interpolation of the indicator puts the crossing. A
+    round with no new point solves nothing. The answer does not depend on
+    the lanes; evaluations and trace count every solve, speculative ones
+    included. Every solve assembles its Hamiltonian from one
+    model.SectorPlan of the sector. With the "all" selector each solve
     computes eigenvalues only and verifies the eigenpair that decides
     max |Im| (eig.eigendecompose with vectors=False), in the band order
     every operator of the plan carries.
@@ -280,10 +282,12 @@ def _check_bound(params: ModelParams, cluster_selector: str) -> None:
 
 
 def _check_bracket(bracket: Tuple[float, float], resolution: float) -> None:
-    """Raises ValueError unless lo < hi and the resolution is at least the
-    spacing of doubles at the ends (math.ulp), below which bisection never
-    ends."""
+    """Raises ValueError unless the ends are finite, lo < hi and the
+    resolution is at least the spacing of doubles at the ends (math.ulp),
+    below which bisection never ends."""
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise ValueError(f"bracket must be (lo, hi) with lo < hi, "
                          f"got ({lo}, {hi})")
@@ -317,43 +321,35 @@ def _search(params: ModelParams, cluster_selector: str,
 
     cache: Dict[float, float] = {}  # jp -> indicator, in solve order
     eps = eps_im
-
+    # every round solves its samples and then its point ahead, the ones not
+    # yet solved, in order and lanes at a time, up to the first step with a
+    # complex one, and narrows to its first sampled crossing. The first
+    # round samples five points over the window and looks ahead to the
+    # midpoint of (last inner, hi)
+    samples = [float(jp) for jp in np.linspace(lo, hi, 5)]
+    ahead = ([0.5 * (samples[3] + hi)]
+             if lanes > 1 and hi - samples[3] > resolution else [])
     with _lanes(lanes) as run:
-
-        def measure(*points: float) -> List[float]:
-            """The indicator at each point; the points not yet solved are
-            solved together, and eps is set by the first solve."""
-            nonlocal eps
-            new = [jp for jp in dict.fromkeys(points) if jp not in cache]
-            for jp, (value, norm) in zip(new, run(solve, new)):
-                if eps is None:
-                    eps = default_eps_im(norm)
-                cache[jp] = value
-            return [cache[jp] for jp in points]
-
-        # each round narrows to its first sampled crossing. The first round
-        # samples five points over the window and solves them in order,
-        # lanes at a time, up to the first complex one: hi only once the
-        # three inner ones are real, beside the midpoint of (last inner, hi)
-        samples = [float(jp) for jp in np.linspace(lo, hi, 5)]
-        last = [samples[4]]
-        if lanes > 1 and samples[4] - samples[3] > resolution:
-            last.append(0.5 * (samples[3] + samples[4]))
-        steps = [samples[i:i + lanes] for i in range(0, 4, lanes)] + [last]
-        for step in steps:
-            measure(*step)
-            if cache[lo] > eps:
+        while True:
+            new = [jp for jp in dict.fromkeys(samples + ahead)
+                   if jp not in cache]
+            for i in range(0, len(new), lanes):
+                step = new[i:i + lanes]
+                for jp, (value, norm) in zip(step, run(solve, step)):
+                    if eps is None:  # set by the first solve
+                        eps = default_eps_im(norm)
+                    cache[jp] = value
+                if any(cache[jp] > eps for jp in step):
+                    break
+            if cache[lo] > eps:  # lo is in the first round's first step
                 raise ValueError(f"invalid bracket: spectrum already complex "
                                  f"at jp={lo} (max |Im| = {cache[lo]:.3e} > "
                                  f"{eps:.3e})")
             above = [jp in cache and cache[jp] > eps for jp in samples]
-            if True in above:
-                break
-        else:
-            raise ValueError(f"invalid bracket: spectrum still real at "
-                             f"{len(samples)} points from jp={lo} to "
-                             f"jp={hi} (max |Im| <= {eps:.3e})")
-        while True:
+            if True not in above:
+                raise ValueError(f"invalid bracket: spectrum still real at "
+                                 f"{len(samples)} points from jp={lo} to "
+                                 f"jp={hi} (max |Im| <= {eps:.3e})")
             first = above.index(True)  # >= 1: samples[0] is real
             b_lo, b_hi = samples[first - 1], samples[first]
             if b_hi - b_lo <= resolution:
@@ -370,7 +366,6 @@ def _search(params: ModelParams, cluster_selector: str,
                 q_lo, q_hi = (b_lo, mid) if guess < mid else (mid, b_hi)
                 if q_hi - q_lo > resolution:
                     ahead = [0.5 * (q_lo + q_hi)]
-            above = [v > eps for v in measure(*samples, *ahead)[:3]]
 
 
 # the columns of an EonsiteTable crossing row, in order

@@ -220,6 +220,11 @@ def test_threshold_invalid_bracket(monkeypatch):
     for resolution in (0.0, float("nan"), 1e-20):
         with pytest.raises(ValueError):
             find_threshold_jp(p, bracket=(0.0, 0.2), resolution=resolution)
+    # an infinite end, where the spacing of doubles is infinite too
+    for bracket, resolution in (((0.0, math.inf), math.inf),
+                                ((-math.inf, 0.2), 1e-3)):
+        with pytest.raises(ValueError, match="bracket ends must be finite"):
+            find_threshold_jp(p, bracket=bracket, resolution=resolution)
     with pytest.raises(ValueError):
         find_threshold_jp(p, cluster_selector="everything")
 
@@ -342,19 +347,19 @@ def test_threshold_trace_records_every_solve(monkeypatch):
 @contextlib.contextmanager
 def _recording_lanes(steps):
     """A stand-in for sweep._lanes whose map runs serially and records the
-    jp values of each call that solves any: one step of the search, solved
-    together."""
+    jp values of each call, empty ones included: one step of the search,
+    solved together."""
     def run(fn, jps):
         jps = list(jps)
-        if jps:
-            steps.append(jps)
+        steps.append(jps)
         return map(fn, jps)
 
     yield run
 
 
 # (crossing, lanes) -> the steps of a search over the bracket (0, 1) at
-# resolution 0.1, whose first round samples 0, 0.25, 0.5, 0.75 and 1
+# resolution 0.1, whose first round samples 0, 0.25, 0.5, 0.75 and 1. At
+# crossing -1 the spectrum is complex at lo, and at 2 real at every sample
 _SCHEDULES = {
     (0.1, 1): [[0.0], [0.25], [0.125], [0.0625]],
     (0.1, 2): [[0.0, 0.25], [0.125, 0.1875], [0.0625]],
@@ -362,6 +367,10 @@ _SCHEDULES = {
     (0.4, 2): [[0.0, 0.25], [0.5, 0.75], [0.375, 0.4375]],
     (0.9, 1): [[0.0], [0.25], [0.5], [0.75], [1.0], [0.875], [0.9375]],
     (0.9, 2): [[0.0, 0.25], [0.5, 0.75], [1.0, 0.875], [0.9375]],
+    (-1.0, 1): [[0.0]],
+    (-1.0, 2): [[0.0, 0.25]],
+    (2.0, 1): [[0.0], [0.25], [0.5], [0.75], [1.0]],
+    (2.0, 2): [[0.0, 0.25], [0.5, 0.75], [1.0, 0.875]],
 }
 
 
@@ -370,7 +379,8 @@ def test_first_round_stops_at_its_first_crossing(crossing, lanes,
                                                  monkeypatch):
     # the first round solves its samples in order, lanes at a time, and no
     # sample past the first complex one; hi only once the three inner ones
-    # are real, on two lanes beside the midpoint of (0.75, hi)
+    # are real, on two lanes beside the midpoint of (0.75, hi). A round
+    # whose midpoint was solved ahead dispatches nothing
     def step(result, params, selector, gap_factor, min_gap):
         return float(params.jp > crossing)
 
@@ -381,9 +391,18 @@ def test_first_round_stops_at_its_first_crossing(crossing, lanes,
     monkeypatch.setattr(sweep_mod, "_max_im_for_selector", step)
     monkeypatch.setattr(sweep_mod, "_lanes", lambda n: _recording_lanes(steps))
     monkeypatch.setattr(lapack, "solve_lanes", lambda: lanes)
-    result = find_threshold_jp(ModelParams(cells=2, particles=1), eps_im=0.5,
-                               bracket=(0.0, 1.0), resolution=0.1)
+    failure = {-1.0: "already complex", 2.0: "still real at 5 points"}
+    raises = (pytest.raises(ValueError, match="invalid bracket: spectrum "
+                            + failure[crossing])
+              if crossing in failure else contextlib.nullcontext())
+    with raises:
+        result = find_threshold_jp(ModelParams(cells=2, particles=1),
+                                   eps_im=0.5, bracket=(0.0, 1.0),
+                                   resolution=0.1)
+    assert all(steps)  # a round with nothing new dispatches nothing
     assert steps == _SCHEDULES[crossing, lanes]
+    if crossing in failure:
+        return
     assert [jp for jp, _ in result.trace] == sum(steps, [])
     assert result.evaluations == len(result.trace)
     # the same answer at either lane count
