@@ -78,10 +78,15 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """Float flag text or a JSON number; JSON booleans are rejected."""
+    """Float flag text or a JSON number; JSON booleans are rejected, and so
+    is +-inf, which a sidecar would write as null, read back as the default.
+    NaN is left to each key's own check."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if math.isinf(number):
+        raise ValueError(f"must be finite, got {number!r}")
+    return number
 
 
 def _nonnegative(value) -> float:

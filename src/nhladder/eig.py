@@ -92,21 +92,19 @@ def check_eps_im(eps_im: float) -> None:
 
 def _entries(operator: SparseOperator
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the nonzeros of a SparseOperator, in
-    row-major order. COO duplicates are summed in input order, as np.add.at
-    sums them into a dense matrix, so each value has the bits of the dense
-    entry; the duplicate-free row-major entries of a dense array (np.nonzero)
-    come back unchanged."""
+    """Rows, columns and float values of the nonzeros of a SparseOperator,
+    in row-major order. np.unique numbers the distinct row-major keys and
+    np.bincount sums the COO duplicates of each in input order from 0.0, as
+    np.add.at sums them into a dense matrix, so each value has the bits of
+    the dense entry (boolean duplicates add too); the duplicate-free
+    row-major entries of a dense array (np.nonzero) come back unchanged."""
     dim = operator.dimension
-    keys = operator.rows.astype(np.int64) * dim + operator.cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    values = np.zeros(np.count_nonzero(first), operator.values.dtype)
-    np.add.at(values, np.cumsum(first) - 1, operator.values[order])
+    keys, inverse = np.unique(operator.rows.astype(np.int64) * dim
+                              + operator.cols, return_inverse=True)
+    values = np.bincount(inverse, weights=operator.values,
+                         minlength=len(keys))
     kept = values != 0
-    keys = keys[first][kept]
+    keys = keys[kept]
     return keys // dim, keys % dim, values[kept]
 
 
@@ -159,9 +157,8 @@ def _balance(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
 
 def _check_conjugate_closure(eigenvalues: np.ndarray) -> None:
     """Closure under conjugation of eigenvalues sorted by (re, im)."""
-    conj = np.conj(eigenvalues)
-    order_c = np.lexsort((conj.imag, conj.real))
-    if not np.allclose(eigenvalues, conj[order_c], rtol=0.0, atol=CONJ_ATOL):
+    if not np.allclose(eigenvalues, np.sort_complex(np.conj(eigenvalues)),
+                       rtol=0.0, atol=CONJ_ATOL):
         raise ConvergenceError("spectrum of a real matrix is not closed under "
                                "complex conjugation within tolerance")
 

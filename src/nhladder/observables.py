@@ -260,9 +260,12 @@ def default_min_gap(jl: float, jr: float) -> float:
 
 def min_gap_for(params: ModelParams, min_gap: Optional[float]) -> float:
     """The min_gap every command clusters with: the given value, or, for
-    None, default_min_gap of the leg A hops of params."""
-    return (default_min_gap(params.jl_a, params.jr_a) if min_gap is None
-            else min_gap)
+    None, default_min_gap(s, s) of the gauge-invariant hop scale
+    s = sqrt(|jl_a jr_a| + |jl_b jr_b|), which the imaginary gauge and the
+    leg swap leave alone; s is 1 at the reference amplitudes."""
+    scale = math.sqrt(abs(params.jl_a * params.jr_a)
+                      + abs(params.jl_b * params.jr_b))
+    return default_min_gap(scale, scale) if min_gap is None else min_gap
 
 
 def check_gaps(gap_factor: float, min_gap: Optional[float] = None) -> None:
@@ -299,27 +302,23 @@ def cluster_spectrum(result: SpectrumResult, gap_factor: float = 10.0, *,
     every command does.
 
     Every eigenvalue index lands in exactly one cluster; clusters are
-    returned ordered by Re(E).
+    returned ordered by Re(E). np.split cuts the indices, sorted by Re(E),
+    after every gap above the threshold.
     """
     check_gaps(gap_factor, min_gap)
     ev = result.eigenvalues
     order = np.argsort(ev.real, kind="stable")
-    res = ev.real[order]
-    gaps = np.diff(res)
+    gaps = np.diff(ev.real[order])
     median_gap = _median(gaps) if len(gaps) else 0.0
     threshold = max(min_gap, gap_factor * median_gap)
-    breaks = np.where(gaps > threshold)[0]
+    breaks = np.flatnonzero(gaps > threshold)
     clusters = []
-    start = 0
-    for stop in list(breaks + 1) + [len(order)]:
-        members = order[start:stop]
-        ims = np.abs(ev.imag[members])
-        rep = members[int(np.argmax(ims))]
-        clusters.append(Cluster(members=tuple(int(m) for m in members),
-                                re_range=(float(res[start]), float(res[stop - 1])),
-                                max_im=float(ev.imag[members].max()),
-                                representative=int(rep)))
-        start = stop
+    for members in np.split(order, breaks + 1):
+        res, ims = ev.real[members], ev.imag[members]
+        rep = int(members[np.argmax(np.abs(ims))])
+        clusters.append(Cluster(members=tuple(members.tolist()),
+                                re_range=(float(res[0]), float(res[-1])),
+                                max_im=float(ims.max()), representative=rep))
     return clusters
 
 

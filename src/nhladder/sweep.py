@@ -236,13 +236,14 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     is at most resolution wide; jp_star is its upper end. A complex window
     that falls between two solved points is missed. Raises ValueError when
     the spectrum is complex at lo or real at all five points, or, before
-    the sector is enumerated, when the bracket ends are not finite or not
-    lo < hi, resolution is below the spacing of doubles at the bracket
-    ends (math.ulp), where bisection would never end, eps_im is negative or
-    NaN, gap_factor or min_gap is out of range (observables.check_gaps),
-    cluster_selector is not one of observables.SELECTORS, or it is "bound"
-    with fewer than two particles or zero pair energy, where
-    observables.select_clusters finds no cluster bound.
+    the sector is enumerated, when twice a bracket end is not finite, the
+    ends are not lo < hi, resolution is below the spacing of doubles at
+    the bracket ends (math.ulp), where bisection would never end, eps_im is
+    negative or NaN, gap_factor or min_gap is out of range
+    (observables.check_gaps), cluster_selector is not one of
+    observables.SELECTORS, or it is "bound" with fewer than two particles
+    or zero pair energy, where observables.select_clusters finds no cluster
+    bound.
 
     Solves run on lapack.solve_lanes() threads at one BLAS thread each, as
     inside a sweep; the pool size is restored afterwards. A round solves
@@ -282,12 +283,14 @@ def _check_bound(params: ModelParams, cluster_selector: str) -> None:
 
 
 def _check_bracket(bracket: Tuple[float, float], resolution: float) -> None:
-    """Raises ValueError unless the ends are finite, lo < hi and the
+    """Raises ValueError unless twice each end is finite, so that every
+    width, midpoint and step of the search is too, lo < hi and the
     resolution is at least the spacing of doubles at the ends (math.ulp),
     below which bisection never ends."""
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bracket ends must be finite, got ({lo}, {hi})")
+    if not (math.isfinite(2 * lo) and math.isfinite(2 * hi)):
+        raise ValueError(f"bracket ends must be finite, and so must twice "
+                         f"each, got ({lo}, {hi})")
     if not lo < hi:
         raise ValueError(f"bracket must be (lo, hi) with lo < hi, "
                          f"got ({lo}, {hi})")

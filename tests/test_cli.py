@@ -228,6 +228,10 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
     assert main(["spectrum", "--config", str(broken)]) == 2
     # missing file
     assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
+    # JSON that holds no object
+    listed = tmp_path / "listed.json"
+    listed.write_text("[2, 1]")
+    assert main(["spectrum", "--config", str(listed)]) == 2
     # mixing amplitude spellings
     assert main(["spectrum", "--cells", "2", "--particles", "1",
                  "--alpha", "0.3", "--jl", "1.0"]) == 2
@@ -269,7 +273,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
                            ("sweep", {"bracket": 0.1, **axis}),
                            ("sweep", {"observables": 5, **axis}),
                            ("spectrum", {"cells": 3.5}),
-                           ("spectrum", {"workers": True})]:
+                           ("spectrum", {"workers": True}),
+                           # argparse checks the choices of a flag alone
+                           ("spectrum", {"stats": "anyon"})]:
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps({**model, **extra}))
         capsys.readouterr()
@@ -277,6 +283,14 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "typed")]) == 2, extra
         err = capsys.readouterr().err
         assert err.startswith("error (config): " + next(iter(extra))), err
+    # a cluster id past the last cluster, which only the spectrum tells
+    capsys.readouterr()
+    assert main(["density", "--cells", "3", "--particles", "2", "--u", "4",
+                 "--select", "cluster:99",
+                 "--out", str(tmp_path / "cluster")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error (config): cluster id 99 out of range")
+    assert not list(tmp_path.glob("cluster*"))
 
     # inputs that need no spectrum are rejected before the solve
     def solve(*args, **kwargs):
@@ -386,6 +400,27 @@ def test_nan_options_are_rejected(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == 2, argv
         assert f"{key} must be" in capsys.readouterr().err
         assert not list(tmp_path.glob(f"case{case}*"))
+
+
+def test_infinite_options_are_rejected(tmp_path, capsys):
+    # a sidecar writes +-inf as null, which reads back as the default: the
+    # rerun of such a config would not give its results
+    spectrum = ["spectrum", "--cells", "3", "--particles", "2", "--u", "4",
+                "--jp", "0.01"]
+    search = ["threshold", "--cells", "4", "--particles", "1", "--mu", "0.2",
+              "--bracket", "0:1"]
+    cases = [("gap_factor", [*spectrum, "--gap-factor", "inf"]),
+             ("min_gap", [*spectrum, "--min-gap", "inf"]),
+             ("eps_im", [*spectrum, "--eps-im", "inf"]),
+             ("resolution", [*search, "--resolution", "inf"]),
+             ("mu_range", ["eonsite", "--cells", "3", "--particles", "2",
+                           "--u", "4", "--mu-range=-inf:4"])]
+    for case, (key, argv) in enumerate(cases):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / f"case{case}")]) == 2, argv
+        assert capsys.readouterr().err.startswith(
+            f"error (config): {key}: must be finite"), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_3_on_capacity(tmp_path, monkeypatch):

@@ -490,6 +490,15 @@ def test_norm_and_entries_keep_the_dense_bits(name):
     assert eigendecompose(operator).matrix_norm == expected
 
 
+def test_integer_and_boolean_duplicates_add():
+    # duplicates add whatever the dtype: True + True is 2, as 3 + 4 is 7
+    for values, expected in (([True, True, True], [1.0, 2.0]),
+                             ([3, 4, 1], [1.0, 7.0])):
+        operator = SparseOperator(2, np.array([0, 0, 1]), np.array([0, 0, 1]),
+                                  np.array(values))
+        assert eigendecompose(operator).eigenvalues.tolist() == expected
+
+
 def test_permute_columns_matches_fancy_indexing():
     from nhladder.eig import _permute_columns
 

@@ -57,6 +57,9 @@ def test_rank_unrank_roundtrip():
         basis = enumerate_basis(cells, n, stats)
         for i in range(basis.dimension):
             assert basis.rank(basis.unrank(i)) == i
+        for i in (-1, basis.dimension):
+            with pytest.raises(ValueError):
+                basis.unrank(i)
 
 
 def test_unrank_leaves_states_unbuilt():
@@ -125,6 +128,8 @@ def test_combined_site_rejects_bad_input():
         combined_site(6, "B", 5)
     with pytest.raises(ValueError):
         combined_site(1, "C", 5)
+    with pytest.raises(ValueError):
+        combined_site(1, "A", 0)
     with pytest.raises(ValueError):
         site_cell_leg(10, 5)
 
@@ -209,9 +214,12 @@ def test_capacity_env_variable(monkeypatch):
         enumerate_basis(3, 2)
     # explicit argument wins over the environment
     assert enumerate_basis(3, 2, capacity=30).dimension == 21
-    monkeypatch.setenv("NHSE_CAPACITY", "not-a-number")
-    with pytest.raises(ValueError):
-        resolve_capacity(None)
+    for env in ("not-a-number", "0", "-3"):
+        monkeypatch.setenv("NHSE_CAPACITY", env)
+        with pytest.raises(ValueError, match="NHSE_CAPACITY"):
+            resolve_capacity(None)
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        resolve_capacity(0)
 
 
 def test_argument_validation():
@@ -223,3 +231,5 @@ def test_argument_validation():
         enumerate_basis(2, 5, "fermion")  # more fermions than sites
     with pytest.raises(ValueError):
         enumerate_basis(2, 1, "spin")
+    with pytest.raises(ValueError):
+        basis_dimension(2, 1, "spin")

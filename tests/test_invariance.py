@@ -175,14 +175,19 @@ def test_threshold_is_invariant():
     assert found[0].bracket[1] - found[0].bracket[0] <= 5e-3
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the default min_gap "
-                   "is 0.1 max(|jl_a|, |jr_a|), which the common gauge moves")
-def test_common_gauge_keeps_the_groups_at_the_default_min_gap():
-    # gauged, the default min_gap doubles from 0.1 to 0.2 and joins clusters
-    # that a gap between the two defaults separates at gap_factor 1
-    params = ModelParams(cells=4, particles=2, u=3.0, jp=0.3, mu=0.2)
-    gauged = _gauge(params, 2.0)
-    assert _matched_gap(_spectrum(params), _spectrum(gauged)) <= TOL
-    counts = [len(select_clusters(_solve(p)[1], p, gap_factor=1.0)["all"])
-              for p in (params, gauged)]
+@pytest.mark.parametrize("name, legs, gap_factor", [
+    ("common gauge", {}, 1.0),
+    ("leg swap", {"jl_b": 0.25, "jr_b": 0.5}, 0.5)],
+    ids=["common gauge", "leg swap"])
+def test_map_keeps_the_groups_at_the_default_min_gap(name, legs, gap_factor):
+    # each case has a gap that a default read off leg A's hops alone,
+    # 0.1 max(|jl_a|, |jr_a|), would move across: the gauge doubles that
+    # from 0.1 to 0.2 (gap_factor 1), and on a leg B of half the hops the
+    # leg swap halves it to 0.05 (gap_factor 0.5)
+    params = ModelParams(cells=4, particles=2, u=3.0, jp=0.3, mu=0.2, **legs)
+    mapped = MAPS[name](params, 2.0)
+    assert _matched_gap(_spectrum(params), _spectrum(mapped)) <= TOL
+    counts = [len(select_clusters(_solve(p)[1], p,
+                                  gap_factor=gap_factor)["all"])
+              for p in (params, mapped)]
     assert counts[1] == counts[0]

@@ -156,6 +156,7 @@ def test_unbound_library_changes_nothing(monkeypatch):
     monkeypatch.setattr(lapack, "_bind", lambda: None)
     assert lapack.get_threads() is None
     assert lapack.set_threads(1) is None
+    assert lapack.solve_lanes() == 1
     with lapack.threads(1):
         pass
     values, _ = lapack.geev(*_nonzeros(np.array([[2.0, 0.0], [0.0, 3.0]])))

@@ -277,6 +277,10 @@ def test_entropy_subset_validation():
         entanglement_entropy(v, basis, [0, 1, 2, 3])
     with pytest.raises(ValueError):
         entanglement_entropy(v, basis, [4])
+    with pytest.raises(ValueError, match="does not match"):
+        entanglement_entropy(v[:-1], basis, [0])
+    with pytest.raises(ValueError, match="zero vector"):
+        entanglement_entropy(np.zeros_like(v), basis, [0])
 
 
 def test_site_helpers():
@@ -522,8 +526,11 @@ def test_labelling_single_state_clusters_adds_only_chunks_of_eigenvectors():
 def test_default_min_gap():
     assert default_min_gap(1.0, 0.5) == pytest.approx(0.1)
     assert default_min_gap(-2.0, 0.5) == pytest.approx(0.2)
-    # min_gap_for: None stands for default_min_gap of the leg A hops
+    # min_gap_for: None stands for default_min_gap(s, s) of the gauge
+    # invariant s = sqrt(|jl_a jr_a| + |jl_b jr_b|), exactly 1 at the
+    # reference amplitudes
+    assert min_gap_for(ModelParams(cells=2, particles=1), None) == 0.1
     params = ModelParams(cells=2, particles=1, jl_a=-2.0, jr_a=0.5)
-    assert min_gap_for(params, None) == default_min_gap(-2.0, 0.5)
+    assert min_gap_for(params, None) == pytest.approx(0.1 * math.sqrt(1.5))
     assert min_gap_for(params, 0.0) == 0.0
     assert min_gap_for(params, 0.3) == 0.3

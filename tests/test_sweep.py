@@ -48,6 +48,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(base=base, axes=(Axis("jp", 0, 1, 2),),
                   observables=("spin",))
+    with pytest.raises(ValueError, match="at least one observable"):
+        SweepSpec(base=base, axes=(Axis("jp", 0, 1, 2),), observables=())
 
 
 def test_rows_are_row_major():
@@ -220,9 +222,12 @@ def test_threshold_invalid_bracket(monkeypatch):
     for resolution in (0.0, float("nan"), 1e-20):
         with pytest.raises(ValueError):
             find_threshold_jp(p, bracket=(0.0, 0.2), resolution=resolution)
-    # an infinite end, where the spacing of doubles is infinite too
+    # an infinite end, where the spacing of doubles is infinite too, and
+    # finite ends whose width or midpoint overflows
     for bracket, resolution in (((0.0, math.inf), math.inf),
-                                ((-math.inf, 0.2), 1e-3)):
+                                ((-math.inf, 0.2), 1e-3),
+                                ((-1e308, 1e308), 1e300),
+                                ((1e308, 1.7e308), 1e300)):
         with pytest.raises(ValueError, match="bracket ends must be finite"):
             find_threshold_jp(p, bracket=bracket, resolution=resolution)
     with pytest.raises(ValueError):
