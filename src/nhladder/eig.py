@@ -171,7 +171,9 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
 
     Accepts a real SparseOperator or a real dense square array, which
     becomes a SparseOperator of its nonzeros (np.nonzero) before anything
-    else; complex input raises ValueError. Raises CapacityError when the
+    else; complex input raises ValueError, and so does a matrix whose
+    norm(H, inf) is not finite or exceeds sqrt(max float / dimension) / 2,
+    where the residual check could overflow. Raises CapacityError when the
     dimension exceeds the size budget, ConvergenceError when any eigenpair
     residual exceeds RESIDUAL_RTOL * norm(H, inf), the eigenvalue sum
     misses the trace by more than TRACE_RTOL * norm(H, inf) * dimension, or
@@ -213,6 +215,12 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     # max_i sum_j |H_ij|, each row summed in row-major order
     norm = float(np.bincount(rows, weights=np.abs(values),
                              minlength=dim).max(initial=0.0))
+    # each residual sums dim squares of at most (2 norm)^2: see
+    # _entry_residuals. An infinite or NaN entry fails here too
+    limit = np.sqrt(np.finfo(float).max / max(dim, 1)) / 2
+    if not norm <= limit:
+        raise ValueError(f"matrix norm {norm:.3e} must be finite and at most "
+                         f"{limit:.3e} for residuals of dimension {dim}")
     trace = np.sum(values[rows == cols])
     gathered = time.perf_counter()
 
@@ -235,12 +243,18 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
         residuals = np.full(dim, np.nan)
         worst = _deciding_index(eigenvalues)
         if dim:
-            x = lapack.inverse_iteration(dim, rows, cols, balanced,
-                                         eigenvalues[worst],
-                                         operator.band_order)
-            residuals[worst] = _entry_residuals(
-                rows, cols, values, diag, eigenvalues[worst:worst + 1],
-                x[:, np.newaxis])[0]
+            # an exactly zero pivot (the shift is an exact eigenvalue of an
+            # exact matrix) leaves the residual NaN, a miss like any other
+            try:
+                x = lapack.inverse_iteration(dim, rows, cols, balanced,
+                                             eigenvalues[worst],
+                                             operator.band_order)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                residuals[worst] = _entry_residuals(
+                    rows, cols, values, diag, eigenvalues[worst:worst + 1],
+                    x[:, np.newaxis])[0]
     bound = RESIDUAL_RTOL * max(norm, 1e-300)
     if dim and not residuals[worst] <= bound:
         if not vectors:
@@ -303,7 +317,11 @@ def _entry_residuals(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     """Turn the eigenvectors Y of the balanced matrix, for the eigenvalues
     w (all n or fewer), into unit eigenvectors X of H in place, and return
     the column norms of H X - X diag(w), from the row-major nonzeros of H.
-    Raises ConvergenceError on a zero vector.
+    Raises ConvergenceError on a zero vector. No unit column has an entry
+    above 1 in modulus and |w| <= norm(H, inf), so every entry of
+    H X - X diag(w), and each partial sum of it, is at most 2 norm(H, inf)
+    in modulus: a column's sum of n squares is finite for
+    norm(H, inf) <= sqrt(max float / n) / 2, which eigendecompose checks.
 
     One pass, GATHER columns at a time, each block a view of Y^T (C-ordered
     for the Fortran-ordered Y of geev) whose rows are scaled by the

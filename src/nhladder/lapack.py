@@ -7,13 +7,14 @@ its `dgeev` on a private copy of the input and keeps about five n x n
 buffers of its own. `geev` takes the nonzeros of a real matrix and calls
 the same routine in place, in the one buffer it allocates and describes,
 with or without eigenvectors. `inverse_iteration` factors a shifted
-sparse matrix as a band, in place with `gbtrf`, and solves with `gbtrs`
-from the same library, to check one eigenpair of an eigenvalue-only
-solve: O(D kl^2) time and about 3 kl D entries for a band of kl diagonals
-on either side. The caller always gives the numbering that makes the
-band narrow, as every model operator carries its sector's. `threads` sets
-the size of the OpenBLAS thread pool for a block of code, and
-`solve_lanes` is how many such solves a threshold search runs at once.
+sparse matrix as a band, in place with `gbtrf` once, and solves twice
+with `gbtrs` from the same library, to check one eigenpair of an
+eigenvalue-only solve: O(D kl^2) time and about 3 kl D entries for a
+band of kl diagonals on either side. The caller always gives the
+numbering that makes the band narrow, as every model operator carries its
+sector's. `threads` sets the size of the OpenBLAS thread pool for a
+block of code, and `solve_lanes` is how many such solves a threshold
+search runs at once.
 
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
@@ -225,17 +226,12 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
     in O(n kl (kl + ku)) time, and both steps solve (gbtrs) with that one
     factorisation; x comes back in the original numbering. A ladder
     sector in its band order is sparse and its band narrow (kl = 76 at
-    n = 816). Where a pivot is exactly zero, the shift moves by
-    eps * norm(B, inf) (tiny / eps for B = 0), as LAPACK dhsein perturbs a
-    shift, and B is factored again; LinAlgError after four tries. Where
-    the library is not bound, `np.linalg.solve` does each step on a dense
-    n x n copy in B's own numbering.
+    n = 816). Where the library is not bound, `np.linalg.solve` does each
+    step on a dense n x n copy in B's own numbering. Either way a pivot
+    that is exactly zero, as where the shift is an exact eigenvalue of an
+    exact matrix, raises LinAlgError: the caller solves in full instead.
     """
     kind = "D" if np.iscomplexobj(shift) else "d"
-    norm = np.bincount(rows, weights=np.abs(values),
-                       minlength=n).max(initial=0.0)
-    eps = np.finfo(float).eps
-    nudge = eps * norm or np.finfo(float).tiny / eps
     binding = _bind()
     if binding is None:
         position = np.arange(n)
@@ -250,24 +246,18 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
         at, diagonal = (kl + ku + i - j, j), (kl + ku, slice(None))
         pivots = np.empty(n, np.int64)
     a = np.zeros(shape, kind, order="F")
-    for _ in range(4):
-        a[:] = 0.0
-        a[at] = values
-        a[diagonal] -= shift
-        x = np.ones(n, kind)
-        try:
-            if binding is not None:
-                _gbtrf(binding, a, kl, ku, pivots)
-            for _ in range(2):
-                if binding is None:
-                    x = np.linalg.solve(a, x)
-                else:
-                    _gbtrs(binding, a, kl, ku, pivots, x)
-                x /= np.abs(x).max()
-            return x[position]
-        except np.linalg.LinAlgError:
-            shift += nudge
-    raise np.linalg.LinAlgError("shifted matrix stays singular")
+    a[at] = values
+    a[diagonal] -= shift
+    if binding is not None:
+        _gbtrf(binding, a, kl, ku, pivots)
+    x = np.ones(n, kind)
+    for _ in range(2):
+        if binding is None:
+            x = np.linalg.solve(a, x)
+        else:
+            _gbtrs(binding, a, kl, ku, pivots, x)
+        x /= np.abs(x).max()
+    return x[position]
 
 
 def _unpack(buffer: np.ndarray, vr: np.ndarray,

@@ -197,15 +197,18 @@ class SectorPlan:
             raise ValueError(f"basis {basis!r} does not match params "
                              f"(cells={params.cells}, particles={params.particles}, "
                              f"statistics={params.statistics})")
-        diag = _diagonal(self._counts, params)
-        on = np.flatnonzero(diag)
-        rows, cols, vals = [on], [on], [diag[on]]
-        for name, sign, term_rows, term_cols, amplitudes in self._terms:
-            coeff = sign * getattr(params, name)
-            if coeff != 0.0:
-                rows.append(term_rows)
-                cols.append(term_cols)
-                vals.append(coeff * amplitudes)
+        # a product that overflows, and a sum of opposite infinities, is
+        # left to eig.eigendecompose, which rejects a non-finite norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = _diagonal(self._counts, params)
+            on = np.flatnonzero(diag)
+            rows, cols, vals = [on], [on], [diag[on]]
+            for name, sign, term_rows, term_cols, amplitudes in self._terms:
+                coeff = sign * getattr(params, name)
+                if coeff != 0.0:
+                    rows.append(term_rows)
+                    cols.append(term_cols)
+                    vals.append(coeff * amplitudes)
         return SparseOperator(dimension=basis.dimension,
                               rows=np.concatenate(rows),
                               cols=np.concatenate(cols),

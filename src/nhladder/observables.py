@@ -253,19 +253,19 @@ class Cluster:
         return len(self.members)
 
 
-def default_min_gap(jl: float, jr: float) -> float:
-    """Gap floor tied to the dominant hop scale: 0.1 max(|jl|, |jr|)."""
-    return 0.1 * max(abs(jl), abs(jr))
+def default_min_gap(scale: float) -> float:
+    """Gap floor tied to a hop scale: 0.1 |scale|."""
+    return 0.1 * abs(scale)
 
 
 def min_gap_for(params: ModelParams, min_gap: Optional[float]) -> float:
     """The min_gap every command clusters with: the given value, or, for
-    None, default_min_gap(s, s) of the gauge-invariant hop scale
+    None, default_min_gap of the gauge-invariant hop scale
     s = sqrt(|jl_a jr_a| + |jl_b jr_b|), which the imaginary gauge and the
     leg swap leave alone; s is 1 at the reference amplitudes."""
     scale = math.sqrt(abs(params.jl_a * params.jr_a)
                       + abs(params.jl_b * params.jr_b))
-    return default_min_gap(scale, scale) if min_gap is None else min_gap
+    return default_min_gap(scale) if min_gap is None else min_gap
 
 
 def check_gaps(gap_factor: float, min_gap: Optional[float] = None) -> None:

@@ -17,9 +17,8 @@ from nhladder.fock import enumerate_basis
 from nhladder.model import (ModelParams, build_hamiltonian,
                             build_single_particle_matrix, sector_basis)
 from nhladder.observables import (cluster_spectrum, correlation_ncor,
-                                  correlation_ncor_all, default_min_gap,
-                                  entanglement_entropy, left_half_sites,
-                                  site_density)
+                                  correlation_ncor_all, entanglement_entropy,
+                                  left_half_sites, min_gap_for, site_density)
 from nhladder.perturb import validate_effective_model
 from nhladder.sweep import Axis, SweepSpec, find_threshold_jp, run_sweep
 
@@ -265,7 +264,7 @@ def test_criterion_11_property_suites_run_on_generic_parameters():
             assert entanglement_entropy(vec, basis, subset) == pytest.approx(
                 entanglement_entropy(vec, basis, complement), abs=1e-9)
             # clusters partition the spectrum
-            clusters = cluster_spectrum(result, min_gap=default_min_gap(
-                params.jl_a, params.jr_a))
+            clusters = cluster_spectrum(result,
+                                        min_gap=min_gap_for(params, None))
             seen = sorted(m for c in clusters for m in c.members)
             assert seen == list(range(basis.dimension))

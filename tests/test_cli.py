@@ -423,6 +423,22 @@ def test_infinite_options_are_rejected(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_hamiltonian_that_overflows_exits_2(tmp_path, capsys):
+    # finite options whose entries overflow a double, or whose entries are
+    # finite but whose residual check would overflow: a configuration
+    # error, not a solver failure, and no floating-point warning on the way
+    spectrum = ["spectrum", "--cells", "3", "--particles", "2"]
+    cases = [["--jp", "1e308", "--mu", "1e308"],
+             ["--mu", "1e308", "--u", "1e308"], ["--jp", "1e200"]]
+    for case, options in enumerate(cases):
+        capsys.readouterr()
+        assert main([*spectrum, *options,
+                     "--out", str(tmp_path / f"case{case}")]) == 2, options
+        assert capsys.readouterr().err.startswith(
+            "error (config): matrix norm "), options
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_3_on_capacity(tmp_path, monkeypatch):
     assert main(["spectrum", "--cells", "20", "--particles", "2",
                  "--capacity", "100", "--out", str(tmp_path / "x")]) == 3
@@ -458,7 +474,8 @@ def test_exit_code_3_when_the_solve_cannot_allocate(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_exit_code_4_on_solver_failure(tmp_path, capsys, monkeypatch):
+def test_exit_code_4_on_solver_failure(tmp_path, tmp_path_factory, capsys,
+                                      monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("synthetic failure")
 
@@ -468,23 +485,46 @@ def test_exit_code_4_on_solver_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
 
     # LAPACK's LinAlgError is a ValueError, yet a solver failure: dgeev
-    # that does not converge, and inverse iteration whose shifted matrix
-    # stays singular
+    # that does not converge
     def diverge(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    search = ["threshold", "--cells", "4", "--particles", "1", "--mu", "0.2",
+              "--bracket", "0:1", "--resolution", "0.01"]
     monkeypatch.setattr(lapack, "geev", diverge)
     capsys.readouterr()
     assert main(["spectrum", "--cells", "2", "--particles", "1",
                  "--out", str(tmp_path / "x")]) == 4
     assert capsys.readouterr().err == ("error (solver): Eigenvalues did not "
                                        "converge\n")
-    monkeypatch.undo()
-    monkeypatch.setattr(lapack, "inverse_iteration", diverge)
-    assert main(["threshold", "--cells", "4", "--particles", "1",
-                 "--mu", "0.2", "--bracket", "0:1", "--resolution", "0.01",
-                 "--out", str(tmp_path / "t")]) == 4
+    assert main([*search, "--out", str(tmp_path / "t")]) == 4
     assert capsys.readouterr().err.startswith("error (solver): ")
+    monkeypatch.undo()
+
+    # inverse iteration on an exactly singular shifted matrix is no solver
+    # failure: each eigenvalue-only solve of the search is taken in full,
+    # with the answer of an unpatched run
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    geev, requests = lapack.geev, []
+
+    def recording(n, rows, cols, values, vectors=True):
+        requests.append(vectors)
+        return geev(n, rows, cols, values, vectors)
+
+    out = tmp_path_factory.mktemp("search")
+    assert main([*search, "--out", str(out / "plain")]) == 0
+    monkeypatch.setattr(lapack, "geev", recording)
+    monkeypatch.setattr(lapack, "inverse_iteration", singular)
+    assert main([*search, "--out", str(out / "singular")]) == 0
+    monkeypatch.undo()
+    plain, full = (read_json(out / f"{name}.json")["results"]
+                   for name in ("plain", "singular"))
+    assert (full["jp_star"], full["bracket"]) \
+        == (plain["jp_star"], plain["bracket"])
+    assert requests.count(False) == requests.count(True) \
+        == full["evaluations"] > 0
     # a resonant effective model is still a configuration error
     assert main(["effective", "--cells", "4", "--particles", "2",
                  "--u", "4", "--mu", "2", "--jp", "0.01",

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import operator as operator_module
+import sys
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,33 @@ def test_input_validation():
         is_spectrum_real(eigendecompose(np.eye(2)), eps_im=-1.0)
 
 
+def test_a_norm_the_residual_check_could_overflow_is_rejected():
+    # the residuals of a D x D matrix sum D squares of up to (2 norm)^2:
+    # above sqrt(max float / D) / 2 the norm is rejected before balancing
+    operator = _sector(3, 2, jp=1.0, mu=0.2, u=4.0)
+    dim = operator.dimension
+    norm = eigendecompose(operator).matrix_norm
+    limit = np.sqrt(np.finfo(float).max / dim) / 2
+    below, above = (dataclasses.replace(
+        operator, values=operator.values * (scale * limit / norm))
+        for scale in (0.5, 2.0))
+    for vectors in (True, False):
+        assert eigendecompose(below, vectors=vectors).matrix_norm <= limit
+        with pytest.raises(ValueError, match="matrix norm"):
+            eigendecompose(above, vectors=vectors)
+    # an infinite or NaN entry, as a product that overflows leaves it, and
+    # infinities that cancel to NaN
+    for bad in (np.inf, -np.inf, np.nan):
+        values = operator.values.copy()
+        values[0] = bad
+        with pytest.raises(ValueError, match="matrix norm"):
+            eigendecompose(dataclasses.replace(operator, values=values))
+    cancelling = SparseOperator(2, np.array([0, 0, 1]), np.array([1, 1, 0]),
+                                np.array([np.inf, -np.inf, 1.0]))
+    with pytest.raises(ValueError, match="matrix norm nan"):
+        eigendecompose(cancelling)
+
+
 def test_right_eigenvectors_are_unit_columns():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(12, 12))
@@ -409,7 +437,9 @@ def test_unit_eigenvectors_have_the_bits_of_numpy_norm(make, dtype,
 def test_solve_peaks_below_three_real_arrays():
     # numpy reports its buffers to tracemalloc, so the peak is deterministic:
     # the buffer of two real n x n arrays plus O(n * GATHER) temporaries; a
-    # real spectrum then keeps one real n x n array, a complex one two
+    # real spectrum then keeps one real n x n array, a complex one two. A
+    # trace function that holds the solver's frame (a line coverage tool)
+    # stops numpy from shrinking the buffer, and the real result keeps two
     from nhladder import lapack
 
     if lapack.symbol() is None:
@@ -418,7 +448,8 @@ def test_solve_peaks_below_three_real_arrays():
     reciprocal = dict(jl_a=1.0, jr_a=1.0, jl_b=1.0, jr_b=1.0, jp=0.1)
     for op, dtype, kept in ((_sector(20, 2, jp=0.01, mu=0.2, u=4.0),
                              np.complex128, 2.1),
-                            (_sector(300, 1, **reciprocal), np.float64, 1.1)):
+                            (_sector(300, 1, **reciprocal), np.float64,
+                             2.1 if sys.gettrace() else 1.1)):
         tracemalloc.start()
         try:
             result = eigendecompose(op)
@@ -518,6 +549,11 @@ EIGENVALUE_ONLY_INPUTS = {name: make for name, make in RESIDUAL_INPUTS.items()
                           if "L=20" not in name}
 
 
+# the deciding eigenvalue of these is exact in an exact matrix: the shifted
+# matrix of inverse iteration has an exactly zero pivot
+SINGULAR_SHIFT = ("n=1", "solve n=1", "solve n=2 complex pair")
+
+
 @pytest.mark.parametrize("name", list(EIGENVALUE_ONLY_INPUTS))
 def test_eigenvalue_only_solve_verifies_the_deciding_eigenpair(name):
     operator = _sparse(EIGENVALUE_ONLY_INPUTS[name]())
@@ -528,6 +564,14 @@ def test_eigenvalue_only_solve_verifies_the_deciding_eigenpair(name):
         operator = dataclasses.replace(operator, band_order=np.arange(n))
     full = eigendecompose(operator)
     fast = eigendecompose(operator, vectors=False)
+    if name in SINGULAR_SHIFT:
+        # solved again with every eigenvector, as on a residual miss
+        for attr in ("eigenvalues", "eigenvectors", "residuals"):
+            a, b = getattr(fast, attr), getattr(full, attr)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b), attr
+        assert fast.matrix_norm == full.matrix_norm
+        return
     w = fast.eigenvalues
     assert fast.eigenvectors is None
     assert w.dtype == full.eigenvalues.dtype and w.shape == (full.dimension,)

@@ -10,9 +10,10 @@ build_hamiltonian and eigendecompose.
 - jl <-> jr on both legs transposes H.
 
 The gauge on leg A alone is no similarity once jp != 0, and is the control.
-Observables follow the leg swap too: site densities exchange legs,
-polarization changes sign and ncor stays; the select_clusters groups keep
-their sizes.
+Observables follow the maps too: under the leg swap site densities
+exchange legs and polarization changes sign, under jl <-> jr each leg's
+densities are mirrored, and the sign maps keep them; ncor stays under all
+of these. The select_clusters groups keep their sizes under every map.
 """
 
 import functools
@@ -31,9 +32,13 @@ from nhladder.sweep import find_threshold_jp
 SECTORS = [("boson", 4, 2), ("boson", 3, 3), ("fermion", 4, 3),
            ("fermion", 5, 2)]
 DRAWS = 3
-# the maps agree within 1.2e-13 over these draws, and the leg-swapped
-# observables within 4.2e-12
+# the maps agree within 1.2e-13 over these draws, the leg-swapped
+# observables within 4.2e-12 and those of the sign maps within 2.8e-13
 TOL = 1e-11
+# jl <-> jr solves H^T on its own, and the eigenvectors of these
+# non-normal matrices are ill-conditioned: its observables agree within
+# 3.3e-11
+TRANSPOSE_TOL = 1e-10
 # eigenstates are matched by eigenvalue only where no other eigenvalue lies
 # this close; every eigenvalue of these draws is at least 4e-3 from the rest
 ISOLATED = 1e-6
@@ -134,24 +139,74 @@ def _observables(params):
             polarization_all(vectors, basis), ncor)
 
 
-@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
-def test_leg_swap_maps_the_observables(sector):
+def _check_observables(sector, name, sites, sign, tol):
+    """Match each isolated eigenstate of every draw to its partner under
+    the map by eigenvalue: its site densities must be sites(densities,
+    cells), its polarization sign times the polarization and its ncor the
+    same, all within tol."""
     for params, g in _draws(*sector):
         values, dens, pol, ncor = _observables(params)
-        swapped, dens_s, pol_s, ncor_s = _observables(_leg_swap(params, g))
+        mapped, dens_m, pol_m, ncor_m = _observables(MAPS[name](params, g))
         gaps = np.abs(values[:, np.newaxis] - values[np.newaxis, :])
         np.fill_diagonal(gaps, np.inf)
         isolated = np.flatnonzero(gaps.min(axis=1) > ISOLATED)
         assert isolated.size
-        cells = params.cells
         for i in isolated:
-            j = np.argmin(np.abs(swapped - values[i]))
-            assert abs(swapped[j] - values[i]) <= TOL
-            legs_exchanged = np.concatenate([dens[i, cells:], dens[i, :cells]])
-            assert np.max(np.abs(dens_s[j] - legs_exchanged)) <= TOL
-            assert abs(pol_s[j] + pol[i]) <= TOL
+            j = np.argmin(np.abs(mapped - values[i]))
+            assert abs(mapped[j] - values[i]) <= TOL
+            expected = sites(dens[i], params.cells)
+            assert np.max(np.abs(dens_m[j] - expected)) <= tol
+            assert abs(pol_m[j] - sign * pol[i]) <= tol
             if ncor is not None:
-                assert abs(ncor_s[j] - ncor[i]) <= TOL
+                assert abs(ncor_m[j] - ncor[i]) <= tol
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_leg_swap_maps_the_observables(sector):
+    _check_observables(
+        sector, "leg swap",
+        lambda dens, cells: np.concatenate([dens[cells:], dens[:cells]]),
+        -1.0, TOL)
+
+
+@pytest.mark.parametrize("name", ["rung sign", "hop sign"])
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_sign_maps_keep_the_observables(sector, name):
+    # both are diagonal similarities of +-1: every |amplitude| stays
+    _check_observables(sector, name, lambda dens, cells: dens, 1.0, TOL)
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_left_right_mirrors_the_observables(sector):
+    # H' = H^T = R H R^T for the mirror R: x -> L - 1 - x on each leg
+    _check_observables(
+        sector, "left-right",
+        lambda dens, cells: np.concatenate([dens[cells - 1::-1],
+                                            dens[:cells - 1:-1]]),
+        1.0, TRANSPOSE_TOL)
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_map_keeps_the_cluster_groups(sector, name):
+    # each side clusters with its own default min_gap, as every command does
+    def sizes(params):
+        groups = select_clusters(_solve(params)[1], params)
+        return [[c.size for c in groups[selector]] for selector in SELECTORS]
+
+    for params, g in _draws(*sector):
+        assert sizes(MAPS[name](params, g)) == sizes(params)
+
+
+def test_threshold_is_invariant():
+    # the rung sign is no test here: the search sets jp itself
+    params = ModelParams(cells=4, particles=1, mu=0.2)
+    found = [find_threshold_jp(p, bracket=(0.0, 1.0), resolution=5e-3)
+             for p in (params, _gauge(params, 2.0), _leg_swap(params, 2.0),
+                       MAPS["hop sign"](params, 2.0),
+                       MAPS["left-right"](params, 2.0))]
+    assert len({(t.jp_star, t.evaluations) for t in found}) == 1
+    assert found[0].bracket[1] - found[0].bracket[0] <= 5e-3
 
 
 @pytest.mark.parametrize("name", ["common gauge", "leg swap"])

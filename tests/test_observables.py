@@ -389,7 +389,7 @@ def test_bound_clusters_pick_the_pair_band(interaction, stats, size):
     result, groups, members = _bound_members(params)
     clusters = groups["all"]
     assert clusters == cluster_spectrum(
-        result, min_gap=default_min_gap(params.jl_a, params.jr_a))
+        result, min_gap=min_gap_for(params, None))
     # scattering and bound partition the clusters in order, as
     # bound_clusters splits them
     flags = bound_clusters(result, clusters, params.pair_energy)
@@ -524,9 +524,9 @@ def test_labelling_single_state_clusters_adds_only_chunks_of_eigenvectors():
 
 
 def test_default_min_gap():
-    assert default_min_gap(1.0, 0.5) == pytest.approx(0.1)
-    assert default_min_gap(-2.0, 0.5) == pytest.approx(0.2)
-    # min_gap_for: None stands for default_min_gap(s, s) of the gauge
+    assert default_min_gap(1.0) == 0.1
+    assert default_min_gap(-2.0) == 0.2
+    # min_gap_for: None stands for default_min_gap(s) of the gauge
     # invariant s = sqrt(|jl_a jr_a| + |jl_b jr_b|), exactly 1 at the
     # reference amplitudes
     assert min_gap_for(ModelParams(cells=2, particles=1), None) == 0.1
