@@ -19,7 +19,8 @@ search runs at once.
 The library is found and bound on first use, so importing the package
 costs nothing. Where it is missing (another BLAS, a source build, a wheel
 that renamed its symbols), `geev` runs `np.linalg.eig` or
-`np.linalg.eigvals`, `inverse_iteration` runs `np.linalg.solve`, `threads`
+`np.linalg.eigvals`, `inverse_iteration` runs `np.linalg.solve` on a dense
+copy, which factors it again at each of its two steps, `threads`
 leaves the thread count alone and `symbol()` is None.
 """
 
@@ -227,7 +228,8 @@ def inverse_iteration(n: int, rows: np.ndarray, cols: np.ndarray,
     factorisation; x comes back in the original numbering. A ladder
     sector in its band order is sparse and its band narrow (kl = 76 at
     n = 816). Where the library is not bound, `np.linalg.solve` does each
-    step on a dense n x n copy in B's own numbering. Either way a pivot
+    step on a dense n x n copy in B's own numbering and factors it anew
+    each time: only the band path factors once. Either way a pivot
     that is exactly zero, as where the shift is an exact eigenvalue of an
     exact matrix, raises LinAlgError: the caller solves in full instead.
     """

@@ -209,27 +209,6 @@ def test_threshold_is_invariant():
     assert found[0].bracket[1] - found[0].bracket[0] <= 5e-3
 
 
-@pytest.mark.parametrize("name", ["common gauge", "leg swap"])
-@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
-def test_map_keeps_the_cluster_groups(sector, name):
-    # each side clusters with its own default min_gap, as every command does
-    def sizes(params):
-        groups = select_clusters(_solve(params)[1], params)
-        return [[c.size for c in groups[selector]] for selector in SELECTORS]
-
-    for params, g in _draws(*sector):
-        assert sizes(MAPS[name](params, g)) == sizes(params)
-
-
-def test_threshold_is_invariant():
-    params = ModelParams(cells=4, particles=1, mu=0.2)
-    found = [find_threshold_jp(p, bracket=(0.0, 1.0), resolution=5e-3)
-             for p in (params, _gauge(params, 2.0), _leg_swap(params, 2.0),
-                       MAPS["hop sign"](params, 2.0))]
-    assert len({(t.jp_star, t.evaluations) for t in found}) == 1
-    assert found[0].bracket[1] - found[0].bracket[0] <= 5e-3
-
-
 @pytest.mark.parametrize("name, legs, gap_factor", [
     ("common gauge", {}, 1.0),
     ("leg swap", {"jl_b": 0.25, "jr_b": 0.5}, 0.5)],
