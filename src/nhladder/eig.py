@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -164,8 +164,8 @@ def _check_conjugate_closure(eigenvalues: np.ndarray) -> None:
 
 
 def eigendecompose(operator: Union[SparseOperator, np.ndarray],
-                   capacity: Optional[int] = None, *,
-                   vectors: bool = True) -> SpectrumResult:
+                   capacity: Optional[int] = None, *, vectors: bool = True,
+                   reads: Optional[Callable] = None) -> SpectrumResult:
     """Full eigendecomposition with mandatory verification, or with
     vectors=False the eigenvalues and one verified eigenpair.
 
@@ -185,11 +185,16 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
 
     With vectors=False, dgeev computes no eigenvectors and the result's
     eigenvectors are None. The trace and conjugation checks still cover
-    every eigenvalue, but only the deciding eigenvalue (_deciding_index)
-    has its residual checked, against the same bound: its eigenvector comes
-    from lapack.inverse_iteration on the balanced matrix, in the operator's
-    band_order, and the other residuals are NaN. This serves a caller that
-    reads max |Im| alone. The result is that of the full solve
+    every eigenvalue, but only the deciding eigenvalue has its residual
+    checked, against the same bound: its eigenvector comes from
+    lapack.inverse_iteration on the balanced matrix, in the operator's
+    band_order, and the other residuals are NaN. The deciding eigenvalue
+    is _deciding_index of the eigenvalues the caller's verdict reads:
+    reads, given the sorted eigenvalues as a SpectrumResult without
+    eigenvectors or residuals, returns their distinct indices in any
+    order; where reads is None or returns none, every eigenvalue is read.
+    This serves a caller that reads max |Im| over those eigenvalues alone,
+    as every threshold search does. The result is that of the full solve
     (vectors=True) of the same operator, eigenvectors included, where the
     operator carries no band_order (a dense array never does), and where
     that residual misses the bound: two steps of inverse iteration need not
@@ -241,7 +246,10 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
         worst = int(np.argmax(residuals)) if dim else 0
     else:
         residuals = np.full(dim, np.nan)
-        worst = _deciding_index(eigenvalues)
+        picked = [] if reads is None else reads(
+            SpectrumResult(eigenvalues, None, residuals, norm))
+        picked = np.sort(picked) if len(picked) else np.arange(dim)
+        worst = int(picked[_deciding_index(eigenvalues[picked])]) if dim else 0
         if dim:
             # an exactly zero pivot (the shift is an exact eigenvalue of an
             # exact matrix) leaves the residual NaN, a miss like any other
@@ -283,14 +291,15 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
 
 def _deciding_index(eigenvalues: np.ndarray) -> int:
     """Index of the eigenvalue that decides max |Im| of a spectrum sorted by
-    (re, im): the first of largest |Im|, or, where every eigenvalue is real,
-    the lower member of the closest adjacent pair, the two that would meet
-    and turn complex first; 0 for fewer than two eigenvalues."""
-    if np.iscomplexobj(eigenvalues):
+    (re, im): the first of largest |Im|, or, where every |Im| is zero,
+    whatever the dtype, the lower member of the closest adjacent pair, the
+    two that would meet and turn complex first; 0 for fewer than two
+    eigenvalues."""
+    if eigenvalues.imag.any():
         return int(np.argmax(np.abs(eigenvalues.imag)))
     if len(eigenvalues) < 2:
         return 0
-    return int(np.argmin(np.diff(eigenvalues)))
+    return int(np.argmin(np.diff(eigenvalues.real)))
 
 
 def _permute_columns(vectors: np.ndarray, order: np.ndarray) -> None:

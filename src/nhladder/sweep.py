@@ -209,12 +209,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
                         _grid_values(spec)))
 
 
+def _selected(result, params: ModelParams, selector: str, gap_factor: float,
+              min_gap: Optional[float]) -> np.ndarray:
+    """Indices of the eigenvalues of result in the selector's clusters
+    (observables.select_clusters), every index for "all"."""
+    if selector == "all":
+        return np.arange(result.dimension)
+    clusters = select_clusters(result, params, gap_factor, min_gap)[selector]
+    return np.array([i for c in clusters for i in c.members], dtype=np.intp)
+
+
 def _max_im_for_selector(result, params: ModelParams, selector: str,
                          gap_factor: float, min_gap: Optional[float]) -> float:
-    if selector == "all":
-        return float(np.max(np.abs(result.eigenvalues.imag)))
-    clusters = select_clusters(result, params, gap_factor, min_gap)[selector]
-    return max((c.max_im for c in clusters), default=0.0)
+    """max |Im| over the _selected eigenvalues, 0 where none is selected.
+    Clusters are closed under conjugation, so this is the largest max_im
+    of the selected clusters."""
+    members = _selected(result, params, selector, gap_factor, min_gap)
+    return float(np.abs(result.eigenvalues.imag[members]).max(initial=0.0))
 
 
 def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
@@ -255,10 +266,11 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     round with no new point solves nothing. The answer does not depend on
     the lanes; evaluations and trace count every solve, speculative ones
     included. Every solve assembles its Hamiltonian from one
-    model.SectorPlan of the sector. With the "all" selector each solve
+    model.SectorPlan of the sector. With every selector each solve
     computes eigenvalues only and verifies the eigenpair that decides
-    max |Im| (eig.eigendecompose with vectors=False), in the band order
-    every operator of the plan carries.
+    max |Im| over the selected clusters (eig.eigendecompose with
+    vectors=False and reads), in the band order every operator of the plan
+    carries.
     """
     _check_bracket(bracket, resolution)
     if eps_im is not None:
@@ -310,17 +322,14 @@ def _search(params: ModelParams, cluster_selector: str,
     SweepSpec but for the pair energy, which a sweep axis can move."""
     lo, hi = float(bracket[0]), float(bracket[1])
     _check_bound(params, cluster_selector)
-    # "all" reads max |Im| alone, which the eigenvalue-only solve verifies
-    # by banded inverse iteration; the cluster selectors read other
-    # eigenvalues
-    vectors = cluster_selector != "all"
 
     def solve(jp: float) -> Tuple[float, float]:
         p = params.with_updates(jp=jp)
+        selection = (p, cluster_selector, gap_factor, min_gap)
         result = eigendecompose(plan.operator(p), capacity=capacity,
-                                vectors=vectors)
-        return (_max_im_for_selector(result, p, cluster_selector, gap_factor,
-                                     min_gap), result.matrix_norm)
+                                vectors=False,
+                                reads=lambda r: _selected(r, *selection))
+        return _max_im_for_selector(result, *selection), result.matrix_norm
 
     cache: Dict[float, float] = {}  # jp -> indicator, in solve order
     eps = eps_im

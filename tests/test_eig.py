@@ -219,6 +219,49 @@ def test_eigenvalue_only_solve_falls_back_to_the_full_solve(monkeypatch):
         assert np.array_equal(getattr(fast, name), getattr(full, name)), name
 
 
+def test_deciding_index_tells_a_real_spectrum_by_value():
+    from nhladder.eig import _deciding_index
+
+    # every |Im| zero is a real spectrum whatever the dtype: its closest
+    # pair (1, 1.001) decides, not the argmax of the zeros
+    for dtype in (float, complex):
+        assert _deciding_index(np.array([0, 1, 1.001, 3], dtype)) == 1
+    assert _deciding_index(np.array([0, 1 - 2j, 1 + 2j, 3])) == 1
+    assert _deciding_index(np.array([2.5 + 0j])) == 0
+    assert _deciding_index(np.zeros(0, complex)) == 0
+
+
+@pytest.mark.parametrize("part", ["real", "complex", "none"])
+def test_eigenvalue_only_solve_verifies_what_the_caller_reads(part):
+    # 132 real and two conjugate pairs: the eigenpair verified is the one
+    # that decides max |Im| over the indices the caller reads, which come
+    # in any order; reading none reads every eigenvalue
+    operator = _sector(8, 2, jp=0.01, mu=0.2, u=4.0)
+    every = eigendecompose(operator, vectors=False)
+    w = every.eigenvalues
+    top = np.argmax(np.abs(w.imag))
+    real = np.flatnonzero(w.imag == 0)
+    lower = np.flatnonzero((w.imag != 0) & (np.abs(w.imag) < abs(w[top].imag)))
+    read, expected = {
+        "real": (real, real[np.argmin(np.diff(w.real[real]))]),
+        "complex": (lower, lower[np.argmax(np.abs(w.imag[lower]))]),
+        "none": (np.zeros(0, int), top)}[part]
+    seen = []
+
+    def reads(result):
+        seen.append(result)
+        return read[::-1]
+
+    fast = eigendecompose(operator, vectors=False, reads=reads)
+    assert seen[0].eigenvectors is None
+    assert np.array_equal(seen[0].eigenvalues, w)
+    assert fast.eigenvectors is None and np.array_equal(fast.eigenvalues, w)
+    checked = np.flatnonzero(~np.isnan(fast.residuals))
+    assert checked.tolist() == [expected]
+    assert expected != top or part == "none"
+    assert fast.residuals[expected] <= 1e-9 * fast.matrix_norm
+
+
 def test_eigenvalue_only_solve_keeps_the_diagnostic_keys():
     op = _sector(6, 2, jp=0.01, mu=0.2, u=4.0)
     assert list(eigendecompose(op, vectors=False).diagnostics) \

@@ -719,13 +719,25 @@ def test_eonsite_validation():
 
 # dgeev without eigenvectors reduces by a different QR path, so max |Im|
 # may differ in its last digits; the largest gap over these searches was
-# 5.0e-13 (L=6, N=3)
+# 5.8e-13 (L=6, N=3, bound, two lanes)
 _EIGENVALUE_ONLY_ATOL = 1e-11
+_THREE_BOSONS = ModelParams(cells=6, particles=3, u=16.0, mu=16.0 / 3.0)
+_THREE_BOSON_SEARCH = dict(bracket=(0.1, 1.2), resolution=0.02, eps_im=1e-2)
 _SEARCHES = {
     "L=8 N=2": (ModelParams(cells=8, particles=2, u=4.0, mu=0.2),
                 dict(bracket=(0.0, 0.1))),
-    "L=6 N=3": (ModelParams(cells=6, particles=3, u=16.0, mu=16.0 / 3.0),
-                dict(bracket=(0.1, 1.2), resolution=0.02, eps_im=1e-2)),
+    "L=6 N=3": (_THREE_BOSONS, _THREE_BOSON_SEARCH),
+    # the selectors verify the eigenpair deciding max |Im| over their own
+    # clusters: the bound band of the three bosons turns complex at 1.148,
+    # the scattering states of the two at 0.0086
+    "L=6 N=3 bound": (_THREE_BOSONS,
+                      dict(_THREE_BOSON_SEARCH, cluster_selector="bound")),
+    "L=8 N=2 scattering": (ModelParams(cells=8, particles=2, u=4.0, mu=0.2),
+                           dict(bracket=(0.0, 0.1),
+                                cluster_selector="scattering")),
+    "L=8 N=2 bound": (ModelParams(cells=8, particles=2, u=16.0, mu=4.0),
+                      dict(bracket=(0.0, 0.5), resolution=0.005,
+                           cluster_selector="bound")),
 }
 
 
@@ -770,7 +782,10 @@ def test_threshold_at_an_exceptional_point():
 
 
 @pytest.mark.parametrize("selector", ["scattering", "bound"])
-def test_cluster_selectors_keep_the_full_path(selector, monkeypatch):
+def test_cluster_selectors_hold_no_eigenvector_array(selector, monkeypatch):
+    # one lane, so one solve at a time: the D x D complex eigenvectors of a
+    # full solve would take the peak to about 4 real D x D arrays
+    monkeypatch.setattr(lapack, "solve_lanes", lambda: 1)
     asked = []
 
     def solve(*args, **kw):
@@ -778,12 +793,37 @@ def test_cluster_selectors_keep_the_full_path(selector, monkeypatch):
         return eigendecompose(*args, **kw)
 
     monkeypatch.setattr(sweep_mod, "eigendecompose", solve)
-    # whether the window holds a crossing does not matter here
-    with contextlib.suppress(ValueError):
-        find_threshold_jp(ModelParams(cells=4, particles=2, u=4.0, mu=0.2),
-                          cluster_selector=selector, bracket=(0.0, 1.0),
-                          resolution=0.05)
-    assert len(asked) >= 5 and set(asked) == {True}
+    dimension = sector_basis(_THREE_BOSONS).dimension
+    tracemalloc.start()
+    try:
+        result = find_threshold_jp(_THREE_BOSONS, cluster_selector=selector,
+                                   **_THREE_BOSON_SEARCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(asked) == result.evaluations and set(asked) == {False}
+    assert peak < 2.5 * 8 * dimension ** 2
+
+
+def test_sweep_threshold_with_a_selector_solves_eigenvalues_only(
+        monkeypatch):
+    params, kwargs = _SEARCHES["L=8 N=2 bound"]
+    asked = []
+
+    def solve(*args, **kw):
+        asked.append(kw["vectors"])
+        return eigendecompose(*args, **kw)
+
+    monkeypatch.setattr(sweep_mod, "eigendecompose", solve)
+    spec = SweepSpec(base=params, axes=(Axis("mu", 4.0, 4.0, 1),),
+                     observables=("threshold",), threshold_selector="bound",
+                     threshold_bracket=kwargs["bracket"],
+                     threshold_resolution=kwargs["resolution"])
+    rows = run_sweep(spec)
+    assert rows[0]["error"] == ""
+    assert len(asked) >= 5 and set(asked) == {False}
+    # a sweep point searches at one lane: the answer of any lane count
+    assert rows[0]["jp_star"] == find_threshold_jp(params, **kwargs).jp_star
 
 
 @pytest.mark.parametrize("case", list(_SEARCHES))
@@ -792,6 +832,7 @@ def test_search_trace_equals_one_point_solves(case, monkeypatch):
     # of a solve of a Hamiltonian assembled at that point alone, which
     # carries the search's band order, at the search's one BLAS thread
     params, kwargs = _SEARCHES[case]
+    selector = kwargs.get("cluster_selector", "all")
     orders = []
 
     def recording(operator, *args, **kw):
@@ -804,11 +845,16 @@ def test_search_trace_equals_one_point_solves(case, monkeypatch):
     basis = sector_basis(params)
     with lapack.threads(1):
         for jp, value in result.trace:
-            op = build_hamiltonian(params.with_updates(jp=jp), basis)
+            p = params.with_updates(jp=jp)
+            op = build_hamiltonian(p, basis)
             assert all(np.array_equal(op.band_order, order)
                        for order in orders)
-            alone = eigendecompose(op, vectors=False)
-            assert np.max(np.abs(alone.eigenvalues.imag)) == value, jp
+            selection = (p, selector, 10.0, None)
+            alone = eigendecompose(
+                op, vectors=False,
+                reads=lambda r: sweep_mod._selected(r, *selection))
+            assert sweep_mod._max_im_for_selector(alone, *selection) \
+                == value, jp
 
 
 def test_search_keeps_the_eigenvalue_only_solve(monkeypatch):
