@@ -48,7 +48,7 @@ import numpy as np
 from . import __version__, lapack
 from .eig import default_eps_im, eigendecompose
 from .fock import CapacityError, basis_dimension, site_cell_leg
-from .model import ModelParams, build_hamiltonian, sector_basis
+from .model import ModelParams, build_hamiltonian, leg_hops, sector_basis
 from .observables import (OBSERVABLES, SELECTORS, check_gaps,
                           correlation_ncor, correlation_ncor_all,
                           cut_entropies, label_clusters, left_half_sites,
@@ -288,7 +288,9 @@ def _finalize_amplitudes(cfg: Dict) -> None:
 
     Either (j, alpha), or the shorthand (jl, jr) for leg A mirrored onto
     leg B, or explicit per-leg keys. j defaults to exp(-alpha), which
-    normalizes the larger amplitude to one; alpha defaults to zero.
+    normalizes jl to one, the larger amplitude for alpha >= 0; alpha
+    defaults to zero. An alpha whose exp overflows raises ValueError
+    (model.leg_hops).
     """
     j, alpha, jl, jr = (cfg.pop(key) for key in ("j", "alpha", "jl", "jr"))
     legs = ("jl_a", "jr_a", "jl_b", "jr_b")
@@ -296,9 +298,7 @@ def _finalize_amplitudes(cfg: Dict) -> None:
         if any(v is not None for v in (jl, jr, *map(cfg.get, legs))):
             raise ValueError("give either j/alpha or explicit hop amplitudes, "
                              "not both")
-        alpha = 0.0 if alpha is None else alpha
-        j = math.exp(-alpha) if j is None else j
-        jl, jr = j * math.exp(alpha), j * math.exp(-alpha)
+        jl, jr = leg_hops(j, 0.0 if alpha is None else alpha)
     else:
         jl = 1.0 if jl is None else jl
         jr = 0.5 if jr is None else jr

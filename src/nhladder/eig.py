@@ -8,24 +8,28 @@ similarity scaling) and hands the balanced nonzeros to lapack.geev, which
 runs LAPACK dgeev in place in a buffer of its own through numpy's OpenBLAS,
 or np.linalg.eig where that library cannot be bound; both give the same
 bits. No operator is made dense here: apart from geev's buffer, a solve
-holds O(nnz) entries and O(n * GATHER) temporaries. An eigenvalue-only
-solve (vectors=False) has dgeev skip the eigenvectors and finds the one
-eigenvector it checks by inverse iteration on the matrix renumbered into a
-narrow band, in a band buffer of about 3 kl x n entries (kl diagonals on
-either side) allocated after geev's n x n floats are freed. The band order
-is the one the operator carries (SparseOperator.band_order, which every
-operator of a model.SectorPlan has); an operator without one, dense input
-included, is solved with every eigenvector. Where that eigenpair misses
-the residual bound, as it can at an exceptional point (a defective
-eigenvalue), the operator is solved again with every eigenvector.
+holds O(nnz) entries and O(n * GATHER) temporaries.
 
-Every decomposition is checked before it is returned: per-eigenpair
-residuals (of the deciding eigenpair alone without eigenvectors) against
-RESIDUAL_RTOL times the norm, computed from the nonzeros of the original
-matrix, the trace identity (TRACE_RTOL), and closure of the spectrum under
-complex conjugation (CONJ_ATOL). A failed check raises
-ConvergenceError rather than returning silently wrong data. The eigenpairs
-come out sorted by real part, then imaginary part.
+A caller that reads only some eigenvalues says which (eigendecompose's
+reads), and where the operator carries a band order
+(SparseOperator.band_order, which every operator of a model.SectorPlan
+has) the solve is eigenvalue-only: dgeev skips the eigenvectors, and the
+one eigenvector it checks comes from inverse iteration on the matrix
+renumbered into a narrow band, in a band buffer of about 3 kl x n entries
+(kl diagonals on either side) allocated after geev's n x n floats are
+freed. Every other solve, dense input included, computes every
+eigenvector.
+
+Every decomposition is checked before it is returned, in one flow for
+both solves: the residuals of the eigenpairs the solve names (every one,
+or the deciding one of an eigenvalue-only solve) against RESIDUAL_RTOL
+times the norm, computed from the nonzeros of the original matrix, the
+trace identity (TRACE_RTOL), and closure of the spectrum under complex
+conjugation (CONJ_ATOL). Where the deciding eigenpair misses the residual
+bound, as it can at an exceptional point (a defective eigenvalue), the
+operator is solved again with every eigenvector; any other failed check
+raises ConvergenceError rather than returning silently wrong data. The
+eigenpairs come out sorted by real part, then imaginary part.
 """
 
 from __future__ import annotations
@@ -56,17 +60,17 @@ class ConvergenceError(RuntimeError):
 class SpectrumResult:
     """Eigenvalues sorted by real part, then imaginary part; right
     eigenvectors (columns of a Fortran-ordered array) in the same order,
-    or None from an eigenvalue-only solve; residuals, NaN in an
-    eigenvalue-only solve except at the one eigenpair it verified; the
-    infinity norm of the matrix that produced them; and the solve's
-    diagnostics: seconds per stage (densify_s, which times gathering the
-    nonzeros, balance_s, geev_s for the solve and the sort, verify_s for
-    the one eigenvector pass that undoes the balancing, normalises and
-    computes the residuals, or for the inverse iteration of the deciding
-    eigenpair and its residual, and the trace and conjugation checks), the
-    balance sweeps applied and the safety cap (fewer sweeps than the cap
-    means balancing converged), and log10(max d / min d) of the balancing
-    scale d."""
+    or None from an eigenvalue-only solve (eigendecompose with reads);
+    residuals, NaN except at the eigenpairs the solve checked (every one,
+    or the one an eigenvalue-only solve verified); the infinity norm of
+    the matrix that produced them; and the solve's diagnostics: seconds
+    per stage (densify_s, which times gathering the nonzeros, balance_s,
+    geev_s for the solve and the sort, verify_s for the caller's reads,
+    the inverse iteration of an eigenvalue-only solve, the eigenvector
+    pass that undoes the balancing, normalises and computes the residuals,
+    and the residual, trace and conjugation checks), the balance sweeps
+    applied and the safety cap (fewer sweeps than the cap means balancing
+    converged), and log10(max d / min d) of the balancing scale d."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
@@ -139,8 +143,11 @@ def _balance(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
         col = np.bincount(off_cols, weights=work, minlength=n)
         row = np.bincount(off_rows, weights=work, minlength=n)
         active = (col > 0.0) & (row > 0.0)
-        factor = np.sqrt(np.sqrt(np.divide(row, col, out=np.ones(n),
-                                           where=active)))
+        # a subnormal weight overflows the ratio; the clip below takes
+        # its infinite root to 4, as any ratio above 256
+        with np.errstate(over="ignore"):
+            factor = np.sqrt(np.sqrt(np.divide(row, col, out=np.ones(n),
+                                               where=active)))
         np.clip(factor, 0.25, 4.0, out=factor)
         np.clip(factor, 1e-12 / d, 1e12 / d, out=factor)
         if np.max(np.abs(np.log(factor))) < 1e-3:
@@ -164,10 +171,10 @@ def _check_conjugate_closure(eigenvalues: np.ndarray) -> None:
 
 
 def eigendecompose(operator: Union[SparseOperator, np.ndarray],
-                   capacity: Optional[int] = None, *, vectors: bool = True,
+                   capacity: Optional[int] = None, *,
                    reads: Optional[Callable] = None) -> SpectrumResult:
-    """Full eigendecomposition with mandatory verification, or with
-    vectors=False the eigenvalues and one verified eigenpair.
+    """Full eigendecomposition with mandatory verification, or, for a
+    caller that passes reads, the eigenvalues and one verified eigenpair.
 
     Accepts a real SparseOperator or a real dense square array, which
     becomes a SparseOperator of its nonzeros (np.nonzero) before anything
@@ -183,23 +190,25 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
     all come from the nonzeros, so both give the same bits. The eigenpairs
     are sorted by (re, im).
 
-    With vectors=False, dgeev computes no eigenvectors and the result's
-    eigenvectors are None. The trace and conjugation checks still cover
-    every eigenvalue, but only the deciding eigenvalue has its residual
-    checked, against the same bound: its eigenvector comes from
-    lapack.inverse_iteration on the balanced matrix, in the operator's
-    band_order, and the other residuals are NaN. The deciding eigenvalue
-    is _deciding_index of the eigenvalues the caller's verdict reads:
-    reads, given the sorted eigenvalues as a SpectrumResult without
-    eigenvectors or residuals, returns their distinct indices in any
-    order; where reads is None or returns none, every eigenvalue is read.
-    This serves a caller that reads max |Im| over those eigenvalues alone,
-    as every threshold search does. The result is that of the full solve
-    (vectors=True) of the same operator, eigenvectors included, where the
-    operator carries no band_order (a dense array never does), and where
-    that residual misses the bound: two steps of inverse iteration need not
-    resolve a defective eigenvalue, as at an exceptional point, and the
-    full solve checks every eigenpair instead.
+    The solve is eigenvalue-only exactly where the caller passes reads and
+    the operator carries a band_order (a dense array never does); any
+    other call is the full solve, which checks the residual of every
+    eigenpair. reads, given the sorted eigenvalues as a SpectrumResult
+    without eigenvectors or residuals, returns the distinct indices, in any
+    order, of the eigenvalues the caller's verdict reads; where it returns
+    none, every eigenvalue is read. This serves a caller that reads
+    max |Im| over those eigenvalues alone, as every threshold search does.
+    An eigenvalue-only solve has dgeev compute no eigenvectors, and the
+    result's eigenvectors are None. The trace and conjugation checks still
+    cover every eigenvalue, but only the deciding eigenvalue, the
+    _deciding_index of those read, has its residual checked, against the
+    same bound: its eigenvector comes from lapack.inverse_iteration on the
+    balanced matrix, in the operator's band_order, and the other residuals
+    are NaN. Where that residual misses the bound, or is NaN because the
+    shift is an exact eigenvalue, the result is the full solve of the same
+    operator, eigenvectors included: two steps of inverse iteration need
+    not resolve a defective eigenvalue, as at an exceptional point, and
+    the full solve checks every eigenpair instead.
     """
     start = time.perf_counter()
     if not isinstance(operator, SparseOperator):
@@ -208,7 +217,7 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
             raise ValueError(f"expected a square matrix, got shape {dense.shape}")
         rows, cols = np.nonzero(dense)
         operator = SparseOperator(len(dense), rows, cols, dense[rows, cols])
-    vectors = vectors or operator.band_order is None
+    vectors = reads is None or operator.band_order is None
     dim, dtype = operator.dimension, operator.values.dtype
     if dtype.kind not in "biuf":
         raise ValueError(f"expected a real matrix, got dtype {dtype}")
@@ -240,33 +249,29 @@ def eigendecompose(operator: Union[SparseOperator, np.ndarray],
         _permute_columns(eigenvectors, order)
     solved = time.perf_counter()
 
-    if vectors:
-        residuals = _entry_residuals(rows, cols, values, diag, eigenvalues,
-                                     eigenvectors)
-        worst = int(np.argmax(residuals)) if dim else 0
-    else:
-        residuals = np.full(dim, np.nan)
-        picked = [] if reads is None else reads(
-            SpectrumResult(eigenvalues, None, residuals, norm))
-        picked = np.sort(picked) if len(picked) else np.arange(dim)
-        worst = int(picked[_deciding_index(eigenvalues[picked])]) if dim else 0
-        if dim:
+    # each solve names the eigenpairs it checks and their columns: every
+    # one from geev, or the deciding one from inverse iteration
+    residuals = np.full(dim, np.nan)
+    checked, columns = np.arange(dim), eigenvectors
+    if not vectors and dim:
+        picked = reads(SpectrumResult(eigenvalues, None, residuals, norm))
+        picked = np.sort(picked) if len(picked) else checked
+        checked = picked[[_deciding_index(eigenvalues[picked])]]
+        try:
+            columns = lapack.inverse_iteration(
+                dim, rows, cols, balanced, eigenvalues[checked[0]],
+                operator.band_order)[:, np.newaxis]
+        except np.linalg.LinAlgError:
             # an exactly zero pivot (the shift is an exact eigenvalue of an
             # exact matrix) leaves the residual NaN, a miss like any other
-            try:
-                x = lapack.inverse_iteration(dim, rows, cols, balanced,
-                                             eigenvalues[worst],
-                                             operator.band_order)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                residuals[worst] = _entry_residuals(
-                    rows, cols, values, diag, eigenvalues[worst:worst + 1],
-                    x[:, np.newaxis])[0]
+            columns = np.full((dim, 1), np.nan)
+    residuals[checked] = _entry_residuals(rows, cols, values, diag,
+                                          eigenvalues[checked], columns)
     bound = RESIDUAL_RTOL * max(norm, 1e-300)
-    if dim and not residuals[worst] <= bound:
+    if not np.all(residuals[checked] <= bound):
         if not vectors:
-            return eigendecompose(operator, capacity, vectors=True)
+            return eigendecompose(operator, capacity)
+        worst = checked[np.argmax(residuals[checked])]
         raise ConvergenceError(f"eigenpair residual {residuals[worst]:.3e} at index "
                                f"{worst} exceeds bound {bound:.3e}")
 

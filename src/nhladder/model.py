@@ -34,6 +34,18 @@ from .fock import Basis, enumerate_basis, hop_all
 FLOAT_FIELDS = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "u_nn")
 
 
+def leg_hops(j: Optional[float], alpha: float) -> Tuple[float, float]:
+    """Left and right hops (j e^alpha, j e^-alpha) of a leg with scale j and
+    imbalance alpha; j defaults to e^-alpha. Raises ValueError naming alpha
+    where e^alpha or e^-alpha overflows a double."""
+    try:
+        j = math.exp(-alpha) if j is None else j
+        return j * math.exp(alpha), j * math.exp(-alpha)
+    except OverflowError:
+        raise ValueError(f"alpha: e^alpha and e^-alpha must not overflow a "
+                         f"double, got {alpha}") from None
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable parameter set for one ladder Hamiltonian.
@@ -78,9 +90,9 @@ class ModelParams:
     def from_j_alpha(cls, cells: int, particles: int, j: float, alpha: float,
                      **kwargs) -> "ModelParams":
         """Build amplitudes from a symmetric scale j and imbalance alpha:
-        leg A hops with (j e^alpha, j e^-alpha), leg B with the mirror."""
-        jl = j * math.exp(alpha)
-        jr = j * math.exp(-alpha)
+        leg A hops with (j e^alpha, j e^-alpha), leg B with the mirror.
+        Raises ValueError where e^alpha or e^-alpha overflows a double."""
+        jl, jr = leg_hops(j, alpha)
         return cls(cells=cells, particles=particles,
                    jl_a=jl, jr_a=jr, jl_b=jr, jr_b=jl, **kwargs)
 

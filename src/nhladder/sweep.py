@@ -268,9 +268,8 @@ def find_threshold_jp(params: ModelParams, cluster_selector: str = "all",
     included. Every solve assembles its Hamiltonian from one
     model.SectorPlan of the sector. With every selector each solve
     computes eigenvalues only and verifies the eigenpair that decides
-    max |Im| over the selected clusters (eig.eigendecompose with
-    vectors=False and reads), in the band order every operator of the plan
-    carries.
+    max |Im| over the selected clusters (eig.eigendecompose with reads),
+    in the band order every operator of the plan carries.
     """
     _check_bracket(bracket, resolution)
     if eps_im is not None:
@@ -327,7 +326,6 @@ def _search(params: ModelParams, cluster_selector: str,
         p = params.with_updates(jp=jp)
         selection = (p, cluster_selector, gap_factor, min_gap)
         result = eigendecompose(plan.operator(p), capacity=capacity,
-                                vectors=False,
                                 reads=lambda r: _selected(r, *selection))
         return _max_im_for_selector(result, *selection), result.matrix_norm
 

@@ -215,6 +215,24 @@ def test_j_alpha_parameterization(tmp_path):
     assert cfgout["jr_b"] == pytest.approx(1.0)
 
 
+def test_an_alpha_that_overflows_exits_2(tmp_path, capsys):
+    # e^alpha or e^-alpha overflows a double, whether alpha comes from a
+    # flag or a config file: a configuration error naming alpha, no file
+    config = tmp_path / "alpha.json"
+    config.write_text(json.dumps({"alpha": 800}))
+    out = tmp_path / "out"
+    out.mkdir()
+    cases = [["--alpha", "800"], ["--alpha", "-800"],
+             ["--j", "0", "--alpha", "1e308"], ["--config", str(config)]]
+    for case, options in enumerate(cases):
+        capsys.readouterr()
+        assert main(["spectrum", "--cells", "2", "--particles", "1",
+                     *options, "--out", str(out / f"case{case}")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error (config): alpha: "), options
+    assert list(out.iterdir()) == []
+
+
 def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
     # missing cells
     assert main(["spectrum", "--particles", "1"]) == 2

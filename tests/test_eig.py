@@ -15,7 +15,7 @@ from nhladder.model import (ModelParams, SparseOperator, build_hamiltonian,
 
 from oracles import (charpoly_eigenvalues, dense_balance, dense_residuals,
                      hn_open_chain_spectrum, multisets_close)
-from test_lapack import SOLVE_INPUTS
+from test_lapack import SOLVE_INPUTS, read_every
 
 
 def test_asymmetric_2x2_frozen():
@@ -158,24 +158,24 @@ def test_every_check_fires_on_dense_and_sparse_input(sparse, monkeypatch):
         return solve
 
     # shifts of 1e-3 pass the residual check at RESIDUAL_RTOL=1, with or
-    # without eigenvectors
+    # without reads
     monkeypatch.setattr(eig, "RESIDUAL_RTOL", 1.0)
-    for vectors in (True, False):
+    for reads in (None, read_every):
         monkeypatch.setattr(lapack, "geev", shifted(1e-3))
         with pytest.raises(ConvergenceError, match="trace"):
-            eigendecompose(operator, vectors=vectors)
+            eigendecompose(operator, reads=reads)
         # one eigenvalue up and another down: the sum holds, conjugation
         # breaks
         tilt = np.zeros(40, complex)
         tilt[0], tilt[-1] = 1e-3j, -1e-3j
         monkeypatch.setattr(lapack, "geev", shifted(tilt))
         with pytest.raises(ConvergenceError, match="conjugation"):
-            eigendecompose(operator, vectors=vectors)
+            eigendecompose(operator, reads=reads)
 
 
-@pytest.mark.parametrize("vectors", [True, False],
+@pytest.mark.parametrize("reads", [None, read_every],
                          ids=["full", "eigenvalue-only"])
-def test_wrong_deciding_eigenvalue_is_caught(vectors, monkeypatch):
+def test_wrong_deciding_eigenvalue_is_caught(reads, monkeypatch):
     # the conjugate pair of largest |Im| moved to 1.01 times its |Im|: the
     # sum and the conjugation hold, so only the residual can catch it
     from nhladder import eig, lapack
@@ -193,10 +193,10 @@ def test_wrong_deciding_eigenvalue_is_caught(vectors, monkeypatch):
     operator = _sector(8, 2, jp=0.01, mu=0.2, u=4.0)
     monkeypatch.setattr(lapack, "geev", stretched)
     with pytest.raises(ConvergenceError, match="residual"):
-        eigendecompose(operator, vectors=vectors)
+        eigendecompose(operator, reads=reads)
     with monkeypatch.context() as loose:
         loose.setattr(eig, "RESIDUAL_RTOL", 1.0)
-        eigendecompose(operator, vectors=vectors)
+        eigendecompose(operator, reads=reads)
 
 
 def test_eigenvalue_only_solve_falls_back_to_the_full_solve(monkeypatch):
@@ -213,7 +213,7 @@ def test_eigenvalue_only_solve_falls_back_to_the_full_solve(monkeypatch):
         return inverse_iteration(n, *args) + 1e-3 * np.arange(n)
 
     monkeypatch.setattr(lapack, "inverse_iteration", skewed)
-    fast = eigendecompose(operator, vectors=False)
+    fast = eigendecompose(operator, reads=read_every)
     assert fast.eigenvectors is not None
     for name in ("eigenvalues", "eigenvectors", "residuals"):
         assert np.array_equal(getattr(fast, name), getattr(full, name)), name
@@ -237,7 +237,7 @@ def test_eigenvalue_only_solve_verifies_what_the_caller_reads(part):
     # that decides max |Im| over the indices the caller reads, which come
     # in any order; reading none reads every eigenvalue
     operator = _sector(8, 2, jp=0.01, mu=0.2, u=4.0)
-    every = eigendecompose(operator, vectors=False)
+    every = eigendecompose(operator, reads=read_every)
     w = every.eigenvalues
     top = np.argmax(np.abs(w.imag))
     real = np.flatnonzero(w.imag == 0)
@@ -252,7 +252,7 @@ def test_eigenvalue_only_solve_verifies_what_the_caller_reads(part):
         seen.append(result)
         return read[::-1]
 
-    fast = eigendecompose(operator, vectors=False, reads=reads)
+    fast = eigendecompose(operator, reads=reads)
     assert seen[0].eigenvectors is None
     assert np.array_equal(seen[0].eigenvalues, w)
     assert fast.eigenvectors is None and np.array_equal(fast.eigenvalues, w)
@@ -262,9 +262,73 @@ def test_eigenvalue_only_solve_verifies_what_the_caller_reads(part):
     assert fast.residuals[expected] <= 1e-9 * fast.matrix_norm
 
 
+@pytest.mark.parametrize("ordered", [True, False],
+                         ids=["band order", "no band order"])
+@pytest.mark.parametrize("reads", [None, read_every],
+                         ids=["no reads", "reads"])
+def test_reads_and_the_band_order_pick_the_solve(reads, ordered,
+                                                 monkeypatch):
+    # the eigenvalue-only solve runs exactly where the caller passes reads
+    # and the operator carries a band order; any other call is the full
+    # solve. Either reaches the residual check through one call of
+    # _entry_residuals, with the columns of the eigenpairs it checks
+    from nhladder import eig, lapack
+
+    operator = _sector(6, 2, jp=0.01, mu=0.2, u=4.0)
+    if not ordered:
+        operator = dataclasses.replace(operator, band_order=None)
+    n = operator.dimension
+    geev, inverse_iteration = lapack.geev, lapack.inverse_iteration
+    entry_residuals = eig._entry_residuals
+    calls = []
+
+    def solve(*args):
+        calls.append(("geev", args[-1]))
+        return geev(*args)
+
+    def iterate(*args):
+        calls.append(("inverse_iteration",))
+        return inverse_iteration(*args)
+
+    def residuals(*args):
+        calls.append(("residuals", args[-1].shape[1]))
+        return entry_residuals(*args)
+
+    monkeypatch.setattr(lapack, "geev", solve)
+    monkeypatch.setattr(lapack, "inverse_iteration", iterate)
+    monkeypatch.setattr(eig, "_entry_residuals", residuals)
+    result = eigendecompose(operator, reads=reads)
+    if reads is not None and ordered:
+        assert calls == [("geev", False), ("inverse_iteration",),
+                         ("residuals", 1)]
+        assert result.eigenvectors is None
+        assert np.count_nonzero(np.isfinite(result.residuals)) == 1
+    else:
+        assert calls == [("geev", True), ("residuals", n)]
+        assert result.eigenvectors.shape == (n, n)
+        assert np.isfinite(result.residuals).all()
+
+
+@pytest.mark.parametrize("cells,particles", [(4, 1), (3, 2)])
+def test_a_subnormal_hop_balances_without_a_warning(cells, particles):
+    # jl = 1e-320 leaves subnormal weights, whose row/column ratio overflows
+    # to inf; the clip takes its root to 4, with no overflow warning (an
+    # error under the suite's filterwarnings)
+    from nhladder.eig import _balance, _entries
+
+    operator = _sector(cells, particles, jl_a=1e-320, jr_b=1e-320)
+    result = eigendecompose(operator)
+    assert result.diagnostics["balance_sweeps"] \
+        < result.diagnostics["balance_sweep_cap"]
+    d, balanced = _balance(operator.dimension, *_entries(operator))
+    assert np.all(np.isfinite(d)) and np.all(np.isfinite(balanced))
+    # the eigenvalue-only request balances the same nonzeros
+    eigendecompose(operator, reads=read_every)
+
+
 def test_eigenvalue_only_solve_keeps_the_diagnostic_keys():
     op = _sector(6, 2, jp=0.01, mu=0.2, u=4.0)
-    assert list(eigendecompose(op, vectors=False).diagnostics) \
+    assert list(eigendecompose(op, reads=read_every).diagnostics) \
         == list(eigendecompose(op).diagnostics)
 
 
@@ -310,10 +374,10 @@ def test_a_norm_the_residual_check_could_overflow_is_rejected():
     below, above = (dataclasses.replace(
         operator, values=operator.values * (scale * limit / norm))
         for scale in (0.5, 2.0))
-    for vectors in (True, False):
-        assert eigendecompose(below, vectors=vectors).matrix_norm <= limit
+    for reads in (None, read_every):
+        assert eigendecompose(below, reads=reads).matrix_norm <= limit
         with pytest.raises(ValueError, match="matrix norm"):
-            eigendecompose(above, vectors=vectors)
+            eigendecompose(above, reads=reads)
     # an infinite or NaN entry, as a product that overflows leaves it, and
     # infinities that cancel to NaN
     for bad in (np.inf, -np.inf, np.nan):
@@ -606,7 +670,7 @@ def test_eigenvalue_only_solve_verifies_the_deciding_eigenpair(name):
         n = operator.dimension
         operator = dataclasses.replace(operator, band_order=np.arange(n))
     full = eigendecompose(operator)
-    fast = eigendecompose(operator, vectors=False)
+    fast = eigendecompose(operator, reads=read_every)
     if name in SINGULAR_SHIFT:
         # solved again with every eigenvector, as on a residual miss
         for attr in ("eigenvalues", "eigenvectors", "residuals"):
@@ -660,7 +724,7 @@ def test_eigenvalue_only_request_without_an_order_is_the_full_solve(
         raise AssertionError("inverse iteration without a band order")
 
     monkeypatch.setattr(lapack, "inverse_iteration", refuse)
-    fast = eigendecompose(operator, vectors=False)
+    fast = eigendecompose(operator, reads=read_every)
     for attr in ("eigenvalues", "eigenvectors", "residuals"):
         a, b = getattr(fast, attr), getattr(full, attr)
         assert a.dtype == b.dtype and a.shape == b.shape

@@ -21,7 +21,7 @@ import functools
 import numpy as np
 import pytest
 
-from nhladder.eig import eigendecompose
+from nhladder.eig import _balance, _entries, eigendecompose
 from nhladder.model import ModelParams, build_hamiltonian, sector_basis
 from nhladder.observables import (SELECTORS, correlation_ncor_all,
                                   polarization_all, select_clusters,
@@ -42,6 +42,8 @@ TRANSPOSE_TOL = 1e-10
 # eigenstates are matched by eigenvalue only where no other eigenvalue lies
 # this close; every eigenvalue of these draws is at least 4e-3 from the rest
 ISOLATED = 1e-6
+# balancing stops once no scale moves by more than 0.1% in a sweep
+BALANCE_RTOL = 1e-3
 
 
 def _gauge(p, g):
@@ -126,6 +128,29 @@ def test_gauge_on_one_leg_moves_the_spectrum(sector):
         # matching, is at least 0.017 over these draws
         gaps = np.abs(spectrum[:, np.newaxis] - moved[np.newaxis, :])
         assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) > 1e-3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "balancing stops on its step, not on its distance to the balanced "
+    "matrix: the gauged nonzeros differ by up to 1.2e-2 to 1.8e-2 relative "
+    "per sector"))
+@pytest.mark.parametrize("sector", SECTORS, ids=_sector_id)
+def test_gauge_leaves_the_balanced_matrix_unchanged(sector):
+    # the common gauge is a diagonal similarity, so balancing H and the
+    # gauged H should reach one balanced matrix. Over these draws the
+    # largest entry gaps per draw are, by sector, 1.8e-2, 1.7e-2, 1.3e-2;
+    # 1.3e-5, 1.2e-2, 7.9e-3; 1.6e-2, 5.2e-5, 1.8e-2; 1.4e-2, 3.3e-5,
+    # 9.7e-5, with 21 to 103 sweeps
+    for params, g in _draws(*sector):
+        balanced = []
+        for p in (params, _gauge(params, g)):
+            operator = build_hamiltonian(p, sector_basis(p))
+            rows, cols, values = _entries(operator)
+            balanced.append((rows, cols, _balance(operator.dimension, rows,
+                                                  cols, values)[1]))
+        (rows, cols, b), (rows_g, cols_g, b_g) = balanced
+        assert np.array_equal(rows, rows_g) and np.array_equal(cols, cols_g)
+        assert np.max(np.abs(b_g - b) / np.abs(b)) <= BALANCE_RTOL
 
 
 def _observables(params):

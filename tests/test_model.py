@@ -11,6 +11,7 @@ from nhladder.model import (ModelParams, SectorPlan, build_hamiltonian,
 
 from oracles import (brute_boson_hamiltonian, brute_fermion_hamiltonian,
                      multisets_close, per_state_hamiltonian, per_term_entries)
+from test_lapack import read_every
 
 
 def test_defaults_are_mirrored_nonreciprocal_pair():
@@ -26,6 +27,14 @@ def test_from_j_alpha():
     assert p.jr_a == pytest.approx(0.5, abs=1e-15)
     assert p.jl_b == pytest.approx(0.5, abs=1e-15)
     assert p.jr_b == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("j,alpha", [(1.0, 800.0), (1.0, -800.0),
+                                     (0.0, 1e308)])
+def test_from_j_alpha_rejects_an_alpha_that_overflows(j, alpha):
+    # e^alpha or e^-alpha overflows a double: a ValueError naming alpha
+    with pytest.raises(ValueError, match="^alpha: "):
+        ModelParams.from_j_alpha(4, 2, j=j, alpha=alpha)
 
 
 def test_params_validation():
@@ -309,7 +318,7 @@ def test_plan_band_order_serves_every_operator(cells, particles, statistics):
     # solve, as it does with every hop term nonzero
     for p in (base, base.with_updates(jp=0.05, jr_b=0.0),
               base.with_updates(jp=0.05)):
-        result = eigendecompose(plan.operator(p), vectors=False)
+        result = eigendecompose(plan.operator(p), reads=read_every)
         assert result.eigenvectors is None  # no full-solve fallback
         checked = result.residuals[np.isfinite(result.residuals)]
         assert len(checked) == 1

@@ -741,24 +741,36 @@ _SEARCHES = {
 }
 
 
+@pytest.fixture
+def geev_requests(monkeypatch):
+    """The vectors argument of every lapack.geev call, in call order: the
+    solve that runs, eigenvalue-only (False) or full (True)."""
+    geev, requests = lapack.geev, []
+
+    def recording(n, rows, cols, values, vectors=True):
+        requests.append(vectors)
+        return geev(n, rows, cols, values, vectors)
+
+    monkeypatch.setattr(lapack, "geev", recording)
+    return requests
+
+
 @pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize("case", list(_SEARCHES))
 def test_eigenvalue_only_search_matches_the_full_path(case, lanes,
+                                                      geev_requests,
                                                       monkeypatch):
     params, kwargs = _SEARCHES[case]
     monkeypatch.setattr(lapack, "solve_lanes", lambda: lanes)
-    asked = []
-
-    def solve(*args, **kw):
-        asked.append(kw["vectors"])
-        return eigendecompose(*args, **kw)
-
-    monkeypatch.setattr(sweep_mod, "eigendecompose", solve)
     fast = find_threshold_jp(params, **kwargs)
-    assert set(asked) == {False}
+    assert len(geev_requests) == fast.evaluations
+    assert set(geev_requests) == {False}
+    geev_requests.clear()
+    # without reads every solve is the full one
     monkeypatch.setattr(sweep_mod, "eigendecompose",
                         lambda *args, **kw: eigendecompose(*args))
     full = find_threshold_jp(params, **kwargs)
+    assert set(geev_requests) == {True}
     assert (fast.jp_star, fast.bracket, fast.eps_im, fast.evaluations) \
         == (full.jp_star, full.bracket, full.eps_im, full.evaluations)
     assert [jp for jp, _ in fast.trace] == [jp for jp, _ in full.trace]
@@ -782,17 +794,11 @@ def test_threshold_at_an_exceptional_point():
 
 
 @pytest.mark.parametrize("selector", ["scattering", "bound"])
-def test_cluster_selectors_hold_no_eigenvector_array(selector, monkeypatch):
+def test_cluster_selectors_hold_no_eigenvector_array(selector, geev_requests,
+                                                    monkeypatch):
     # one lane, so one solve at a time: the D x D complex eigenvectors of a
     # full solve would take the peak to about 4 real D x D arrays
     monkeypatch.setattr(lapack, "solve_lanes", lambda: 1)
-    asked = []
-
-    def solve(*args, **kw):
-        asked.append(kw["vectors"])
-        return eigendecompose(*args, **kw)
-
-    monkeypatch.setattr(sweep_mod, "eigendecompose", solve)
     dimension = sector_basis(_THREE_BOSONS).dimension
     tracemalloc.start()
     try:
@@ -801,27 +807,21 @@ def test_cluster_selectors_hold_no_eigenvector_array(selector, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(asked) == result.evaluations and set(asked) == {False}
+    assert len(geev_requests) == result.evaluations
+    assert set(geev_requests) == {False}
     assert peak < 2.5 * 8 * dimension ** 2
 
 
 def test_sweep_threshold_with_a_selector_solves_eigenvalues_only(
-        monkeypatch):
+        geev_requests):
     params, kwargs = _SEARCHES["L=8 N=2 bound"]
-    asked = []
-
-    def solve(*args, **kw):
-        asked.append(kw["vectors"])
-        return eigendecompose(*args, **kw)
-
-    monkeypatch.setattr(sweep_mod, "eigendecompose", solve)
     spec = SweepSpec(base=params, axes=(Axis("mu", 4.0, 4.0, 1),),
                      observables=("threshold",), threshold_selector="bound",
                      threshold_bracket=kwargs["bracket"],
                      threshold_resolution=kwargs["resolution"])
     rows = run_sweep(spec)
     assert rows[0]["error"] == ""
-    assert len(asked) >= 5 and set(asked) == {False}
+    assert len(geev_requests) >= 5 and set(geev_requests) == {False}
     # a sweep point searches at one lane: the answer of any lane count
     assert rows[0]["jp_star"] == find_threshold_jp(params, **kwargs).jp_star
 
@@ -851,8 +851,7 @@ def test_search_trace_equals_one_point_solves(case, monkeypatch):
                        for order in orders)
             selection = (p, selector, 10.0, None)
             alone = eigendecompose(
-                op, vectors=False,
-                reads=lambda r: sweep_mod._selected(r, *selection))
+                op, reads=lambda r: sweep_mod._selected(r, *selection))
             assert sweep_mod._max_im_for_selector(alone, *selection) \
                 == value, jp
 
