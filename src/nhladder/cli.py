@@ -79,12 +79,12 @@ def _int(value) -> int:
 
 def _float(value) -> float:
     """Float flag text or a JSON number; JSON booleans are rejected, and so
-    is +-inf, which a sidecar would write as null, read back as the default.
-    NaN is left to each key's own check."""
+    is every non-finite value (NaN, +-inf), which a sidecar would write as
+    null, read back as the default."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     number = float(value)
-    if math.isinf(number):
+    if not math.isfinite(number):
         raise ValueError(f"must be finite, got {number!r}")
     return number
 

@@ -101,12 +101,14 @@ def _entries(operator: SparseOperator
     np.bincount sums the COO duplicates of each in input order from 0.0, as
     np.add.at sums them into a dense matrix, so each value has the bits of
     the dense entry (boolean duplicates add too); the duplicate-free
-    row-major entries of a dense array (np.nonzero) come back unchanged."""
+    row-major entries of a dense array (np.nonzero) come back unchanged.
+    The values are float64 even where there are none (np.bincount of no
+    entries is an integer array)."""
     dim = operator.dimension
     keys, inverse = np.unique(operator.rows.astype(np.int64) * dim
                               + operator.cols, return_inverse=True)
     values = np.bincount(inverse, weights=operator.values,
-                         minlength=len(keys))
+                         minlength=len(keys)).astype(np.float64, copy=False)
     kept = values != 0
     keys = keys[kept]
     return keys // dim, keys % dim, values[kept]

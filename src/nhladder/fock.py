@@ -6,8 +6,9 @@ cell x on leg B maps to L+x-1. A basis state is one row of
 `Basis.occupations`, a (D, 2L) array of occupation numbers. Rows are listed
 in descending lexicographic order, which makes the N=1 basis index coincide
 with the combined site index. The kernels act on whole arrays of rows:
-`Basis.rank_all` ranks a batch and `hop_all` moves one particle in every
-row; `Basis.rank` and `apply_single_hop` are their one-row calls.
+`Basis.rank_all` ranks a batch by looking each row up among the basis's
+row keys, sorted once, and `hop_all` moves one particle in every row;
+`Basis.rank` and `apply_single_hop` are their one-row calls.
 """
 
 from __future__ import annotations
@@ -81,12 +82,21 @@ def basis_dimension(cells: int, particles: int, statistics: str = "boson") -> in
     raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
 
 
+def _keys(rows: np.ndarray) -> np.ndarray:
+    # one opaque key per occupation row: the bytes of its uint32 counts
+    rows = np.ascontiguousarray(rows, dtype=np.uint32)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
 class Basis:
     """Enumerated occupation basis for one (cells, particles, statistics) sector.
 
     `occupations` is a read-only (dimension, 2L) float64 array with one
-    occupation row per state, in descending lexicographic order; the
-    constructor takes those rows (any array-like) for the whole sector.
+    occupation row per state; the constructor takes those rows (any
+    array-like) for the whole sector, in any order (enumerate_basis lists
+    them in descending lexicographic order). Each row is keyed by the bytes
+    of its uint32 counts, and the keys are sorted once: rank_all finds a
+    row's index with one binary search among them.
     """
 
     def __init__(self, cells: int, particles: int, statistics: str, states):
@@ -95,18 +105,9 @@ class Basis:
         self.statistics = statistics
         self.occupations = np.array(states, dtype=np.float64).reshape(-1, 2 * cells)
         self.occupations.setflags(write=False)
-        # Colex rank of the ascending particle positions p: sum_i C(q_i, i+1)
-        # with q_i = p_i + i for bosons (which turns the multiset into a set)
-        # and q_i = p_i for fermions. It maps the sector one-to-one onto
-        # [0, D), so each term of a sector state is below D: saturating the
-        # table at D keeps every key in int64 without changing any of them.
-        dim = len(self.occupations)
-        span = self.nsites + (particles - 1 if statistics == "boson" else 0)
-        self._colex_terms = np.array(
-            [[min(math.comb(q, i + 1), dim) for i in range(particles)]
-             for q in range(span)], dtype=np.int64)
-        self._order = np.empty(dim, dtype=np.int64)
-        self._order[self._colex(self.occupations.astype(np.int64))] = np.arange(dim)
+        keys = _keys(self.occupations)
+        self._order = np.argsort(keys)
+        self._sorted_keys = keys[self._order]
 
     @property
     def nsites(self) -> int:
@@ -120,14 +121,6 @@ class Basis:
     def states(self) -> Tuple[State, ...]:
         """Occupation tuples, one per row of `occupations`."""
         return tuple(map(tuple, self.occupations.astype(np.int64).tolist()))
-
-    def _colex(self, occupations: np.ndarray) -> np.ndarray:
-        n = self.particles
-        positions = np.repeat(np.tile(np.arange(self.nsites), len(occupations)),
-                              occupations.ravel()).reshape(-1, n)
-        if self.statistics == "boson":
-            positions = positions + np.arange(n)
-        return self._colex_terms[positions, np.arange(n)].sum(axis=1)
 
     def rank_all(self, rows) -> np.ndarray:
         """Indices of a batch of occupation rows; raises ValueError unless
@@ -144,7 +137,7 @@ class Basis:
             raise ValueError(f"state {foreign} is not in the basis "
                              f"(cells={self.cells}, particles={self.particles}, "
                              f"statistics={self.statistics})")
-        return self._order[self._colex(rows.astype(np.int64))]
+        return self._order[np.searchsorted(self._sorted_keys, _keys(rows))]
 
     def rank(self, state: Sequence[int]) -> int:
         """Index of an occupation tuple; raises ValueError if not in the basis."""

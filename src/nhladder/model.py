@@ -8,17 +8,18 @@ with amplitude +jp on every cell. Diagonal terms are on-site repulsion
 along each leg for fermions, plus a leg imbalance mu (N_A - N_B).
 Boundaries are always open.
 
-A SectorPlan holds what every Hamiltonian of one sector shares: the
-diagonal counts of its states and, for each hop term, the rows, columns
-and amplitudes of its nonzeros. plan.operator(params) only scales them,
-and build_hamiltonian is the plan at one point, so a search or a sweep
-that builds one plan per sector assembles each of its operators with the
-same bits. Every operator of a plan carries the sector's band order: its
-states sorted by total cell coordinate S = sum_s n_s (s mod L), ties broken
-by the particle count on leg A. A hop moves one particle by at most one
-cell, so every nonzero joins S-levels at most one apart whatever the
-parameters, and lapack.inverse_iteration factors the operator as a narrow
-band in that order.
+A SectorPlan holds every Hamiltonian of one sector as H = sum_p p P_p:
+fixed parts, each scaled by one parameter (mu, the interaction, the four
+leg hops and jp), with the nonzeros of each part stored once.
+plan.operator(params) only scales them, and build_hamiltonian is the plan
+at one point, so a search or a sweep that builds one plan per sector
+assembles each of its operators with the same bits. Every operator of a
+plan carries the sector's band order: its states sorted by total cell
+coordinate S = sum_s n_s (s mod L), ties broken by the particle count on
+leg A. A hop moves one particle by at most one cell, so every nonzero
+joins S-levels at most one apart whatever the parameters, and
+lapack.inverse_iteration factors the operator as a narrow band in that
+order.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ FLOAT_FIELDS = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", "u", "u_nn")
 
 def leg_hops(j: Optional[float], alpha: float) -> Tuple[float, float]:
     """Left and right hops (j e^alpha, j e^-alpha) of a leg with scale j and
-    imbalance alpha; j defaults to e^-alpha. Raises ValueError naming alpha
-    where e^alpha or e^-alpha overflows a double."""
+    imbalance alpha; j defaults to e^-alpha. Raises ValueError naming j or
+    alpha where it is not finite, and naming alpha where e^alpha or e^-alpha
+    overflows a double."""
+    for name, value in (("j", j), ("alpha", alpha)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value}")
     try:
         j = math.exp(-alpha) if j is None else j
         return j * math.exp(alpha), j * math.exp(-alpha)
@@ -91,7 +96,8 @@ class ModelParams:
                      **kwargs) -> "ModelParams":
         """Build amplitudes from a symmetric scale j and imbalance alpha:
         leg A hops with (j e^alpha, j e^-alpha), leg B with the mirror.
-        Raises ValueError where e^alpha or e^-alpha overflows a double."""
+        Raises ValueError (leg_hops) where j or alpha is not finite or
+        e^alpha or e^-alpha overflows a double."""
         jl, jr = leg_hops(j, alpha)
         return cls(cells=cells, particles=particles,
                    jl_a=jl, jr_a=jr, jl_b=jr, jr_b=jl, **kwargs)
@@ -145,86 +151,93 @@ def diagonal_counts(occupations, statistics: str):
     return quanta, legs[:, 0].sum(axis=1) - legs[:, 1].sum(axis=1)
 
 
-def _diagonal(counts, params: ModelParams) -> np.ndarray:
-    quanta, imbalance = counts
-    return params.mu * imbalance + params.pair_energy * quanta
-
-
 def onsite_energy(state: Sequence[int], params: ModelParams) -> float:
     """Diagonal energy of one occupation state: interaction plus mu imbalance."""
     if len(state) != 2 * params.cells:
         raise ValueError(f"state length {len(state)} does not match 2L={2 * params.cells}")
-    return float(_diagonal(diagonal_counts([state], params.statistics),
-                           params)[0])
+    quanta, imbalance = diagonal_counts([state], params.statistics)
+    return float(params.mu * imbalance[0] + params.pair_energy * quanta[0])
+
+
+# the parameter that scales each part of a plan, in the plan's part order
+_PARTS = ("mu", "pair_energy", "jl_a", "jr_a", "jl_b", "jr_b", "jp")
 
 
 def _hop_terms(cells: int) -> List[Tuple[int, int, str, float]]:
-    # (from_site, to_site, parameter, sign) of every one-particle move: its
-    # coefficient is sign * the parameter, -jl_s leftward and -jr_s
-    # rightward along leg s, +jp both ways across each rung
+    # (from_site, to_site, parameter, sign) of every one-particle move,
+    # grouped by parameter: the coefficient is sign * the parameter, -jl_s
+    # leftward and -jr_s rightward along leg s, +jp both ways across a rung
+    bonds = range(cells - 1)
     terms = []
     for off, jl, jr in ((0, "jl_a", "jr_a"), (cells, "jl_b", "jr_b")):
-        for a in range(off, off + cells - 1):
-            terms += [(a + 1, a, jl, -1.0), (a, a + 1, jr, -1.0)]
-    for x in range(cells):
-        terms += [(x, cells + x, "jp", 1.0), (cells + x, x, "jp", 1.0)]
-    return terms
+        terms += [(off + a + 1, off + a, jl, -1.0) for a in bonds]
+        terms += [(off + a, off + a + 1, jr, -1.0) for a in bonds]
+    return terms + [(a, b, "jp", 1.0) for x in range(cells)
+                    for a, b in ((x, cells + x), (cells + x, x))]
 
 
 class SectorPlan:
-    """The parts of every Hamiltonian on one sector's basis: the diagonal
-    counts of its states (diagonal_counts) and, for each hop term in
-    _hop_terms order, the rows (ranks of the images), columns (the states
-    the move does not annihilate) and amplitudes of its nonzeros.
+    """Every Hamiltonian on one sector's basis as H = sum_p p P_p: the
+    nonzeros of each part P_p, stored once, grouped by the parameter p
+    that scales it (_PARTS order). The diagonal parts are the leg imbalance
+    (scaled by mu) and the interaction quanta (scaled by pair_energy) of
+    diagonal_counts; the off-diagonal ones are the four leg hops and the
+    rung (jp): for each move, the rows (ranks of the images), columns (the
+    states the move does not annihilate) and amplitudes, with the term's
+    sign folded in.
 
-    operator(params) scales them, and every operator it returns carries
-    the sector's band order (the module docstring): the states sorted by
-    total cell coordinate, ties broken by the leg imbalance N_A - N_B =
-    2 N_A - N, which sorts them as the particle count on leg A does.
+    operator(params) is one product, each stored amplitude times its
+    part's parameter. Its raw COO arrays are the parts in order, explicit
+    zeros included where a parameter vanishes; what is pinned is what every
+    reader takes from them, the gathered entries (eig._entries) and
+    to_dense, which carry the bits of the one-term-at-a-time assembly.
+    Every operator carries the sector's band order (the module docstring):
+    the states sorted by total cell coordinate, ties broken by the leg
+    imbalance N_A - N_B = 2 N_A - N, which sorts them as the particle count
+    on leg A does.
     """
 
     def __init__(self, basis: Basis):
         self.basis = basis
         occ = basis.occupations
-        self._counts = diagonal_counts(occ, basis.statistics)
+        quanta, imbalance = diagonal_counts(occ, basis.statistics)
         cell_sum = occ.reshape(len(occ), 2, basis.cells).sum(axis=1) \
             @ np.arange(basis.cells)
-        self._band_order = np.lexsort((self._counts[1], cell_sum))
+        self._band_order = np.lexsort((imbalance, cell_sum))
         self._band_order.setflags(write=False)
-        self._terms = []
-        for from_site, to_site, name, sign in _hop_terms(basis.cells):
-            kept, new, amplitudes = hop_all(occ, from_site, to_site,
-                                            basis.statistics)
-            self._terms.append((name, sign, basis.rank_all(new), kept,
-                                amplitudes))
+        pieces = []
+        for part, counts in enumerate((imbalance, quanta)):
+            on = np.flatnonzero(counts)
+            pieces.append((part, on, on, counts[on].astype(np.float64)))
+        for source, target, name, sign in _hop_terms(basis.cells):
+            kept, new, amplitudes = hop_all(occ, source, target, basis.statistics)
+            pieces.append((_PARTS.index(name), basis.rank_all(new), kept,
+                           sign * amplitudes))
+        parts, rows, cols, amplitudes = zip(*pieces)
+        self._parts = np.repeat(parts, [len(c) for c in cols])
+        self._rows, self._cols, self._amplitudes = map(
+            np.concatenate, (rows, cols, amplitudes))
+        for array in (self._rows, self._cols):
+            array.setflags(write=False)  # shared by every operator
 
     def operator(self, params: ModelParams) -> SparseOperator:
-        """The Hamiltonian at params: the diagonal nonzeros, then each hop
-        term with a nonzero coefficient, its amplitudes times the
-        coefficient, in term order, with the plan's band order. Raises
-        ValueError where params belong to another sector."""
+        """The Hamiltonian at params, with the plan's band order: the parts
+        in _PARTS order, each stored amplitude times its part's parameter,
+        explicit zeros included. Raises ValueError where params belong to
+        another sector."""
         basis = self.basis
         if (basis.cells, basis.particles, basis.statistics) != \
                 (params.cells, params.particles, params.statistics):
             raise ValueError(f"basis {basis!r} does not match params "
                              f"(cells={params.cells}, particles={params.particles}, "
                              f"statistics={params.statistics})")
-        # a product that overflows, and a sum of opposite infinities, is
-        # left to eig.eigendecompose, which rejects a non-finite norm
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag = _diagonal(self._counts, params)
-            on = np.flatnonzero(diag)
-            rows, cols, vals = [on], [on], [diag[on]]
-            for name, sign, term_rows, term_cols, amplitudes in self._terms:
-                coeff = sign * getattr(params, name)
-                if coeff != 0.0:
-                    rows.append(term_rows)
-                    cols.append(term_cols)
-                    vals.append(coeff * amplitudes)
-        return SparseOperator(dimension=basis.dimension,
-                              rows=np.concatenate(rows),
-                              cols=np.concatenate(cols),
-                              values=np.concatenate(vals),
+        coefficients = np.array([getattr(params, name) for name in _PARTS])
+        # a product that overflows is left to eig.eigendecompose, which
+        # rejects a non-finite norm
+        with np.errstate(over="ignore"):
+            values = coefficients[self._parts] * self._amplitudes
+        return SparseOperator(dimension=basis.dimension, rows=self._rows,
+                              cols=self._cols, values=values,
                               band_order=self._band_order)
 
 

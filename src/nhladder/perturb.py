@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .eig import eigendecompose
-from .model import ModelParams, SparseOperator, build_hamiltonian, sector_basis
+from .model import (ModelParams, SectorPlan, SparseOperator, build_hamiltonian,
+                    sector_basis)
 from .observables import check_gaps, select_clusters
 
 RESONANCE_RTOL = 1e-6
@@ -112,13 +113,12 @@ class EffectiveModelReport:
     effective_eigenvalues: np.ndarray
 
 
-def _bound_band(params: ModelParams, capacity: Optional[int],
+def _bound_band(plan: SectorPlan, params: ModelParams, capacity: Optional[int],
                 gap_factor: float, min_gap: Optional[float]) -> np.ndarray:
-    """Eigenvalues of the full model in the bound clusters (see
-    select_clusters), in the (Re, Im) order select_clusters keeps; there
-    must be exactly one per pair site."""
-    basis = sector_basis(params, capacity=capacity)
-    result = eigendecompose(build_hamiltonian(params, basis), capacity=capacity)
+    """Eigenvalues of the full model at params, assembled by the sector's
+    plan, in the bound clusters (see select_clusters), in the (Re, Im)
+    order select_clusters keeps; there must be exactly one per pair site."""
+    result = eigendecompose(plan.operator(params), capacity=capacity)
     bound = select_clusters(result, params, gap_factor, min_gap)["bound"]
     members = [m for c in bound for m in c.members]
     if len(members) != 2 * params.cells:
@@ -132,11 +132,12 @@ def validate_effective_model(params: ModelParams,
                              gap_factor: float = 10.0,
                              min_gap: Optional[float] = None
                              ) -> EffectiveModelReport:
-    """Diagonalize the full two-boson model and the effective pair model at
-    params.u and at 2 u, pair the spectra in the (Re, Im) order both come
-    in, and report the deviations and their ratio. The bound band of the full
-    spectrum is the "bound" group of select_clusters(gap_factor, min_gap),
-    min_gap None standing for default_min_gap, as in the spectrum command.
+    """Diagonalize the full two-boson model (one SectorPlan serves both
+    points) and the effective pair model at params.u and at 2 u, pair the
+    spectra in the (Re, Im) order both come in, and report the deviations
+    and their ratio. The bound band of the full spectrum is the "bound"
+    group of select_clusters(gap_factor, min_gap), min_gap None standing
+    for default_min_gap, as in the spectrum command.
 
     Requires exactly two bosons, and rejects gap_factor and min_gap out of
     range (observables.check_gaps) before any solve. Raises RuntimeError
@@ -146,12 +147,14 @@ def validate_effective_model(params: ModelParams,
     if params.statistics != "boson" or params.particles != 2:
         raise ValueError("validate_effective_model requires two bosons")
     check_gaps(gap_factor, min_gap)
+    _check_denominators(params)
+    plan = SectorPlan(sector_basis(params, capacity=capacity))
     deviations = {}
     spectra = {}
     for scale in (1.0, 2.0):
         p = params.with_updates(u=scale * params.u)
         _check_denominators(p)
-        full = _bound_band(p, capacity, gap_factor, min_gap)
+        full = _bound_band(plan, p, capacity, gap_factor, min_gap)
         eff = eigendecompose(build_effective_pair_hamiltonian(p),
                              capacity=capacity).eigenvalues
         diff = np.abs(full - eff)

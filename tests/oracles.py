@@ -206,7 +206,7 @@ def per_term_entries(params, basis) -> Tuple[np.ndarray, np.ndarray,
     nonzero coefficient, in the order -jl_s leftward and -jr_s rightward on
     each bond of leg A and then of leg B, and +jp out of leg A and into it
     on each rung, its amplitudes times the coefficient. A plan's operator
-    must match it entry for entry and bit for bit."""
+    must gather (eig._entries) and densify to the same bits."""
     from nhladder.fock import hop_all
     from nhladder.model import diagonal_counts
 

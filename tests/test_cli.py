@@ -380,43 +380,61 @@ def test_negative_eps_im_is_rejected(tmp_path, capsys):
     config = tmp_path / "eps.json"
     config.write_text(json.dumps({"cells": 2, "particles": 1, "eps_im": -1}))
     for command in ("spectrum", "threshold"):
-        for argv in (["--cells", "2", "--particles", "1", "--eps-im", "-1"],
-                     ["--config", str(config)],
-                     ["--cells", "2", "--particles", "1", "--eps-im", "nan"]):
+        for argv, error in (
+                (["--cells", "2", "--particles", "1", "--eps-im", "-1"],
+                 "must be non-negative"),
+                (["--config", str(config)], "must be non-negative"),
+                (["--cells", "2", "--particles", "1", "--eps-im", "nan"],
+                 "must be finite")):
             capsys.readouterr()
             assert main([command, *argv,
                          "--out", str(tmp_path / "eps")]) == 2, argv
             assert capsys.readouterr().err.startswith(
-                "error (config): eps_im: must be non-negative")
+                f"error (config): eps_im: {error}")
     assert main(["spectrum", "--cells", "2", "--particles", "1",
                  "--eps-im", "0", "--out", str(tmp_path / "zero")]) == 0
 
 
 def test_nan_options_are_rejected(tmp_path, capsys):
     # every comparison with NaN is False, so a NaN bound would pass a
-    # "reject if <= 0" test and silently change the result
+    # "reject if <= 0" test and silently change the result, and a sidecar
+    # writes NaN as null, which reads back as the default: a NaN exits 2
+    # naming the key it was given as, from a flag or a file
+    config = tmp_path / "alpha.json"
+    config.write_text(json.dumps({"alpha": math.nan}))
+    spectrum = ["spectrum", "--cells", "2", "--particles", "1"]
+    sweep = ["sweep", "--cells", "2", "--particles", "1",
+             "--axis", "jp:0:0.1:2"]
     threshold_sweep = ["sweep", "--cells", "3", "--particles", "2", "--u", "4",
                        "--axis", "jp:0:0.05:3", "--observables", "threshold"]
-    cases = [("resolution", ["threshold", "--cells", "8", "--particles", "1",
-                             "--mu", "0.2", "--bracket", "0:0.2",
-                             "--resolution", "nan"]),
-             ("min_gap", ["spectrum", "--cells", "6", "--particles", "2",
-                          "--min-gap", "nan"]),
-             ("gap_factor", ["spectrum", "--cells", "6", "--particles", "2",
-                             "--gap-factor", "nan"]),
+    cases = [("resolution: must be finite",
+              ["threshold", "--cells", "8", "--particles", "1", "--mu", "0.2",
+               "--bracket", "0:0.2", "--resolution", "nan"]),
+             ("min_gap: must be finite", ["spectrum", "--cells", "6",
+                                          "--particles", "2", "--min-gap", "nan"]),
+             ("gap_factor: must be finite", ["spectrum", "--cells", "6",
+                                             "--particles", "2",
+                                             "--gap-factor", "nan"]),
              # a sweep checks it before its points, not in each point's row
-             ("gap_factor", ["sweep", "--cells", "4", "--particles", "2",
-                             "--axis", "jp:0:0.1:3",
-                             "--observables", "max_im_per_cluster",
-                             "--gap-factor", "nan"]),
+             ("gap_factor: must be finite",
+              ["sweep", "--cells", "4", "--particles", "2",
+               "--axis", "jp:0:0.1:3", "--observables", "max_im_per_cluster",
+               "--gap-factor", "nan"]),
+             ("alpha: must be finite", [*spectrum, "--alpha", "nan"]),
+             ("j: must be finite", [*spectrum, "--j", "nan", "--alpha", "1"]),
+             ("alpha: must be finite", [*spectrum, "--config", str(config)]),
+             ("jp: must be finite", [*spectrum, "--jp", "nan"]),
+             ("bracket: must be finite", [*sweep, "--bracket", "nan:1"]),
+             ("resolution: must be finite", [*sweep, "--resolution", "nan"]),
              # as it does the bracket and resolution of its threshold column
-             ("bracket", [*threshold_sweep, "--bracket", "0.1:0"]),
-             ("resolution", [*threshold_sweep, "--resolution", "0"])]
-    for case, (key, argv) in enumerate(cases):
+             ("bracket must be", [*threshold_sweep, "--bracket", "0.1:0"]),
+             ("resolution must be", [*threshold_sweep, "--resolution", "0"])]
+    for case, (error, argv) in enumerate(cases):
         out = tmp_path / f"case{case}"
         capsys.readouterr()
         assert main([*argv, "--out", str(out)]) == 2, argv
-        assert f"{key} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): ") and error in err, argv
         assert not list(tmp_path.glob(f"case{case}*"))
 
 

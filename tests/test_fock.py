@@ -1,11 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from nhladder.fock import (CapacityError, apply_single_hop, basis_dimension,
-                           combined_site, enumerate_basis, resolve_capacity,
-                           site_cell_leg)
+from nhladder.fock import (Basis, CapacityError, apply_single_hop,
+                           basis_dimension, combined_site, enumerate_basis,
+                           resolve_capacity, site_cell_leg)
 
 from oracles import brute_fermion_hop
 
@@ -100,6 +101,22 @@ def test_rank_unrank_roundtrip_in_high_occupation_sectors(cells, particles):
     basis = enumerate_basis(cells, particles, "boson")
     for i in range(basis.dimension):
         assert basis.rank(basis.unrank(i)) == i
+
+
+@pytest.mark.parametrize("cells,particles,statistics",
+                         DESK_SECTORS + [(1, 70, "boson"), (2, 40, "boson")])
+def test_rank_all_finds_each_row_in_any_order(cells, particles, statistics):
+    # the whole sector ranks onto arange(D) in one call, and a basis built
+    # from the same rows shuffled ranks each row at its own position
+    basis = enumerate_basis(cells, particles, statistics)
+    dim = basis.dimension
+    assert np.array_equal(basis.rank_all(basis.occupations), np.arange(dim))
+    shuffle = np.random.default_rng(dim).permutation(dim)
+    shuffled = Basis(cells, particles, statistics, basis.occupations[shuffle])
+    assert np.array_equal(shuffled.rank_all(shuffled.occupations),
+                          np.arange(dim))
+    assert np.array_equal(shuffled.rank_all(basis.occupations),
+                          np.argsort(shuffle))
 
 
 def test_n1_basis_index_is_combined_site():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nhladder.eig import RESIDUAL_RTOL, eigendecompose
+from nhladder.eig import RESIDUAL_RTOL, _entries, eigendecompose
 from nhladder.fock import enumerate_basis
-from nhladder.model import (ModelParams, SectorPlan, build_hamiltonian,
-                            build_single_particle_matrix, onsite_energy,
-                            sector_basis)
+from nhladder.model import (ModelParams, SectorPlan, SparseOperator,
+                            build_hamiltonian, build_single_particle_matrix,
+                            onsite_energy, sector_basis)
 
 from oracles import (brute_boson_hamiltonian, brute_fermion_hamiltonian,
                      multisets_close, per_state_hamiltonian, per_term_entries)
@@ -34,6 +34,16 @@ def test_from_j_alpha():
 def test_from_j_alpha_rejects_an_alpha_that_overflows(j, alpha):
     # e^alpha or e^-alpha overflows a double: a ValueError naming alpha
     with pytest.raises(ValueError, match="^alpha: "):
+        ModelParams.from_j_alpha(4, 2, j=j, alpha=alpha)
+
+
+@pytest.mark.parametrize("j,alpha,name", [
+    (1.0, math.nan, "alpha"), (1.0, math.inf, "alpha"),
+    (1.0, -math.inf, "alpha"), (math.nan, 1.0, "j"), (math.inf, 0.0, "j")])
+def test_from_j_alpha_names_a_non_finite_j_or_alpha(j, alpha, name):
+    # a non-finite scale or imbalance is named as given, not as the
+    # per-leg amplitude it would have produced
+    with pytest.raises(ValueError, match=f"^{name}: must be finite"):
         ModelParams.from_j_alpha(4, 2, j=j, alpha=alpha)
 
 
@@ -235,26 +245,32 @@ PLAN_SECTORS = [(4, 2, "boson"), (3, 3, "boson"), (1, 3, "boson"),
 @pytest.mark.parametrize("cells,particles,statistics", PLAN_SECTORS)
 def test_plan_operator_bit_identical_to_per_term_assembly(cells, particles,
                                                           statistics):
-    # one plan serves every draw of its sector; zeroed rung, mu,
-    # interaction and leg hops take the skipped-term and empty-diagonal paths
+    # one plan serves every draw of its sector. Its raw COO is the parts in
+    # order with explicit zeros, so what is compared is what every solve and
+    # to_dense read: the gathered entries and the dense matrix. Zeroed rung,
+    # mu, interaction and leg hops leave explicit zeros that the per-term
+    # assembly skipped; the last draw adds a signed-zero mu to the diagonal
     interaction = "u" if statistics == "boson" else "u_nn"
     names = ("jl_a", "jr_a", "jl_b", "jr_b", "jp", "mu", interaction)
     rng = np.random.default_rng(7 * cells + particles + len(statistics))
     plan = SectorPlan(enumerate_basis(cells, particles, statistics))
-    for draw in range(12):
+    for draw in range(13):
         values = dict(zip(names, rng.normal(size=len(names))))
         for name in (("jp",), ("mu",), (interaction,), ("jr_b",),
                      ("jp", "mu", interaction), ())[draw % 6]:
             values[name] = 0.0
+        if draw == 12:
+            values["mu"] = -0.0
         p = ModelParams(cells=cells, particles=particles,
                         statistics=statistics, **values)
         op = plan.operator(p)
-        rows, cols, vals = per_term_entries(p, plan.basis)
-        assert op.dimension == plan.basis.dimension
-        assert np.array_equal(op.rows, rows)
-        assert np.array_equal(op.cols, cols)
-        assert op.values.dtype == vals.dtype
-        assert np.array_equal(op.values.view(np.uint64), vals.view(np.uint64))
+        oracle = SparseOperator(plan.basis.dimension,
+                                *per_term_entries(p, plan.basis))
+        assert op.dimension == oracle.dimension
+        for got, want in [*zip(_entries(op), _entries(oracle)),
+                          (op.to_dense(), oracle.to_dense())]:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_plan_rejects_params_of_another_sector():
